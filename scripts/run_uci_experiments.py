@@ -36,7 +36,6 @@ def main() -> int:
     parser.add_argument("--out", default="uci-results", help="output directory")
     parser.add_argument("--datasets", nargs="*", default=sorted(EXPECTED),
                         choices=sorted(EXPECTED))
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     failures = 0
@@ -50,8 +49,7 @@ def main() -> int:
         model = empirical_model(ds)
         t0 = time.perf_counter()
         report, info, _ = run_analysis(ds, model, RunConfig(
-            mode="infrequent", alpha=0.05, r=2.0, prune=True,
-            threads=args.threads))
+            mode="infrequent", alpha=0.05, r=2.0, prune=True))
         elapsed = time.perf_counter() - t0
         nonzero = int((report.scores > 0).sum())
         score_depth_scatter_svg(report.depths, report.scores,

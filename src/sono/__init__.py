@@ -19,13 +19,13 @@ from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
                      OracleRefusal, SonoError, TableExplosion)
 from .lattice import (FlagRecord, SearchStats, count_support, search_frequent,
                       search_infrequent)
-from .oracle import (OracleConfig, WalkerResult, check_propositions, exact_nu,
-                     random_dataset, walker)
+from .oracle import (OracleConfig, TruncatedPoissonMoments, WalkerResult,
+                     check_propositions, edgeworth_sum_density, exact_nu,
+                     random_dataset, truncated_poisson_moments, walker)
 from .scoring import (ScoreReport, build_report, contribution_matrix, depth_flags,
                       max_score_bound, score_flags)
-from .simci import (CellSpec, SimultaneousCI, TruncatedPoissonMoments,
-                    coverage_probability, edgeworth_sum_density, find_c,
-                    simultaneous_intervals, truncated_poisson_moments)
+from .simci import (CellSpec, SimultaneousCI, coverage_probability, find_c,
+                    simultaneous_intervals)
 from .thresholds import (MaxlenDecision, ThresholdProvider, ThresholdTable,
                          determine_maxlen, subset_thresholds)
 
@@ -41,11 +41,11 @@ __all__ = [
     "search_frequent",
     "ScoreReport", "build_report", "score_flags", "depth_flags",
     "contribution_matrix", "max_score_bound",
-    "CellSpec", "SimultaneousCI", "TruncatedPoissonMoments",
-    "truncated_poisson_moments", "edgeworth_sum_density", "coverage_probability",
-    "find_c", "simultaneous_intervals",
+    "CellSpec", "SimultaneousCI", "coverage_probability", "find_c",
+    "simultaneous_intervals",
     "MaxlenDecision", "ThresholdTable", "ThresholdProvider", "determine_maxlen",
     "subset_thresholds",
     "OracleConfig", "WalkerResult", "walker", "exact_nu", "check_propositions",
-    "random_dataset",
+    "random_dataset", "TruncatedPoissonMoments", "truncated_poisson_moments",
+    "edgeworth_sum_density",
 ]

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", help="comma list from csv,json,svg")
     ps.add_argument("--drop-cols", dest="drop_cols", help="comma list of columns to drop")
     ps.add_argument("--missing", choices=("drop", "level"))
-    ps.add_argument("--threads", type=int)
     ps.add_argument("--oracle-nu", action="store_const", const=True, dest="oracle_nu",
                     default=None, help="use exact-convolution coverage everywhere")
     ps.add_argument("--delimiter")
@@ -80,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
     keys = ("input", "mode", "alpha", "r", "prune", "max_len", "probs", "out",
-            "format", "drop_cols", "missing", "threads", "oracle_nu", "delimiter",
+            "format", "drop_cols", "missing", "oracle_nu", "delimiter",
             "header", "missing_markers", "level_order", "maxlen_rule", "max_cells")
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 

@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
 from .errors import DomainError, IngestionError
 
+log = logging.getLogger(__name__)
+
 FORMATS = ("csv", "json", "svg")
+# Options that run.json files of earlier versions hold but that no longer
+# exist; a config file may still name them, and they are ignored.
+RETIRED_FILE_KEYS = ("threads",)
 
 
 @dataclass
@@ -25,7 +31,6 @@ class RunConfig:
     format: tuple[str, ...] = ("csv", "json")
     drop_cols: tuple[str, ...] = ()
     missing: str = "drop"
-    threads: int = 1
     oracle_nu: bool = False
     delimiter: str = ","
     header: bool = True
@@ -49,8 +54,6 @@ class RunConfig:
         bad = set(self.format) - set(FORMATS)
         if bad:
             raise DomainError(f"unknown output formats {sorted(bad)}")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
         if self.missing not in ("drop", "level"):
             raise DomainError("missing policy must be drop or level")
         if self.maxlen_rule not in ("any-cell", "all-cells"):
@@ -84,6 +87,9 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
             continue
         for key, value in source.items():
             name = key.replace("-", "_")
+            if source is file_values and name in RETIRED_FILE_KEYS:
+                log.warning("config file option %r is retired and ignored", key)
+                continue
             if name not in known:
                 raise IngestionError(f"unknown {tag} option {key!r}")
             if value is None:

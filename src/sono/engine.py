@@ -39,16 +39,14 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
         decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),
                                   violating_subset=None, rule="manual")
     else:
-        decision = determine_maxlen(model, ds.n, cfg.alpha, mode=cfg.mode,
-                                    rule=cfg.maxlen_rule, method=method,
-                                    max_cells=cfg.max_cells, threads=cfg.threads)
+        decision = determine_maxlen(model, ds.n, cfg.alpha, rule=cfg.maxlen_rule,
+                                    method=method, max_cells=cfg.max_cells)
 
     provider = ThresholdProvider(model, ds.n, cfg.alpha, method=method,
                                  max_cells=cfg.max_cells,
                                  cache_dir=os.environ.get(CACHE_ENV))
     search = search_infrequent if cfg.mode == "infrequent" else search_frequent
-    flag_sets, stats = search(ds, provider, decision.maxlen, prune=cfg.prune,
-                              threads=cfg.threads)
+    flag_sets, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
     report = build_report(flag_sets, cfg.r, cfg.mode, decision.maxlen, ds.p)
     provider.flush_spill()
     info = RunInfo(

@@ -87,7 +87,7 @@ def _parent_dead(dead_prev: dict, subset: tuple[int, ...], n: int) -> np.ndarray
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
-                      prune: bool = True, threads: int = 1
+                      prune: bool = True
                       ) -> tuple[list[list[FlagRecord]], SearchStats]:
     """Bottom-up search for cells with supp <= sigma; returns per-row flag lists."""
     n, p = ds.n, ds.p
@@ -113,7 +113,6 @@ def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
             if prune:
                 break  # nothing alive at this size; supersets are dead too
             continue
-        provider.prefetch(live_subsets, threads=threads)
         for subset in live_subsets:
             parent = parents[subset]
             codes = subset_codes(ds, subset)
@@ -167,7 +166,7 @@ def _project_flagged(flagged_levels: dict[tuple[int, ...], set[tuple[int, ...]]]
 
 
 def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
-                    prune: bool = True, threads: int = 1
+                    prune: bool = True
                     ) -> tuple[list[list[FlagRecord]], SearchStats]:
     """Top-down search for cells with supp >= sigma.
 
@@ -180,9 +179,7 @@ def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
     flagged_levels: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     top = min(maxlen, p)
     for size in range(top, 0, -1):
-        subsets = list(itertools.combinations(range(p), size))
-        provider.prefetch(subsets, threads=threads)
-        for subset in subsets:
+        for subset in itertools.combinations(range(p), size):
             codes = subset_codes(ds, subset)
             uniq, inv, counts = np.unique(codes, return_inverse=True,
                                           return_counts=True)

@@ -3,22 +3,26 @@
 These exist so every fast-path result can be audited: a nested-loop lattice
 walker that recomputes flags, scores, depths and contributions from the
 definitions; an exact coverage probability (convolution plus a multinomial
-enumeration self-check); and numeric checkers for the two maximum-score
-propositions. Deliberately single-threaded and cache-free.
+enumeration self-check); truncated-Poisson moments by direct summation and
+the Edgeworth density of their sum; and numeric checkers for the two
+maximum-score propositions. Deliberately single-threaded and cache-free.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .data import Dataset, Itemset, ProbabilityModel, empirical_model
-from .errors import OracleRefusal
+from .errors import DegenerateTruncation, DomainError, OracleRefusal
 from .lattice import FlagRecord
 from .scoring import ScoreReport
-from .simci import CellSpec, _coverage_convolution, poisson_log_pmf, truncation_bounds
+from .simci import (_VAR_EPS, CellSpec, _coverage_convolution, _edgeworth_value,
+                    poisson_log_pmf, truncation_bounds)
 from .thresholds import determine_maxlen, subset_thresholds
 
 
@@ -108,6 +112,69 @@ def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> f
 
 
 # ---------------------------------------------------------------------------
+# Truncated-Poisson moments by direct summation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TruncatedPoissonMoments:
+    """Mean, central moments 2-4 and mass of a Poisson truncated to [a, b]."""
+
+    lam: float
+    a: int
+    b: int
+    m1: float
+    mu2: float
+    mu3: float
+    mu4: float
+    mass: float
+
+
+def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMoments:
+    """Exact moments of Y | a <= Y <= b for Y ~ Poisson(lam), by direct summation.
+
+    The mass is accumulated in log space; moments use normalized weights, so
+    the result is exact up to floating point for any finite [a, b].
+    """
+    if lam <= 0:
+        raise DomainError("lam must be positive")
+    if a < 0 or b < a:
+        raise DomainError("need 0 <= a <= b")
+    y = np.arange(a, b + 1, dtype=float)
+    logw = poisson_log_pmf(y, lam)
+    log_mass = float(logsumexp(logw))
+    if not np.isfinite(log_mass):
+        raise DegenerateTruncation(f"zero mass on [{a}, {b}] for lam={lam}")
+    w = np.exp(logw - log_mass)
+    m1 = float(np.dot(y, w))
+    d = y - m1
+    mu2 = float(np.dot(d * d, w))
+    mu3 = float(np.dot(d ** 3, w))
+    mu4 = float(np.dot(d ** 4, w))
+    return TruncatedPoissonMoments(
+        lam=float(lam), a=int(a), b=int(b),
+        m1=m1, mu2=mu2, mu3=mu3, mu4=mu4, mass=math.exp(log_mass),
+    )
+
+
+def edgeworth_sum_density(moments: Sequence[TruncatedPoissonMoments], target: int) -> float:
+    """Approximate P(sum of independent truncated Poissons = target).
+
+    Aggregates means and central moments into the sum's cumulants and
+    evaluates the fourth-order Edgeworth series. May return a slightly
+    negative value in extreme tails; callers clamp.
+    """
+    if not moments:
+        raise DomainError("need at least one cell")
+    mean = math.fsum(m.m1 for m in moments)
+    var = math.fsum(m.mu2 for m in moments)
+    k3 = math.fsum(m.mu3 for m in moments)
+    k4 = math.fsum(m.mu4 - 3.0 * m.mu2 ** 2 for m in moments)
+    if var <= _VAR_EPS:
+        raise DegenerateTruncation("zero aggregate variance")
+    return _edgeworth_value(mean, var, k3, k4, float(target))
+
+
+# ---------------------------------------------------------------------------
 # Nested-loop walker
 # ---------------------------------------------------------------------------
 
@@ -147,7 +214,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     if max_len is not None:
         maxlen = max_len
     else:
-        maxlen = determine_maxlen(model, n, alpha, mode=mode, rule=maxlen_rule,
+        maxlen = determine_maxlen(model, n, alpha, rule=maxlen_rule,
                                   method=method).maxlen
     maxlen = min(maxlen, p)
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr
 
-from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRefusal
+from .errors import CISearchFailure, DomainError, OracleRefusal
 
 # Below this product of truncation widths, nu is computed exactly by
 # convolution instead of the Edgeworth approximation.
@@ -65,20 +64,6 @@ class CellSpec:
     @property
     def k(self) -> int:
         return self.probs.size
-
-
-@dataclass(frozen=True)
-class TruncatedPoissonMoments:
-    """Mean, central moments 2-4 and mass of a Poisson truncated to [a, b]."""
-
-    lam: float
-    a: int
-    b: int
-    m1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -125,33 +110,6 @@ def truncation_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, n
     return m, a, b
 
 
-def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMoments:
-    """Exact moments of Y | a <= Y <= b for Y ~ Poisson(lam), by direct summation.
-
-    The mass is accumulated in log space; moments use normalized weights, so
-    the result is exact up to floating point for any finite [a, b].
-    """
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    if a < 0 or b < a:
-        raise DomainError("need 0 <= a <= b")
-    y = np.arange(a, b + 1, dtype=float)
-    logw = poisson_log_pmf(y, lam)
-    log_mass = float(logsumexp(logw))
-    if not np.isfinite(log_mass):
-        raise DegenerateTruncation(f"zero mass on [{a}, {b}] for lam={lam}")
-    w = np.exp(logw - log_mass)
-    m1 = float(np.dot(y, w))
-    d = y - m1
-    mu2 = float(np.dot(d * d, w))
-    mu3 = float(np.dot(d ** 3, w))
-    mu4 = float(np.dot(d ** 4, w))
-    return TruncatedPoissonMoments(
-        lam=float(lam), a=int(a), b=int(b),
-        m1=m1, mu2=mu2, mu3=mu3, mu4=mu4, mass=math.exp(log_mass),
-    )
-
-
 def _edgeworth_value(mean: float, var: float, k3: float, k4: float, x):
     """Fourth-order Edgeworth density (skewness, kurtosis, skewness^2 terms).
 
@@ -167,24 +125,6 @@ def _edgeworth_value(mean: float, var: float, k3: float, k4: float, x):
     h6 = z ** 6 - 15 * z ** 4 + 45 * z ** 2 - 15
     out = phi * (1.0 + g1 * h3 / 6.0 + g2 * h4 / 24.0 + g1 * g1 * h6 / 72.0) / sd
     return float(out) if np.ndim(x) == 0 else out
-
-
-def edgeworth_sum_density(moments: Sequence[TruncatedPoissonMoments], target: int) -> float:
-    """Approximate P(sum of independent truncated Poissons = target).
-
-    Aggregates means and central moments into the sum's cumulants and
-    evaluates the fourth-order Edgeworth series. May return a slightly
-    negative value in extreme tails; callers clamp.
-    """
-    if not moments:
-        raise DomainError("need at least one cell")
-    mean = math.fsum(m.m1 for m in moments)
-    var = math.fsum(m.mu2 for m in moments)
-    k3 = math.fsum(m.mu3 for m in moments)
-    k4 = math.fsum(m.mu4 - 3.0 * m.mu2 ** 2 for m in moments)
-    if var <= _VAR_EPS:
-        raise DegenerateTruncation("zero aggregate variance")
-    return _edgeworth_value(mean, var, k3, k4, float(target))
 
 
 def _cell_moment_arrays(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -230,17 +170,6 @@ def _cell_moment_arrays(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
         "idx": idx, "m1": m1, "mu2": mu2, "mu3": mu3, "k4": k4c,
         "sum_log_mass": sum_log_mass,
     }
-
-
-def _aggregate_trunc_moments(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Aggregate cumulants + log-mass; None when some cell has zero mass."""
-    cells = _cell_moment_arrays(lam, a, b)
-    if cells is None:
-        return None
-    t = cells["trivial_sum"]
-    return (t + float(cells["m1"].sum()), t + float(cells["mu2"].sum()),
-            t + float(cells["mu3"].sum()), t + float(cells["k4"].sum()),
-            cells["sum_log_mass"])
 
 
 def _log_width_product(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .data import ProbabilityModel, subset_cell_probs, subset_strides
 from .errors import TableExplosion
 from .simci import CellSpec, coverage_probability, find_c
+
+log = logging.getLogger(__name__)
 
 DEFAULT_MAX_CELLS = 1e7
 SIGMA_FLOOR = 2.0
@@ -72,21 +75,19 @@ class ThresholdTable:
             prob = prob * float(self.pi[j][lev - 1])
         return prob
 
-    def sigma_codes(self, codes: np.ndarray, mode: str) -> np.ndarray:
-        p = self.cell_prob_codes(codes)
+    def _sigma(self, p, mode: str):
+        """Threshold of a cell with probability p (scalar or array) in `mode`."""
         if mode == "infrequent":
             return self.n * p - self.c
         if mode == "frequent":
             return self.n * p + self.c + 2.0 * self.gamma
         raise ValueError(f"unknown mode {mode!r}")
 
+    def sigma_codes(self, codes: np.ndarray, mode: str) -> np.ndarray:
+        return self._sigma(self.cell_prob_codes(codes), mode)
+
     def sigma_levels(self, levels: Sequence[int], mode: str) -> float:
-        p = self.cell_prob_levels(levels)
-        if mode == "infrequent":
-            return self.n * p - self.c
-        if mode == "frequent":
-            return self.n * p + self.c + 2.0 * self.gamma
-        raise ValueError(f"unknown mode {mode!r}")
+        return self._sigma(self.cell_prob_levels(levels), mode)
 
     def _extreme_prob(self, kind: str) -> float:
         prob = 1.0
@@ -96,14 +97,10 @@ class ThresholdTable:
 
     def min_sigma(self, mode: str = "infrequent") -> float:
         """Smallest threshold over the full Kronecker cell set (not only observed)."""
-        p = self._extreme_prob("min")
-        return self.n * p - self.c if mode == "infrequent" \
-            else self.n * p + self.c + 2.0 * self.gamma
+        return self._sigma(self._extreme_prob("min"), mode)
 
     def max_sigma(self, mode: str = "infrequent") -> float:
-        p = self._extreme_prob("max")
-        return self.n * p - self.c if mode == "infrequent" \
-            else self.n * p + self.c + 2.0 * self.gamma
+        return self._sigma(self._extreme_prob("max"), mode)
 
     def sigma_map(self, mode: str = "infrequent") -> dict[tuple[int, ...], float]:
         """Full cell -> threshold map; intended for small (test-sized) tables."""
@@ -136,21 +133,25 @@ def _cell_spec(model: ProbabilityModel, n: int, subset: Sequence[int],
     return CellSpec(probs=subset_cell_probs(model, subset), n=n)
 
 
-def subset_thresholds(model: ProbabilityModel, n: int, subset: Sequence[int],
-                      alpha: float, mode: str = "infrequent", *,
-                      method: str = "auto",
-                      max_cells: float = DEFAULT_MAX_CELLS) -> ThresholdTable:
-    """Threshold table for one variable subset (one c at level 1-2*alpha)."""
-    subset = tuple(sorted(subset))
-    spec = _cell_spec(model, n, subset, max_cells)
-    level = 1.0 - 2.0 * alpha
-    c, gamma = find_c(spec, level, method)
+def _table(model: ProbabilityModel, n: int, subset: tuple[int, ...],
+           c: int, gamma: float) -> ThresholdTable:
+    """The ThresholdTable of a sorted subset with a known (c, gamma)."""
     return ThresholdTable(
         subset=subset, c=c, gamma=gamma, n=n,
         pi=tuple(model.pi[j] for j in subset),
         level_counts=tuple(model.level_counts[j] for j in subset),
         strides=subset_strides(model.level_counts, subset),
     )
+
+
+def subset_thresholds(model: ProbabilityModel, n: int, subset: Sequence[int],
+                      alpha: float, *, method: str = "auto",
+                      max_cells: float = DEFAULT_MAX_CELLS) -> ThresholdTable:
+    """Threshold table for one variable subset (one c at level 1-2*alpha)."""
+    subset = tuple(sorted(subset))
+    spec = _cell_spec(model, n, subset, max_cells)
+    c, gamma = find_c(spec, 1.0 - 2.0 * alpha, method)
+    return _table(model, n, subset, c, gamma)
 
 
 def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
@@ -181,49 +182,32 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     return c <= t
 
 
-def determine_maxlen(model: ProbabilityModel, n: int, alpha: float,
-                     mode: str = "infrequent", *, rule: str = "any-cell",
-                     method: str = "auto", max_cells: float = DEFAULT_MAX_CELLS,
-                     threads: int = 1) -> MaxlenDecision:
+def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
+                     rule: str = "any-cell", method: str = "auto",
+                     max_cells: float = DEFAULT_MAX_CELLS) -> MaxlenDecision:
     """Largest M such that every subset of size <= M passes the sigma >= 2 rule.
 
     rule "any-cell" (default): a subset passes while its most probable cell
     keeps sigma >= 2 (a size fails once some table has every cell below 2).
     rule "all-cells": every cell of every subset must keep sigma >= 2.
     Sizes are swept upward and the first failing size stops the sweep; if even
-    size 1 fails, maxlen is still 1. Both modes use the infrequent-style
-    lower bounds. The mode argument is accepted for interface completeness.
+    size 1 fails, maxlen is still 1. The rule uses the infrequent-style lower
+    bounds in both modes.
     """
-    del mode  # rule is direction-independent by design
     if rule not in ("any-cell", "all-cells"):
         raise ValueError(f"unknown maxlen rule {rule!r}")
     p = model.p
     level = 1.0 - 2.0 * alpha
     for m in range(1, p + 1):
-        subsets = list(itertools.combinations(range(p), m))
-        if threads > 1 and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(
-                    lambda s: _subset_passes(model, n, s, level, rule, method, max_cells),
-                    subsets))
-            for s, ok in zip(subsets, results):
-                if not ok:
-                    return MaxlenDecision(maxlen=max(m - 1, 1),
-                                          violating_subset=s, rule=rule)
-        else:
-            for s in subsets:
-                if not _subset_passes(model, n, s, level, rule, method, max_cells):
-                    return MaxlenDecision(maxlen=max(m - 1, 1),
-                                          violating_subset=s, rule=rule)
+        for s in itertools.combinations(range(p), m):
+            if not _subset_passes(model, n, s, level, rule, method, max_cells):
+                return MaxlenDecision(maxlen=max(m - 1, 1),
+                                      violating_subset=s, rule=rule)
     return MaxlenDecision(maxlen=p, violating_subset=None, rule=rule)
 
 
 class ThresholdProvider:
-    """Caches ThresholdTables per subset; optionally spills (c, gamma) to disk.
-
-    Distinct keys may be inserted concurrently; recomputation of the same key
-    is benign because results are deterministic.
-    """
+    """Caches ThresholdTables per subset; optionally spills (c, gamma) to disk."""
 
     def __init__(self, model: ProbabilityModel, n: int, alpha: float, *,
                  method: str = "auto", max_cells: float = DEFAULT_MAX_CELLS,
@@ -247,9 +231,13 @@ class ThresholdProvider:
             if os.path.exists(self._spill_path):
                 try:
                     with open(self._spill_path) as fh:
-                        self._spilled = json.load(fh)
-                except (OSError, ValueError):
-                    self._spilled = {}
+                        spilled = json.load(fh)
+                    if not isinstance(spilled, dict):
+                        raise ValueError("not a JSON object")
+                    self._spilled = spilled
+                except (OSError, ValueError) as exc:
+                    log.warning("ignoring threshold cache %s (%s); recomputing",
+                                self._spill_path, exc)
 
     def get(self, subset: Iterable[int]) -> ThresholdTable:
         key = tuple(sorted(subset))
@@ -259,13 +247,7 @@ class ThresholdProvider:
         spill_key = ",".join(map(str, key))
         if spill_key in self._spilled:
             c, gamma = self._spilled[spill_key]
-            model = self.model
-            table = ThresholdTable(
-                subset=key, c=int(c), gamma=float(gamma), n=self.n,
-                pi=tuple(model.pi[j] for j in key),
-                level_counts=tuple(model.level_counts[j] for j in key),
-                strides=subset_strides(model.level_counts, key),
-            )
+            table = _table(self.model, self.n, key, int(c), float(gamma))
         else:
             table = subset_thresholds(self.model, self.n, key, self.alpha,
                                       method=self.method, max_cells=self.max_cells)
@@ -273,22 +255,21 @@ class ThresholdProvider:
         self._tables[key] = table
         return table
 
-    def prefetch(self, subsets: Sequence[tuple[int, ...]], threads: int = 1) -> None:
-        todo = [s for s in subsets if tuple(sorted(s)) not in self._tables]
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(self.get, todo))
-        else:
-            for s in todo:
-                self.get(s)
-
     def flush_spill(self) -> None:
-        if self._spill_path:
-            try:
-                with open(self._spill_path, "w") as fh:
-                    json.dump(self._spilled, fh)
-            except OSError:
-                pass
+        """Write the spill file through a temp file and an atomic rename."""
+        if not self._spill_path:
+            return
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self._spill_path),
+                                       prefix=".thresholds-", suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                json.dump(self._spilled, fh)
+            os.replace(tmp, self._spill_path)
+        except OSError as exc:
+            log.warning("cannot write threshold cache %s: %s", self._spill_path, exc)
+            if tmp is not None and os.path.exists(tmp):
+                os.unlink(tmp)
 
     def c_summary(self) -> dict[int, dict[str, float]]:
         """Per subset size: number of tables and the range of c values."""

@@ -75,9 +75,6 @@ class StubProvider:
         return StubTable(tuple(sorted(subset)), self.level_counts,
                          self.sigma_by_levels, self.default_sigma)
 
-    def prefetch(self, subsets, threads=1):
-        pass
-
 
 @pytest.fixture
 def toy_table():

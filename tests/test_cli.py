@@ -113,14 +113,22 @@ class TestScoreCommand:
         assert doc["dataset"]["p"] == 2
         assert doc["config"]["prune"] is False
 
-    def test_threads_flag_identical_output(self, sample_csv, tmp_path):
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            assert main(["score", "--input", sample_csv, "--out", str(out),
-                         "--threads", threads]) == 0
-            outs.append((out / "scores.csv").read_bytes())
-        assert outs[0] == outs[1]
+    def test_retired_threads_key_in_old_run_json(self, sample_csv, tmp_path, caplog):
+        # run.json files of earlier versions hold "threads": 1
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
+        doc = json.loads((out1 / "run.json").read_text())
+        assert "threads" not in doc["config"]
+        doc["config"]["threads"] = 1
+        old = tmp_path / "old-run.json"
+        old.write_text(json.dumps(doc))
+        assert main(["score", "--config", str(old), "--out", str(out2)]) == 0
+        assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+        assert "'threads' is retired and ignored" in caplog.text
+        with pytest.raises(SystemExit) as err:
+            main(["score", "--input", sample_csv, "--out", str(out2),
+                  "--threads", "2"])
+        assert err.value.code == 2
 
     def test_oracle_nu_equals_auto_on_small_tables(self, tmp_path):
         rows = [["x", "u"]] * 12 + [["y", "v"]] * 10 + [["x", "v"]] * 8
@@ -185,6 +193,24 @@ class TestScoreCommand:
         assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
         assert list(cache.glob("thresholds-*.json"))
         assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
+        assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+    def test_spill_path_that_is_a_directory(self, sample_csv, tmp_path, monkeypatch,
+                                            caplog):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
+        (spill,) = cache.glob("thresholds-*.json")
+        spill.unlink()
+        spill.mkdir()  # reading or replacing it raises IsADirectoryError
+        assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
+        assert f"ignoring threshold cache {spill}" in caplog.text
+        assert f"cannot write threshold cache {spill}" in caplog.text
+        assert sorted(p.name for p in cache.iterdir()) == [spill.name]
+        c1, c2 = (json.loads((o / "run.json").read_text())["thresholds"]
+                  for o in (out1, out2))
+        assert c1 == c2
         assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
 
 

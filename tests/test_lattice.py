@@ -174,19 +174,6 @@ class TestSearchSemantics:
                         sub_cell = cell[:drop] + cell[drop + 1:]
                         assert cnt <= sub_supp[sub_cell]
 
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(43)
-        ds = random_dataset(rng, n_max=100, p_max=5)
-        model = empirical_model(ds)
-        for mode in ("infrequent", "frequent"):
-            runs = []
-            for threads in (1, 3):
-                cfg = RunConfig(mode=mode, threads=threads)
-                report, _, flags = run_analysis(ds, model, cfg)
-                runs.append((flag_keys(flags), report.scores.tolist()))
-            assert runs[0][0] == runs[1][0]
-            assert runs[0][1] == runs[1][1]  # bit-identical
-
     def test_deterministic_across_repeat_runs(self):
         rng = np.random.default_rng(47)
         ds = random_dataset(rng, n_max=90, p_max=4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sono import (CellSpec, DegenerateTruncation, DomainError,
                   coverage_probability, edgeworth_sum_density, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
-from sono.simci import _aggregate_trunc_moments, truncation_bounds
+from sono.simci import _cell_moment_arrays, truncation_bounds
 
 
 def direct_moments(lam, a, b):
@@ -57,17 +57,23 @@ class TestTruncatedPoissonMoments:
         # windows that bracket the mean, the regime the coverage machinery uses
         a = max(0, math.floor(lam) - below)
         b = math.ceil(lam) + above
-        agg = _aggregate_trunc_moments(
+        cells = _cell_moment_arrays(
             np.array([lam]), np.array([float(a)]), np.array([float(b)]))
-        if agg is None:
+        if cells is None:
             return
-        mean, var, k3, k4, logmass = agg
         m = truncated_poisson_moments(lam, a, b)
+        if cells["idx"].size:
+            mean, var, k3, k4 = (float(cells[key][0])
+                                 for key in ("m1", "mu2", "mu3", "k4"))
+            assert cells["trivial_sum"] == 0.0
+        else:  # negligible truncation: a Poisson's cumulants are all lam
+            mean = var = k3 = k4 = cells["trivial_sum"]
         assert mean == pytest.approx(m.m1, rel=1e-8, abs=1e-10)
         assert var == pytest.approx(m.mu2, rel=1e-7, abs=1e-9)
         assert k3 == pytest.approx(m.mu3, rel=1e-6, abs=1e-7)
         assert k4 == pytest.approx(m.mu4 - 3 * m.mu2 ** 2, rel=1e-5, abs=1e-6)
-        assert logmass == pytest.approx(math.log(m.mass), rel=1e-9, abs=1e-11)
+        assert cells["sum_log_mass"] == pytest.approx(math.log(m.mass),
+                                                      rel=1e-9, abs=1e-11)
 
 
 class TestEdgeworthSumDensity:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestSigmaForSubset:
         sig = table.sigma_map("infrequent")
         assert table.min_sigma("infrequent") == pytest.approx(min(sig.values()))
         assert table.max_sigma("infrequent") == pytest.approx(max(sig.values()))
+        # the walker reads sigma_levels, the fast path sigma_codes: equal bits
+        for mode in ("infrequent", "frequent"):
+            for cell, sigma in table.sigma_map(mode).items():
+                assert table.sigma_levels(cell, mode) == sigma
+        # an unknown mode raises everywhere instead of falling back
+        for call in (lambda m: table.sigma_codes(np.arange(table.cells), m),
+                     lambda m: table.sigma_levels((1, 1), m),
+                     table.min_sigma, table.max_sigma):
+            with pytest.raises(ValueError, match="unknown mode"):
+                call("bogus")
 
     def test_table_explosion(self):
         model = model_of(*[[0.25, 0.25, 0.25, 0.25]] * 4)
@@ -117,13 +128,6 @@ class TestDetermineMaxlen:
                 table = subset_thresholds(model, n, subset, 0.05)
                 assert table.max_sigma("infrequent") >= 2.0
 
-    def test_threads_do_not_change_decision(self):
-        rng = np.random.default_rng(9)
-        model = model_of(*(rng.dirichlet(np.ones(2)) for _ in range(5)))
-        d1 = determine_maxlen(model, 120, 0.05, threads=1)
-        d2 = determine_maxlen(model, 120, 0.05, threads=3)
-        assert (d1.maxlen, d1.violating_subset) == (d2.maxlen, d2.violating_subset)
-
 
 class TestThresholdProvider:
     def test_caches_tables(self):
@@ -143,6 +147,22 @@ class TestThresholdProvider:
         pb = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
         tb = pb.get((0, 1))
         assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
+
+    @pytest.mark.parametrize("content", ["{not json", "[]"])
+    def test_corrupt_spill_file_warns_and_recomputes(self, tmp_path, caplog, content):
+        model = model_of([0.5, 0.5], [0.3, 0.7])
+        pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        ta = pa.get((0, 1))
+        pa.flush_spill()
+        (spill,) = tmp_path.glob("thresholds-*.json")
+        spill.write_text(content)
+        pb = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        assert f"ignoring threshold cache {spill}" in caplog.text
+        tb = pb.get((0, 1))
+        assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
+        pb.flush_spill()
+        assert json.loads(spill.read_text()) == {"0,1": [ta.c, ta.gamma]}
+        assert [p.name for p in tmp_path.iterdir()] == [spill.name]
 
     def test_spill_keyed_by_inputs(self, tmp_path):
         model = model_of([0.5, 0.5])
