@@ -2,9 +2,10 @@
 
 These exist so every fast-path result can be audited: a nested-loop lattice
 walker that recomputes flags, scores, depths and contributions from the
-definitions; an exact coverage probability (convolution plus a multinomial
-enumeration self-check); truncated-Poisson moments by direct summation and
-the Edgeworth density of their sum; and numeric checkers for the two
+definitions; an exact coverage probability (a cell-by-cell convolution of its
+own plus a multinomial enumeration self-check); the literal clamped sweep for
+the half-width c; truncated-Poisson moments by direct summation and the
+Edgeworth density of their sum; and numeric checkers for the two
 maximum-score propositions. Deliberately single-threaded and cache-free.
 """
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import Dataset, Itemset, ProbabilityModel, empirical_model
-from .errors import DegenerateTruncation, DomainError, OracleRefusal
+from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRefusal
 from .lattice import FlagRecord
 from .scoring import ScoreReport
-from .simci import (_VAR_EPS, CellSpec, _coverage_convolution, _edgeworth_value,
-                    poisson_log_pmf, truncation_bounds)
+from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _auto_uses_exact,
+                    _edgeworth_value, coverage_probability, poisson_log_pmf,
+                    truncation_bounds)
 from .thresholds import determine_maxlen, subset_thresholds
 
 
@@ -51,7 +53,8 @@ def _enumeration_states(spec: CellSpec, c: int) -> float:
     _, a, b = truncation_bounds(spec, c)
     if np.any(a > b):
         return 0.0
-    return float(np.exp(np.log(b - a + 1.0).sum()))
+    with np.errstate(over="ignore"):  # beyond float range: inf states, never enumerated
+        return float(np.exp(np.log(b - a + 1.0).sum()))
 
 
 def _coverage_enumeration(spec: CellSpec, c: int, cap: float) -> float:
@@ -92,6 +95,46 @@ def _coverage_enumeration(spec: CellSpec, c: int, cap: float) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
+def _sequential_convolution(spec: CellSpec, c: int, work_cap: float) -> float:
+    """Exact nu(c): convolve the truncated Poisson pmfs one cell at a time.
+
+    Independent of the fast path's product tree. Width-1 cells contribute a
+    deterministic shift and a scalar mass factor. After every step the
+    accumulator is rescaled to maximum 1 and the log of the factor carried,
+    so it cannot overflow on large tables. Refused above the array-work cap.
+    """
+    m, a, b = truncation_bounds(spec, c)
+    if np.any(a > b):
+        return 0.0
+    if np.all((a == 0.0) & (b == float(spec.n))):
+        return 1.0
+    widths = (b - a).astype(np.int64)
+    wide = widths > 0
+    log_scale = float(poisson_log_pmf(a[~wide], m[~wide]).sum())
+    if not np.isfinite(log_scale):
+        return 0.0
+    order = np.where(wide)[0]
+    total_range = int(widths.sum())
+    if (total_range + 1.0) * max(len(order), 1) > work_cap:
+        raise OracleRefusal(
+            f"exact convolution needs ~{(total_range + 1) * len(order):.2g} array cells, "
+            f"cap is {work_cap:.2g}")
+    acc = np.ones(1)
+    for i in order:
+        y = np.arange(int(a[i]), int(b[i]) + 1, dtype=float)
+        lp = poisson_log_pmf(y, m[i])
+        mx = float(lp.max())
+        acc = np.convolve(acc, np.exp(lp - mx))
+        top = float(acc.max())
+        log_scale += mx + math.log(top)
+        acc /= top
+    idx = spec.n - int(a.sum())
+    if idx < 0 or idx >= acc.size or acc[idx] <= 0.0:
+        return 0.0
+    val = math.exp(math.log(acc[idx]) + log_scale - float(poisson_log_pmf(spec.n, spec.n)))
+    return min(max(val, 0.0), 1.0)
+
+
 def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> float:
     """Exact nu(c) by truncated-Poisson convolution, self-checked by enumeration.
 
@@ -101,7 +144,7 @@ def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> f
     """
     if spec.k == 1:
         return 1.0
-    val = _coverage_convolution(spec, c, work_cap=config.conv_work_cap)
+    val = _sequential_convolution(spec, c, config.conv_work_cap)
     states = _enumeration_states(spec, c)
     if 0.0 < states <= config.enum_state_cap:
         other = _coverage_enumeration(spec, c, config.enum_state_cap)
@@ -109,6 +152,43 @@ def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> f
             raise OracleRefusal(
                 f"exact-nu self-check failed: conv={val!r} enum={other!r}")
     return val
+
+
+def sweep_find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, float]:
+    """Reference find_c: the literal clamped sweep over c = 0, 1, 2, ...
+
+    nu(c) is clamped against its running maximum; c is one below the first j
+    whose clamped nu exceeds the level, and gamma interpolates between the
+    clamped values at j-1 and j. Exact nu comes from the cell-by-cell
+    convolution above, wherever `method` computes nu exactly ("exact", and
+    "auto" while its path rule picks the convolution), under the fast path's
+    work cap; Edgeworth nu comes from coverage_probability.
+    """
+    if not (0.0 < level < 1.0):
+        raise DomainError("confidence level must be in (0, 1)")
+    if method not in ("auto", "exact", "edgeworth"):
+        raise DomainError(f"unknown coverage method {method!r}")
+
+    def nu(c: int) -> float:
+        if spec.k == 1:
+            return 1.0
+        if method == "edgeworth":
+            return coverage_probability(spec, c, method)
+        if method == "auto" and not _auto_uses_exact(*truncation_bounds(spec, c)[1:]):
+            return coverage_probability(spec, c, method)
+        return _sequential_convolution(spec, c, CONVOLUTION_WORK_CAP)
+
+    prev = nu(0)
+    if prev >= level:
+        return 0, 0.0
+    for c in range(0, spec.n):
+        nxt = max(prev, nu(c + 1))
+        if nxt > level:
+            gamma = (level - prev) / (nxt - prev) if nxt > prev else 0.0
+            return c, float(gamma)
+        prev = nxt
+    raise CISearchFailure(
+        f"no c in [0, {spec.n}] brackets level {level} (nu capped at {prev})")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ Poisson(n) atom at n.  The sum pmf is either computed exactly by convolution
 (everything else).  The integer half-width c and the interpolation weight
 gamma then give two-sided and one-sided simultaneous intervals.
 
+The exact path reads one entry of the sum pmf: all cells' log-pmfs come from
+one vectorized call, cells are combined pairwise in a product tree (direct
+convolution for small batches, batched FFT for large ones), and every partial
+product is cut at that entry and rescaled to maximum 1 with its log scale
+carried.  find_c keeps the definition of c by a clamped linear sweep, but
+where nu is exact (a prefix of c) it finds the sweep's crossing by galloping
+and bisection; the literal sweep lives on in sono.oracle as the reference.
+
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
 and b_i = min(floor(m_i+c), n).
@@ -19,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, pdtr
+from scipy.special import bdtr, gammaln, logsumexp, pdtr
 
 from .errors import CISearchFailure, DomainError, OracleRefusal
 
@@ -39,6 +47,9 @@ _LOG_TINY_TAIL = -45.0  # ~1e-20: treat the truncation as a no-op above this
 # against an Edgeworth remainder.
 _DOMINANCE_SHARE = 0.5
 _DOMINANCE_MAX_CELLS = 4
+# A batch of row pairs whose direct convolution takes at most this many
+# multiply-adds (rows x width^2) is convolved directly, a larger one by FFT.
+_DIRECT_MAX_WORK = 3e4
 
 
 @dataclass(frozen=True)
@@ -172,53 +183,110 @@ def _cell_moment_arrays(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
     }
 
 
-def _log_width_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.log(b - a + 1.0).sum())
+def _auto_uses_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """The auto rule: exact convolution while the truncation grid is small.
+
+    Bounds with a > b (nu = 0 on every path) count as exact. The widths
+    b - a + 1 only grow with c, so the rule holds on a prefix of c.
+    """
+    widths = b - a + 1.0
+    if np.any(widths <= 0.0):
+        return True
+    width_sum = float(widths.sum())
+    return float(np.log(widths).sum()) <= math.log(CONVOLUTION_AUTO_CAP) \
+        or width_sum * width_sum <= CONVOLUTION_AUTO_WORK
+
+
+def _convolution_work(a: np.ndarray, b: np.ndarray) -> float:
+    """Array-work estimate of the exact convolution, checked against its cap."""
+    widths = b - a
+    return (float(widths.sum()) + 1.0) * max(int((widths > 0).sum()), 1)
+
+
+def _pair_products(u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise linear convolutions of u and v (rows x w), first `width` <= 2w-1 columns.
+
+    Small batches are convolved directly, which keeps every entry accurate
+    relative to itself; large ones go through one batched real FFT, accurate
+    relative to the row maximum, with round-off below zero clipped.
+    """
+    rows, w = u.shape
+    if rows * w * w <= _DIRECT_MAX_WORK:
+        padded = np.zeros((rows, 3 * w - 2))
+        padded[:, w - 1:2 * w - 1] = v
+        step_row, step = padded.strides
+        # windows[r, k] = padded[r, k:k + w], read-only views inside padded
+        windows = np.lib.stride_tricks.as_strided(
+            padded, (rows, width, w), (step_row, step, step), writeable=False)
+        return np.einsum("rt,rkt->rk", u[:, ::-1], windows)
+    nfft = 1 << (2 * w - 2).bit_length()  # a power of two >= 2w - 1: no wrap-around
+    spec = np.fft.rfft(u, nfft, axis=1) * np.fft.rfft(v, nfft, axis=1)
+    return np.maximum(np.fft.irfft(spec, nfft, axis=1)[:, :width], 0.0)
+
+
+def _log_product_entry(lo: np.ndarray, lam: np.ndarray, lens: np.ndarray, cut: int) -> float:
+    """log of entry cut-1 of the convolution of Poisson(lam_i) pmfs on lo_i + [0, lens_i).
+
+    The log-pmf of every cell is computed in one call on a zero-padded grid.
+    Every wide cell's window at half-width c holds between c + 1 and 2c + 2
+    counts, so the padding at most doubles the O(sum of lens) memory. Rows are
+    then combined pairwise, level by level, in a product tree: an odd row out
+    is paired with the unit pmf. Every partial product is truncated to `cut`
+    entries and rescaled by its maximum, whose log is carried, so nothing
+    overflows.
+    """
+    w = int(lens.max())
+    col = np.arange(w)
+    lp = poisson_log_pmf(lo[:, None] + col, lam[:, None])
+    lp[col >= lens[:, None]] = -np.inf
+    peak = lp.max(axis=1)
+    log_scale = float(peak.sum())
+    rows = np.exp(lp - peak[:, None])
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            unit = np.zeros((1, w))
+            unit[0, 0] = 1.0
+            rows = np.vstack((rows, unit))
+        w = min(2 * w - 1, cut)
+        rows = _pair_products(rows[0::2], rows[1::2], w)
+        peak = rows.max(axis=1)
+        if not np.all(peak > 0.0):
+            return -math.inf
+        log_scale += float(np.log(peak).sum())
+        rows /= peak[:, None]
+    entry = float(rows[0, cut - 1])
+    return math.log(entry) + log_scale if entry > 0.0 else -math.inf
 
 
 def _coverage_convolution(spec: CellSpec, c: int, work_cap: float = CONVOLUTION_WORK_CAP) -> float:
-    """Exact nu(c): convolve unnormalized truncated Poisson pmfs; read off at n.
+    """Exact nu(c): the truncated-Poisson sum's pmf at n, by a rescaled product tree.
 
     Width-1 cells contribute a deterministic shift and a scalar mass factor;
-    only wider cells are actually convolved.
+    only wider cells are convolved, and only the entries up to the one read
+    off (index n minus the summed lower bounds) are kept.
     """
     m, a, b = truncation_bounds(spec, c)
     if np.any(a > b):
         return 0.0
     if np.all((a == 0.0) & (b == float(spec.n))):
         return 1.0
-    widths = (b - a).astype(np.int64)
-    wide = widths > 0
-    shift = int(a[~wide].sum())
+    wide = b > a
     log_scale = float(poisson_log_pmf(a[~wide], m[~wide]).sum())
     if not np.isfinite(log_scale):
         return 0.0
-    order = np.where(wide)[0]
-    total_range = int(widths.sum())
-    if (total_range + 1.0) * max(len(order), 1) > work_cap:
+    work = _convolution_work(a, b)
+    if work > work_cap:
         raise OracleRefusal(
-            f"exact convolution needs ~{(total_range + 1) * len(order):.2g} array cells, "
-            f"cap is {work_cap:.2g}"
-        )
-    acc = None
-    for i in order:
-        y = np.arange(int(a[i]), int(b[i]) + 1, dtype=float)
-        lp = poisson_log_pmf(y, m[i])
-        mx = float(lp.max())
-        log_scale += mx
-        v = np.exp(lp - mx)
-        shift += int(a[i])
-        acc = v if acc is None else np.convolve(acc, v)
-    if acc is None:  # every cell is width 1: the sum is an atom at `shift`
-        fw_log = 0.0 if shift == spec.n else -np.inf
-    else:
-        idx = spec.n - shift
-        if idx < 0 or idx >= acc.size or acc[idx] <= 0.0:
-            fw_log = -np.inf
-        else:
-            fw_log = float(np.log(acc[idx]))
-    val = math.exp(fw_log + log_scale - float(poisson_log_pmf(spec.n, spec.n))) \
-        if np.isfinite(fw_log) else 0.0
+            f"exact convolution needs ~{work:.2g} array cells, cap is {work_cap:.2g}")
+    target = spec.n - int(a.sum())
+    if not 0 <= target <= int((b - a).sum()):
+        return 0.0
+    if wide.any():
+        lens = np.minimum(b[wide] - a[wide] + 1.0, target + 1.0).astype(np.int64)
+        log_scale += _log_product_entry(a[wide], m[wide], lens, target + 1)
+        if not np.isfinite(log_scale):
+            return 0.0
+    val = math.exp(log_scale - float(poisson_log_pmf(spec.n, spec.n)))
     return min(max(val, 0.0), 1.0)
 
 
@@ -311,26 +379,146 @@ def coverage_probability(spec: CellSpec, c: int, method: str = "auto") -> float:
     m, a, b = truncation_bounds(spec, c)
     if np.any(a > b):
         return 0.0
-    width_sum = float((b - a + 1.0).sum())
-    if _log_width_product(a, b) <= math.log(CONVOLUTION_AUTO_CAP) \
-            or width_sum * width_sum <= CONVOLUTION_AUTO_WORK:
+    if _auto_uses_exact(a, b):
         return _coverage_convolution(spec, c)
     return _coverage_edgeworth(spec, c, split_dominant=True)
+
+
+def _computes_exactly(spec: CellSpec, method: str, c: int) -> bool:
+    """Does `method` compute nu(c) by the exact convolution (without refusing)?
+
+    For "auto" that is its path rule; for "exact", staying within the work
+    cap. Both hold on a prefix of c because every truncation width only
+    grows with c.
+    """
+    _, a, b = truncation_bounds(spec, c)
+    if method == "exact":
+        return bool(np.any(a > b)) or _convolution_work(a, b) <= CONVOLUTION_WORK_CAP
+    return _auto_uses_exact(a, b)
+
+
+def _exact_prefix_end(spec: CellSpec, method: str) -> int:
+    """Largest c in [0, n] up to which `method` computes nu exactly; 0 if none."""
+    if _computes_exactly(spec, method, spec.n):
+        return spec.n
+    if not _computes_exactly(spec, method, 0):
+        return 0
+    lo, hi = 0, spec.n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _computes_exactly(spec, method, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _seed_c(spec: CellSpec, level: float) -> int:
+    """Smallest c in [1, n] whose product of one-cell binomial coverages exceeds level.
+
+    The product treats the cells as independent. On multinomial tables it sits
+    at or a little below nu(c), so the result is usually the first c with
+    nu(c) > level or one or two above it; n if no c qualifies.
+    """
+    p = spec.probs
+    m = spec.n * p
+
+    def above(c: int) -> bool:
+        # a seed needs no float-fuzz snapping of the bounds (truncation_bounds)
+        a = np.maximum(np.ceil(m - c), 0.0)
+        b = np.minimum(np.floor(m + c), float(spec.n))
+        low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
+        return float(np.prod(bdtr(b, spec.n, p) - low)) > level
+
+    lo, hi = 0, spec.n
+    if not above(hi):
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _first_above(spec: CellSpec, level: float, method: str,
+                 nu: dict[int, float]) -> tuple[bool, int]:
+    """First j >= 1 with nu(j) > level among the c that `method` computes exactly.
+
+    Returns (True, j), or (False, c_e) when nu(c_e) <= level at the end c_e of
+    the exact prefix. nu holds nu(0) <= level on entry and every value evaluated
+    on return, nu(j - 1) and nu(j) or nu(c_e) among them. The search gallops
+    from a seed towards the crossing and then bisects, so it needs nu to be
+    nondecreasing on the prefix, which the exact convolution is. The end of
+    the prefix is looked up only when the seed lies beyond it or below the
+    crossing.
+    """
+    def above(c: int) -> bool:
+        if c not in nu:
+            nu[c] = coverage_probability(spec, c, method)
+        return nu[c] > level
+
+    hi = _seed_c(spec, level)
+    c_e = None
+    if not _computes_exactly(spec, method, hi):
+        c_e = hi = _exact_prefix_end(spec, method)
+        if c_e == 0:
+            return False, 0
+    step = 1
+    if above(hi):
+        lo = hi - 1
+        while above(lo):  # nu(0) <= level ends this
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        if c_e is None:
+            c_e = _exact_prefix_end(spec, method)
+        lo = hi
+        while True:
+            if lo == c_e:
+                return False, c_e
+            hi = min(lo + step, c_e)
+            if above(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return True, hi
 
 
 def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, float]:
     """Smallest integer c with nu(c) < level < nu(c+1), plus the gamma weight.
 
-    The sweep starts at c = 0 and clamps nu against its running maximum so the
-    sequence is nondecreasing even where the Edgeworth approximation wiggles.
+    Defined by a sweep that starts at c = 0 and clamps nu against its running
+    maximum, so the sequence is nondecreasing even where the Edgeworth
+    approximation wiggles: c is one below the first j whose clamped nu(j)
+    exceeds the level, and gamma = (level - nu(j-1)) / (nu(j) - nu(j-1)).
     If nu(0) already reaches the level, (0, 0.0) is returned.
+
+    The values of c where nu comes from the exact convolution form a prefix
+    [0, c_e] (see _exact_prefix_end). Exact nu is nondecreasing, so there the
+    first j is found by galloping and bisection in O(log n) evaluations and
+    the clamp changes nothing. Only if nu(c_e) is still below the level does
+    the literal sweep run, from c_e on; with method="edgeworth" it runs from 0.
     """
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must be in (0, 1)")
     prev = coverage_probability(spec, 0, method)
     if prev >= level:
         return 0, 0.0
-    for c in range(0, spec.n):
+    start = 0
+    if method != "edgeworth":
+        nu = {0: prev}
+        found, j = _first_above(spec, level, method, nu)
+        if found:
+            return j - 1, float((level - nu[j - 1]) / (nu[j] - nu[j - 1]))
+        start, prev = j, nu[j]
+    for c in range(start, spec.n):
         nxt = max(prev, coverage_probability(spec, c + 1, method))
         if nxt > level:
             gamma = (level - prev) / (nxt - prev) if nxt > prev else 0.0

@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import ProbabilityModel, subset_cell_probs, subset_strides
 from .errors import TableExplosion
-from .simci import CellSpec, coverage_probability, find_c
+from .simci import (CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec,
+                    coverage_probability, find_c)
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +32,10 @@ DEFAULT_MAX_CELLS = 1e7
 SIGMA_FLOOR = 2.0
 # nu values this close to the level fall back to the literal clamped sweep.
 _RULE_MARGIN = 5e-3
+# Part of the spill-file key: bump it whenever a change to the nu or find_c
+# numerics may move a spilled (c, gamma), so no stale entry is ever served.
+# 2: exact nu by a rescaled product tree, find_c by galloping and bisection.
+_ALGORITHM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,15 @@ def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
     return MaxlenDecision(maxlen=p, violating_subset=None, rule=rule)
 
 
+def _valid_spill_entry(value) -> bool:
+    """A spilled (c, gamma) pair: an integer c >= 0 and a finite gamma."""
+    if not isinstance(value, list) or len(value) != 2:
+        return False
+    c, gamma = value
+    return (type(c) is int and c >= 0 and type(gamma) in (int, float)
+            and math.isfinite(gamma))
+
+
 class ThresholdProvider:
     """Caches ThresholdTables per subset; optionally spills (c, gamma) to disk."""
 
@@ -224,20 +238,31 @@ class ThresholdProvider:
             digest = hashlib.sha256()
             for v in model.pi:
                 digest.update(v.tobytes())
-            digest.update(f"{n}|{alpha}|{method}".encode())
+            digest.update(f"{n}|{alpha}|{method}|{model.level_counts}|{_ALGORITHM_VERSION}|"
+                          f"{CONVOLUTION_AUTO_CAP}|{CONVOLUTION_AUTO_WORK}".encode())
             os.makedirs(cache_dir, exist_ok=True)
             self._spill_path = os.path.join(
                 cache_dir, f"thresholds-{digest.hexdigest()[:16]}.json")
             if os.path.exists(self._spill_path):
-                try:
-                    with open(self._spill_path) as fh:
-                        spilled = json.load(fh)
-                    if not isinstance(spilled, dict):
-                        raise ValueError("not a JSON object")
-                    self._spilled = spilled
-                except (OSError, ValueError) as exc:
-                    log.warning("ignoring threshold cache %s (%s); recomputing",
-                                self._spill_path, exc)
+                self._spilled = self._load_spill()
+
+    def _load_spill(self) -> dict[str, list]:
+        """The spill file's well-formed entries; what cannot be used is reported."""
+        try:
+            with open(self._spill_path) as fh:
+                spilled = json.load(fh)
+            if not isinstance(spilled, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            log.warning("ignoring threshold cache %s (%s); recomputing",
+                        self._spill_path, exc)
+            return {}
+        bad = {key: value for key, value in spilled.items() if not _valid_spill_entry(value)}
+        if bad:
+            key = next(iter(bad))
+            log.warning("ignoring threshold cache %s: %d malformed entries (first: %r: %r); "
+                        "recomputing them", self._spill_path, len(bad), key, bad[key])
+        return {key: value for key, value in spilled.items() if key not in bad}
 
     def get(self, subset: Iterable[int]) -> ThresholdTable:
         key = tuple(sorted(subset))

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
-                     random_dataset, walker)
+                     random_dataset, sweep_find_c, walker)
 from .simci import CellSpec, coverage_probability, find_c, simultaneous_intervals
 
 Check = tuple[str, bool, str]
@@ -42,6 +42,9 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     Edgeworth method's bracketed c must stay within 1 of the exact path's.
     The big-table approximation (Edgeworth with dominant cells split out) is
     additionally held to tol on the k=5 slice where that regime operates.
+    The fast path's own exact nu (product tree) must match the oracle's
+    cell-by-cell convolution within 1e-12, and find_c must return the literal
+    clamped sweep's c, with gamma within 1e-9, on every method.
     """
     from .simci import _coverage_edgeworth
 
@@ -50,6 +53,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     worst_at = ""
     worst_edgeworth = 0.0
     worst_split = 0.0
+    worst_fast = 0.0
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for c in range(0, n + 1):
@@ -59,6 +63,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
                 worst, worst_at = dev, f"k={k} n={n} {shape} c={c}"
             worst_edgeworth = max(
                 worst_edgeworth, abs(coverage_probability(spec, c, "edgeworth") - exact))
+            worst_fast = max(worst_fast, abs(coverage_probability(spec, c, "exact") - exact))
             if k == 5 and c >= 5:
                 worst_split = max(
                     worst_split,
@@ -70,17 +75,32 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
                    + f" (tol {config.nu_tol:.0e}); split-Edgeworth on its k=5 "
                    f"operating slice {worst_split:.2e}; whole-sum Edgeworth "
                    f"everywhere {worst_edgeworth:.2e}"))
+    checks.append(("fast exact nu", worst_fast <= 1e-12,
+                   f"max |nu_product_tree - nu_oracle| = {worst_fast:.2e} (tol 1e-12)"))
     worst_c = 0
+    sweep_misses = []
+    worst_gamma = 0.0
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for level in (0.90, 0.95):
-            c_x, _ = find_c(spec, level, "exact")
-            c_a, _ = find_c(spec, level, "auto")
-            c_e, _ = find_c(spec, level, "edgeworth")
-            worst_c = max(worst_c, abs(c_a - c_x), abs(c_e - c_x))
+            found = {}
+            for method in ("exact", "auto", "edgeworth"):
+                found[method] = find_c(spec, level, method)
+                c_ref, gamma_ref = sweep_find_c(spec, level, method)
+                if found[method][0] != c_ref:
+                    sweep_misses.append(f"k={k} n={n} {shape} {level} {method}")
+                worst_gamma = max(worst_gamma, abs(found[method][1] - gamma_ref))
+            c_x = found["exact"][0]
+            worst_c = max(worst_c, abs(found["auto"][0] - c_x),
+                          abs(found["edgeworth"][0] - c_x))
     checks.append(("c agreement", worst_c <= 1,
                    f"max |c - c_exact| = {worst_c} over auto and Edgeworth paths "
                    "(tol 1)"))
+    checks.append(("find_c against the literal sweep",
+                   not sweep_misses and worst_gamma <= 1e-9,
+                   f"{len(sweep_misses)} c mismatches"
+                   + (f" ({', '.join(sweep_misses[:3])})" if sweep_misses else "")
+                   + f"; max |gamma - gamma_sweep| = {worst_gamma:.2e} (tol 1e-9)"))
     return checks
 
 

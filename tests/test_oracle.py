@@ -117,3 +117,9 @@ class TestCheckPropositions:
     def test_p_cap(self):
         with pytest.raises(OracleRefusal):
             check_propositions(range(61, 62), (1.0,))
+
+
+def test_oracle_does_not_reuse_the_fast_exact_path():
+    import sono.oracle as oracle
+    assert not hasattr(oracle, "_coverage_convolution")
+    assert not hasattr(oracle, "find_c")

@@ -6,10 +6,13 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, DegenerateTruncation, DomainError,
-                  coverage_probability, edgeworth_sum_density, find_c,
+from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
+                  coverage_probability, edgeworth_sum_density, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
-from sono.simci import _cell_moment_arrays, truncation_bounds
+from sono.oracle import sweep_find_c
+from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _exact_prefix_end,
+                        truncation_bounds)
+from sono.verify import NU_BATTERY, battery_spec
 
 
 def direct_moments(lam, a, b):
@@ -227,6 +230,90 @@ class TestFindC:
         spec = CellSpec(probs=np.array([0.5, 0.5]), n=10)
         with pytest.raises(DomainError):
             find_c(spec, 0.0)
+
+
+# The oracle's cell-by-cell convolution with the fast path's work cap and no
+# enumeration self-check, for tables far beyond enumeration.
+BIG_ORACLE = OracleConfig(conv_work_cap=CONVOLUTION_WORK_CAP, enum_state_cap=0.0)
+
+
+def kronecker_spec(levels, n, seed):
+    """Cell probabilities of a product table, as the threshold layer builds them."""
+    rng = np.random.default_rng(seed)
+    probs = np.ones(1)
+    for l in levels:
+        probs = np.kron(probs, rng.dirichlet(np.full(l, 0.6)))
+    return CellSpec(probs=probs / probs.sum(), n=n)
+
+
+class TestFastExactCoverage:
+    """The product-tree exact nu and the bracketed find_c against the oracle."""
+
+    def test_matches_oracle_on_battery(self):
+        for k, n, shape in NU_BATTERY:
+            spec = battery_spec(k, n, shape)
+            for c in range(0, n + 1):
+                assert coverage_probability(spec, c, "exact") == pytest.approx(
+                    exact_nu(spec, c), abs=1e-12), (k, n, shape, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 1000), st.integers(1, 2000),
+           st.sampled_from([0.1, 0.6, 5.0]), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 3.0))
+    def test_matches_oracle_on_dirichlet_tables(self, k, n, conc, seed, spread):
+        probs = np.random.default_rng(seed).dirichlet(np.full(k, conc))
+        spec = CellSpec(probs=probs / probs.sum(), n=n)
+        # around the half-widths find_c visits: a few sd of a mean-sized cell
+        c = int(round(spread * (math.sqrt(n / k) + 1.0) * 3.0))
+        assert coverage_probability(spec, c, "exact") == pytest.approx(
+            exact_nu(spec, c, BIG_ORACLE), abs=1e-12)
+
+    def test_large_table_does_not_overflow(self):
+        # the unscaled accumulator used to overflow here: inf * 0 gave NaN and
+        # nu read 0.0 at every c in 2..11, so the exact sweep never ended
+        spec = CellSpec(probs=np.full(1000, 1 / 1000), n=1389)
+        for c in range(2, 12):
+            fast = coverage_probability(spec, c, "exact")
+            assert fast > 0.0
+            assert fast == pytest.approx(exact_nu(spec, c, BIG_ORACLE), abs=1e-12)
+        assert find_c(spec, 0.9, "exact")[0] == find_c(spec, 0.9, "auto")[0] == 5
+
+    def test_find_c_matches_literal_sweep_on_battery(self):
+        for k, n, shape in NU_BATTERY:
+            spec = battery_spec(k, n, shape)
+            for level in (0.5, 0.9, 0.95):
+                for method in ("auto", "exact", "edgeworth"):
+                    c, gamma = find_c(spec, level, method)
+                    c_ref, gamma_ref = sweep_find_c(spec, level, method)
+                    assert c == c_ref, (k, n, shape, level, method)
+                    assert gamma == pytest.approx(gamma_ref, abs=1e-9)
+
+    @pytest.mark.parametrize("levels", [(7, 6, 4, 2), (6, 4, 3, 3), (7, 6, 4, 3),
+                                        (7, 6, 4)])
+    def test_find_c_matches_literal_sweep_across_paths(self, levels):
+        # flare-shaped tables; all but the last cross from the exact
+        # convolution to the Edgeworth path before the level is reached
+        spec = kronecker_spec(levels, 1389, seed=3)
+        for method in ("auto", "exact"):
+            c, gamma = find_c(spec, 0.9, method)
+            c_ref, gamma_ref = sweep_find_c(spec, 0.9, method)
+            assert c == c_ref
+            assert gamma == pytest.approx(gamma_ref, abs=1e-9)
+        crosses = _exact_prefix_end(spec, "auto") <= find_c(spec, 0.9, "auto")[0]
+        assert crosses == (levels != (7, 6, 4))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.integers(5, 400), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+           st.sampled_from(["auto", "exact", "edgeworth"]))
+    def test_find_c_matches_literal_sweep_on_dirichlet_tables(self, k, n, seed, level,
+                                                              method):
+        probs = np.random.default_rng(seed).dirichlet(np.full(k, 0.6))
+        spec = CellSpec(probs=probs / probs.sum(), n=n)
+        c, gamma = find_c(spec, level, method)
+        c_ref, gamma_ref = sweep_find_c(spec, level, method)
+        assert c == c_ref
+        assert gamma == pytest.approx(gamma_ref, abs=1e-9)
 
 
 class TestSimultaneousIntervals:

@@ -148,7 +148,8 @@ class TestThresholdProvider:
         tb = pb.get((0, 1))
         assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
 
-    @pytest.mark.parametrize("content", ["{not json", "[]"])
+    @pytest.mark.parametrize("content", ["{not json", "[]", '{"0,1": 5}',
+                                         '{"0,1": ["x", 1]}'])
     def test_corrupt_spill_file_warns_and_recomputes(self, tmp_path, caplog, content):
         model = model_of([0.5, 0.5], [0.3, 0.7])
         pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
