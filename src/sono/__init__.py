@@ -17,13 +17,12 @@ from .engine import RunInfo, run_analysis
 from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
                      EmptyDatasetError, IngestionError, InternalConsistencyError,
                      OracleRefusal, SonoError, TableExplosion)
-from .lattice import (FlagRecord, SearchStats, count_support, search_frequent,
-                      search_infrequent)
+from .lattice import (FlagRecord, Flags, SearchStats, count_support,
+                      search_frequent, search_infrequent)
 from .oracle import (OracleConfig, TruncatedPoissonMoments, WalkerResult,
                      check_propositions, edgeworth_sum_density, exact_nu,
                      random_dataset, truncated_poisson_moments, walker)
-from .scoring import (ScoreReport, build_report, contribution_matrix, depth_flags,
-                      max_score_bound, score_flags)
+from .scoring import ScoreReport, build_report, max_score_bound
 from .simci import (CellSpec, SimultaneousCI, coverage_probability, find_c,
                     simultaneous_intervals)
 from .thresholds import (MaxlenDecision, ThresholdProvider, ThresholdTable,
@@ -37,10 +36,9 @@ __all__ = [
     "SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
     "DegenerateTruncation", "CISearchFailure", "TableExplosion", "OracleRefusal",
     "InternalConsistencyError",
-    "FlagRecord", "SearchStats", "count_support", "search_infrequent",
+    "FlagRecord", "Flags", "SearchStats", "count_support", "search_infrequent",
     "search_frequent",
-    "ScoreReport", "build_report", "score_flags", "depth_flags",
-    "contribution_matrix", "max_score_bound",
+    "ScoreReport", "build_report", "max_score_bound",
     "CellSpec", "SimultaneousCI", "coverage_probability", "find_c",
     "simultaneous_intervals",
     "MaxlenDecision", "ThresholdTable", "ThresholdProvider", "determine_maxlen",

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .data import Dataset, ProbabilityModel
-from .lattice import FlagRecord, SearchStats, search_frequent, search_infrequent
-from .scoring import ScoreReport, build_report, validate_exponent
+from .lattice import Flags, SearchStats, search_frequent, search_infrequent
+from .scoring import ScoreReport, build_report
 from .thresholds import MaxlenDecision, ThresholdProvider, determine_maxlen
 
 CACHE_ENV = "SONO_CACHE_DIR"
@@ -28,10 +28,9 @@ class RunInfo:
 
 
 def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
-                 ) -> tuple[ScoreReport, RunInfo, list[list[FlagRecord]]]:
+                 ) -> tuple[ScoreReport, RunInfo, Flags]:
     """Score a dataset under a configuration; pure function of its inputs."""
     cfg.validate(p=ds.p)
-    validate_exponent(cfg.r)
     t0 = time.perf_counter()
     method = "exact" if cfg.oracle_nu else "auto"
 
@@ -46,8 +45,8 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
                                  max_cells=cfg.max_cells,
                                  cache_dir=os.environ.get(CACHE_ENV))
     search = search_infrequent if cfg.mode == "infrequent" else search_frequent
-    flag_sets, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
-    report = build_report(flag_sets, cfg.r, cfg.mode, decision.maxlen, ds.p)
+    flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
+    report = build_report(flags, cfg.r, cfg.mode, decision.maxlen, ds.p)
     provider.flush_spill()
     info = RunInfo(
         maxlen=decision.maxlen,
@@ -58,4 +57,4 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
         saturated_tables=provider.saturated_tables(),
         runtime_s=time.perf_counter() - t0,
     )
-    return report, info, flag_sets
+    return report, info, flags

@@ -6,14 +6,15 @@ itemsets are dropped). Frequent mode walks maxlen..1 top-down; with pruning
 on, every subset of a flagged itemset is marked flagged without testing and
 still recorded with its true support and threshold.
 
-Pruning state is kept per (subset, row) as boolean "dead" masks: whether a
-cell contains a flagged itemset is a property of the cell, and a row's cell is
-its projection, so the per-row masks propagate level by level with ORs.
+Pruning state is kept per (subset, row) as boolean masks: bottom-up, whether
+the row's cell contains a flagged itemset; top-down, whether it is flagged.
+A row's cell is its projection, so the masks propagate level by level with
+ORs over neighbouring subsets. Both searches return a `Flags` table.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,29 @@ class SearchStats:
     deepest_level_tested: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class Flags:
+    """The flagged cells of a search and the rows that contain them.
+
+    `records` holds the flagged cells in search order. Incidence k says that
+    row `row[k]` contains cell `records[cell[k]]`; incidences run subset by
+    subset and by row within a subset, so every row meets its cells in
+    search order.
+    """
+
+    records: tuple[FlagRecord, ...]
+    row: np.ndarray
+    cell: np.ndarray
+    n: int
+
+    def by_row(self) -> list[list[FlagRecord]]:
+        """Per-row lists of flagged cells, each in search order."""
+        out: list[list[FlagRecord]] = [[] for _ in range(self.n)]
+        for i, k in zip(self.row.tolist(), self.cell.tolist()):
+            out[i].append(self.records[k])
+        return out
+
+
 def subset_codes(ds: Dataset, subset: Sequence[int]) -> np.ndarray:
     """C-order cell code of every row's projection onto `subset`."""
     subset = tuple(subset)
@@ -74,140 +98,122 @@ def count_support(ds: Dataset, subset: Sequence[int]) -> dict[tuple[int, ...], i
     return out
 
 
-def _parent_dead(dead_prev: dict, subset: tuple[int, ...], n: int) -> np.ndarray:
-    """OR of the dead masks of all drop-one sub-subsets."""
-    if len(subset) == 1:
-        return np.zeros(n, dtype=bool)
-    out = None
-    for drop in range(len(subset)):
-        sub = subset[:drop] + subset[drop + 1:]
-        mask = dead_prev[sub]
-        out = mask.copy() if out is None else (out | mask)
+def _neighbour_mask(masks: dict[tuple[int, ...], np.ndarray], subset: tuple[int, ...],
+                    p: int, n: int, up: bool) -> np.ndarray:
+    """OR of the row masks of the drop-one subsets of `subset` (or, with `up`,
+    of its add-one supersets); neighbours without a mask add nothing."""
+    if up:
+        near = (tuple(sorted(subset + (j,))) for j in range(p) if j not in subset)
+    else:
+        near = (subset[:d] + subset[d + 1:] for d in range(len(subset)))
+    out = np.zeros(n, dtype=bool)
+    for other in near:
+        mask = masks.get(other)
+        if mask is not None:
+            out |= mask
     return out
 
 
+class _Search:
+    """One search's counters and the flagged cells and incidences found so far."""
+
+    def __init__(self, ds: Dataset, provider: ThresholdProvider, mode: str):
+        self.ds, self.provider, self.mode = ds, provider, mode
+        self.stats = SearchStats()
+        self.records: list[FlagRecord] = []
+        self.rows: list[np.ndarray] = []
+        self.cells: list[np.ndarray] = []
+
+    def visit(self, subset: tuple[int, ...], near: np.ndarray) -> np.ndarray:
+        """Materialize one subset's observed cells, flag them and record the flags.
+
+        A cell holding a row of `near` is decided without a test: pruned in
+        infrequent mode (it contains a flagged itemset), flagged in frequent
+        mode (it lies under one). Returns the row mask of the flagged cells.
+        """
+        stats = self.stats
+        uniq, inv, counts = np.unique(subset_codes(self.ds, subset),
+                                      return_inverse=True, return_counts=True)
+        stats.subsets_materialized += 1
+        stats.deepest_level_tested = max(stats.deepest_level_tested, len(subset))
+        decided = np.zeros(uniq.size, dtype=bool)
+        decided[inv[near]] = True
+        n_decided = int(decided.sum())
+        stats.cells_pruned += n_decided
+        stats.cells_tested += uniq.size - n_decided
+        table = self.provider.get(subset)
+        sigma = table.sigma_codes(uniq, self.mode)
+        if self.mode == "infrequent":
+            flagged = ~decided & (counts.astype(float) <= sigma)
+        else:
+            flagged = decided | (counts.astype(float) >= sigma)
+        pos = np.flatnonzero(flagged)
+        stats.cells_flagged += pos.size
+        hit = flagged[inv]
+        if pos.size:
+            cell_id = np.cumsum(flagged) - 1 + len(self.records)
+            for k, levels in zip(pos.tolist(), table.decode_codes(uniq[pos])):
+                self.records.append(FlagRecord(
+                    itemset=Itemset(tuple(zip(subset, levels))),
+                    supp=int(counts[k]),
+                    sigma=float(sigma[k]),
+                ))
+            rows = np.flatnonzero(hit)
+            self.rows.append(rows)
+            self.cells.append(cell_id[inv[rows]])
+        return hit
+
+    def result(self) -> tuple[Flags, SearchStats]:
+        def cat(parts: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        flags = Flags(tuple(self.records), cat(self.rows), cat(self.cells), self.ds.n)
+        return flags, self.stats
+
+
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
-                      prune: bool = True
-                      ) -> tuple[list[list[FlagRecord]], SearchStats]:
-    """Bottom-up search for cells with supp <= sigma; returns per-row flag lists."""
+                      prune: bool = True) -> tuple[Flags, SearchStats]:
+    """Bottom-up search for cells with supp <= sigma."""
     n, p = ds.n, ds.p
-    flag_sets: list[list[FlagRecord]] = [[] for _ in range(n)]
-    stats = SearchStats()
+    search = _Search(ds, provider, "infrequent")
     dead_prev: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, min(maxlen, p) + 1):
-        subsets = list(itertools.combinations(range(p), size))
         dead_cur: dict[tuple[int, ...], np.ndarray] = {}
-        live_subsets = []
-        parents = {}
-        for subset in subsets:
-            parent = _parent_dead(dead_prev, subset, n) if prune \
-                else np.zeros(n, dtype=bool)
-            parents[subset] = parent
-            if prune and parent.all():
-                stats.subsets_skipped += 1
-                dead_cur[subset] = parent
+        live = []
+        for subset in itertools.combinations(range(p), size):
+            dead = _neighbour_mask(dead_prev, subset, p, n, up=False)
+            if dead.all():
+                search.stats.subsets_skipped += 1
+                dead_cur[subset] = dead
             else:
-                live_subsets.append(subset)
-        if not live_subsets:
-            dead_prev = dead_cur
+                live.append((subset, dead))
+        if not live:
+            break  # nothing alive at this size; supersets are dead too
+        for subset, dead in live:
+            hit = search.visit(subset, dead)
             if prune:
-                break  # nothing alive at this size; supersets are dead too
-            continue
-        for subset in live_subsets:
-            parent = parents[subset]
-            codes = subset_codes(ds, subset)
-            uniq, inv, counts = np.unique(codes, return_inverse=True,
-                                          return_counts=True)
-            stats.subsets_materialized += 1
-            stats.deepest_level_tested = max(stats.deepest_level_tested, size)
-            if prune:
-                tested = np.zeros(uniq.size, dtype=bool)
-                tested[np.unique(inv[~parent])] = True
-            else:
-                tested = np.ones(uniq.size, dtype=bool)
-            stats.cells_pruned += int(uniq.size - tested.sum())
-            stats.cells_tested += int(tested.sum())
-            table = provider.get(subset)
-            sigma = table.sigma_codes(uniq, "infrequent")
-            flagged = tested & (counts.astype(float) <= sigma)
-            if flagged.any():
-                stats.cells_flagged += int(flagged.sum())
-                level_tuples = table.decode_codes(uniq[flagged])
-                for pos, levels in zip(np.where(flagged)[0], level_tuples):
-                    record = FlagRecord(
-                        itemset=Itemset(tuple(zip(subset, levels))),
-                        supp=int(counts[pos]),
-                        sigma=float(sigma[pos]),
-                    )
-                    for row in np.where(inv == pos)[0]:
-                        flag_sets[row].append(record)
-            if prune:
-                dead_cur[subset] = parent | flagged[inv]
+                dead_cur[subset] = dead | hit
         dead_prev = dead_cur
-    return flag_sets, stats
-
-
-def _project_flagged(flagged_levels: dict[tuple[int, ...], set[tuple[int, ...]]],
-                     subset: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
-    """Cells of `subset` implied flagged by flagged cells of its direct supersets."""
-    implied: set[tuple[int, ...]] = set()
-    member = set(subset)
-    for j in range(p):
-        if j in member:
-            continue
-        sup = tuple(sorted(subset + (j,)))
-        cells = flagged_levels.get(sup)
-        if not cells:
-            continue
-        drop = sup.index(j)
-        for levels in cells:
-            implied.add(levels[:drop] + levels[drop + 1:])
-    return implied
+    return search.result()
 
 
 def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
-                    prune: bool = True
-                    ) -> tuple[list[list[FlagRecord]], SearchStats]:
+                    prune: bool = True) -> tuple[Flags, SearchStats]:
     """Top-down search for cells with supp >= sigma.
 
     With pruning on, subsets of a flagged itemset are recorded as flagged
-    without being tested (their own supp and sigma are still reported).
+    without being tested (their own supp and sigma are still reported): a
+    cell is implied when one of its rows lies in a flagged cell, tested or
+    implied, of a direct superset.
     """
     n, p = ds.n, ds.p
-    flag_sets: list[list[FlagRecord]] = [[] for _ in range(n)]
-    stats = SearchStats()
-    flagged_levels: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    top = min(maxlen, p)
-    for size in range(top, 0, -1):
+    search = _Search(ds, provider, "frequent")
+    hit_prev: dict[tuple[int, ...], np.ndarray] = {}
+    for size in range(min(maxlen, p), 0, -1):
+        hit_cur: dict[tuple[int, ...], np.ndarray] = {}
         for subset in itertools.combinations(range(p), size):
-            codes = subset_codes(ds, subset)
-            uniq, inv, counts = np.unique(codes, return_inverse=True,
-                                          return_counts=True)
-            stats.subsets_materialized += 1
-            stats.deepest_level_tested = max(stats.deepest_level_tested, size)
-            table = provider.get(subset)
-            sigma = table.sigma_codes(uniq, "frequent")
-            level_tuples = table.decode_codes(uniq)
-            pos_of = {lv: i for i, lv in enumerate(level_tuples)}
-            implied = _project_flagged(flagged_levels, subset, p) if prune else set()
-            implied &= set(pos_of)  # projections of observed cells are observed
-            tested = np.ones(uniq.size, dtype=bool)
-            for lv in implied:
-                tested[pos_of[lv]] = False
-            stats.cells_pruned += len(implied)
-            stats.cells_tested += int(tested.sum())
-            flagged = (~tested) | (tested & (counts.astype(float) >= sigma))
-            if flagged.any():
-                stats.cells_flagged += int(flagged.sum())
-                for pos in np.where(flagged)[0]:
-                    record = FlagRecord(
-                        itemset=Itemset(tuple(zip(subset, level_tuples[pos]))),
-                        supp=int(counts[pos]),
-                        sigma=float(sigma[pos]),
-                    )
-                    for row in np.where(inv == pos)[0]:
-                        flag_sets[row].append(record)
-                if prune:
-                    flagged_levels[subset] = {level_tuples[pos]
-                                              for pos in np.where(flagged)[0]}
-    return flag_sets, stats
+            implied = _neighbour_mask(hit_prev, subset, p, n, up=True)
+            hit = search.visit(subset, implied)
+            if prune:
+                hit_cur[subset] = hit
+        hit_prev = hit_cur
+    return search.result()

@@ -6,18 +6,21 @@ the score of every observation containing d, and sigma_d / (supp(d) *
 supp(d) / (sigma_d * (maxlen - |d| + 1)^r), split equally across the |d|
 variables. Depth is the mean flagged length (infrequent) or its top-down
 complement maxlen - |d| + 1 (frequent); observations with no flags get 0.
+
+`build_report` reads the search's flagged-cell table (`lattice.Flags`) once:
+each flagged cell's term, share and depth length is computed a single time
+and scattered to the rows that contain it.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .lattice import FlagRecord
+from .lattice import Flags
 
 R_SOFT_MAX = 3.0
 
@@ -43,71 +46,59 @@ class ScoreReport:
     maxlen: int
 
 
-def _term(rec: FlagRecord, r: float, mode: str, maxlen: int) -> float:
-    if rec.supp < 1:
-        raise InternalConsistencyError(f"flagged record with supp={rec.supp}")
-    if mode == "infrequent":
-        return rec.sigma / (rec.supp * rec.length ** r)
-    if rec.sigma <= 0.0:
-        raise InternalConsistencyError(
-            f"frequent-mode flagged record with sigma={rec.sigma}")
-    return rec.supp / (rec.sigma * (maxlen - rec.length + 1) ** r)
+def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
+                 ) -> ScoreReport:
+    """Scores, depths and contributions of every row from the flagged-cell table.
 
-
-def score_flags(flag_sets: Sequence[Sequence[FlagRecord]], r: float, mode: str,
-                maxlen: int) -> np.ndarray:
-    """Per-observation scores; compensated summation in record order."""
+    Scores are compensated sums (`math.fsum`, independent of order); depths
+    are exact integer sums over counts; contributions add each share per
+    (row, variable) in search order, starting from 0.0. The results are
+    bit-identical to summing the per-row lists of `flags.by_row()`.
+    """
     validate_exponent(r)
-    return np.array([
-        math.fsum(_term(rec, r, mode, maxlen) for rec in recs)
-        for recs in flag_sets
-    ])
-
-
-def depth_flags(flag_sets: Sequence[Sequence[FlagRecord]], mode: str,
-                maxlen: int) -> np.ndarray:
-    """Mean flagged itemset length (or its top-down complement); 0 when empty."""
-    out = np.zeros(len(flag_sets))
-    for i, recs in enumerate(flag_sets):
-        if not recs:
-            continue
+    terms, shares, lengths = [], [], []
+    for rec in flags.records:
+        d = rec.length
+        if rec.supp < 1:
+            raise InternalConsistencyError(f"flagged record with supp={rec.supp}")
         if mode == "infrequent":
-            out[i] = math.fsum(rec.length for rec in recs) / len(recs)
+            terms.append(rec.sigma / (rec.supp * d ** r))
+            shares.append(rec.sigma / (rec.supp * d ** (r + 1.0)))
+            lengths.append(d)
         else:
-            out[i] = math.fsum(maxlen - rec.length + 1 for rec in recs) / len(recs)
-    return out
+            if rec.sigma <= 0.0:
+                raise InternalConsistencyError(
+                    f"frequent-mode flagged record with sigma={rec.sigma}")
+            k = maxlen - d + 1
+            terms.append(rec.supp / (rec.sigma * k ** r))
+            shares.append(rec.supp / (rec.sigma * k ** r * d))
+            lengths.append(k)
+    n, row, cell = flags.n, flags.row, flags.cell
 
+    per_row = np.bincount(row, minlength=n)
+    ends = np.cumsum(per_row).tolist()
+    grouped = cell[np.argsort(row)].tolist()
+    scores = np.array([math.fsum([terms[k] for k in grouped[a:b]])
+                       for a, b in zip([0] + ends[:-1], ends)])
 
-def contribution_matrix(flag_sets: Sequence[Sequence[FlagRecord]], r: float,
-                        mode: str, maxlen: int, p: int) -> np.ndarray:
-    """n x p matrix splitting each score term equally over the itemset's variables."""
-    validate_exponent(r)
-    out = np.zeros((len(flag_sets), p))
-    for i, recs in enumerate(flag_sets):
-        for rec in recs:
-            if mode == "infrequent":
-                share = rec.sigma / (rec.supp * rec.length ** (r + 1.0))
-            else:
-                if rec.sigma <= 0.0:
-                    raise InternalConsistencyError(
-                        f"frequent-mode flagged record with sigma={rec.sigma}")
-                share = rec.supp / (
-                    rec.sigma * (maxlen - rec.length + 1) ** r * rec.length)
-            for var in rec.itemset.variables:
-                out[i, var] += share
-    return out
+    depth_sum = np.bincount(row, weights=np.asarray(lengths, dtype=float)[cell],
+                            minlength=n)
+    depths = np.zeros(n)
+    np.divide(depth_sum, per_row, out=depths, where=per_row > 0)
 
-
-def build_report(flag_sets: Sequence[Sequence[FlagRecord]], r: float, mode: str,
-                 maxlen: int, p: int) -> ScoreReport:
-    return ScoreReport(
-        scores=score_flags(flag_sets, r, mode, maxlen),
-        depths=depth_flags(flag_sets, mode, maxlen),
-        contributions=contribution_matrix(flag_sets, r, mode, maxlen, p),
-        mode=mode,
-        r=r,
-        maxlen=maxlen,
-    )
+    # bincount adds its weights in incidence order, which is search order
+    # within each row
+    member = np.zeros((len(flags.records), p), dtype=bool)
+    for k, rec in enumerate(flags.records):
+        member[k, list(rec.itemset.variables)] = True
+    weight = np.asarray(shares, dtype=float)[cell]
+    contributions = np.zeros((n, p))
+    for var in range(p):
+        inside = member[cell, var]
+        contributions[:, var] = np.bincount(row[inside], weights=weight[inside],
+                                            minlength=n)
+    return ScoreReport(scores=scores, depths=depths, contributions=contributions,
+                       mode=mode, r=r, maxlen=maxlen)
 
 
 def max_score_bound(n: int, p: int, r: float, maxlen: int) -> float:

@@ -215,7 +215,7 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
                 failures.append(f"ds{i} {mode} prune={prune}: maxlen "
                                 f"{info.maxlen} != {ref.maxlen}")
                 continue
-            if _flag_key_sets(flags) != _flag_key_sets(ref.flag_sets):
+            if _flag_key_sets(flags.by_row()) != _flag_key_sets(ref.flag_sets):
                 failures.append(f"ds{i} {mode} prune={prune}: flag sets differ")
                 continue
             for name, a, b in (("scores", report.scores, ref.report.scores),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sono import Dataset, IngestionOptions, load_dataset
+from sono import Dataset, Flags, IngestionOptions, load_dataset
 from sono.prepare import RECIPES
 
 UCI_ENV = "SONO_DATA_DIR"
@@ -74,6 +74,18 @@ class StubProvider:
     def get(self, subset):
         return StubTable(tuple(sorted(subset)), self.level_counts,
                          self.sigma_by_levels, self.default_sigma)
+
+
+def flags_of(flag_sets) -> Flags:
+    """The flag table of handcrafted per-row lists of FlagRecords."""
+    records: dict = {}
+    rows, cells = [], []
+    for i, recs in enumerate(flag_sets):
+        for rec in recs:
+            rows.append(i)
+            cells.append(records.setdefault(rec, len(records)))
+    return Flags(tuple(records), np.array(rows, dtype=np.intp),
+                 np.array(cells, dtype=np.intp), len(flag_sets))
 
 
 @pytest.fixture

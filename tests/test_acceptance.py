@@ -20,17 +20,16 @@ import numpy as np
 import pytest
 import scipy.stats as st_stats
 
-from sono import (RunConfig, check_propositions, empirical_model, max_score_bound,
-                  random_dataset, read_csv, run_analysis, walker)
+from sono import (RunConfig, build_report, check_propositions, empirical_model,
+                  max_score_bound, random_dataset, read_csv, run_analysis, walker)
 from sono.lattice import FlagRecord
-from sono.scoring import depth_flags
 from sono.data import Itemset
 from sono.prepare import prepare_dataset
 from sono.verify import (ARGMAX_OFF_BY_ONE, SINGLETON_GAP,
                          suite_coverage_simulation, suite_nu_accuracy,
                          _flag_key_sets)
 
-from conftest import require_uci
+from conftest import flags_of, require_uci
 
 SEED = 20240901
 
@@ -76,7 +75,11 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
     for run in runs:
         tag = f"ds{run['i']} {run['mode']} prune={run['prune']}"
         assert run["info"].maxlen == run["ref"].maxlen, tag
-        assert _flag_key_sets(run["flags"]) == _flag_key_sets(run["ref"].flag_sets), tag
+        assert _flag_key_sets(run["flags"].by_row()) \
+            == _flag_key_sets(run["ref"].flag_sets), tag
+        for field in ("scores", "depths", "contributions"):
+            assert np.array_equal(getattr(run["report"], field),
+                                  getattr(run["ref"].report, field)), (tag, field)
         np.testing.assert_allclose(run["report"].scores, run["ref"].report.scores,
                                    rtol=1e-9, atol=1e-12, err_msg=tag)
         np.testing.assert_allclose(run["report"].depths, run["ref"].report.depths,
@@ -87,7 +90,8 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
     assert elapsed < 300.0
     _report_line(1, "oracle equivalence", True,
                  f"200 runs on 50 seeded datasets agree with the walker "
-                 f"(flag sets equal, scores within 1e-9) in {elapsed:.0f}s")
+                 f"(flag sets equal, scores, depths and contributions "
+                 f"bit-identical) in {elapsed:.0f}s")
 
 
 def test_criterion_2_nu_accuracy():
@@ -313,10 +317,12 @@ def test_uci_empirical_frequencies_vs_independent_counter(tmp_path_factory):
 def test_criterion_8_depth_worked_examples():
     inf_flags = [[FlagRecord(Itemset.of((0, 1)), 1, 5.0),
                   FlagRecord(Itemset.of((0, 1), (1, 1), (2, 1)), 1, 4.0)]]
-    d_inf = depth_flags(inf_flags, "infrequent", maxlen=3)[0]
+    d_inf = build_report(flags_of(inf_flags), r=2.0, mode="infrequent", maxlen=3,
+                         p=3).depths[0]
     freq_flags = [[FlagRecord(Itemset.of((0, 1), (1, 1)), 9, 5.0),
                    FlagRecord(Itemset.of((2, 1)), 9, 4.0)]]
-    d_freq = depth_flags(freq_flags, "frequent", maxlen=3)[0]
+    d_freq = build_report(flags_of(freq_flags), r=2.0, mode="frequent", maxlen=3,
+                          p=3).depths[0]
     ok = d_inf == 2.0 and d_freq == 2.5
     _report_line(8, "depth worked examples", ok,
                  f"bottom-up {d_inf} (want 2), top-down {d_freq} (want 5/2), exact")

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sono import (RunConfig, ThresholdProvider, count_support, empirical_model,
                   random_dataset, run_analysis, search_frequent, search_infrequent)
@@ -8,13 +11,13 @@ from sono import (RunConfig, ThresholdProvider, count_support, empirical_model,
 from conftest import StubProvider, make_dataset
 
 
-def flag_keys(flag_sets):
-    return [frozenset(rec.key() for rec in recs) for recs in flag_sets]
+def flag_keys(flags):
+    return [frozenset(rec.key() for rec in recs) for recs in flags.by_row()]
 
 
-def flagged_itemsets(flag_sets):
+def flagged_itemsets(flags):
     out = set()
-    for recs in flag_sets:
+    for recs in flags.by_row():
         out.update(rec.itemset for rec in recs)
     return out
 
@@ -88,10 +91,25 @@ class TestFigureScenarios:
         assert any(i.entries == ((2, 1),) for i in flagged)
         assert stats.cells_pruned >= 2
         # implied records carry their true support
-        for recs in flags:
+        for recs in flags.by_row():
             for rec in recs:
                 if rec.itemset.entries == ((0, 1),):
                     assert rec.supp == 3
+
+    def test_top_down_implied_flags_reach_two_levels_down(self):
+        # only the length-3 cell (1, 1, 1) can flag by test; its pairs and
+        # singletons are implied, the singletons through the implied pairs
+        ds = make_dataset([[1, 1, 1]] * 2 + [[1, 2, 2]] + [[2, 2, 2]] * 5)
+        provider = StubProvider(ds.level_counts, {((0, 1, 2), (1, 1, 1)): 2.0},
+                                default_sigma=1e9)
+        flags, stats = search_frequent(ds, provider, maxlen=3, prune=True)
+        rows = flags.by_row()
+        assert sorted((rec.length, rec.supp) for rec in rows[0]) == [
+            (1, 2), (1, 2), (1, 3), (2, 2), (2, 2), (2, 2), (3, 2)]
+        assert [(rec.itemset.entries, rec.supp) for rec in rows[2]] \
+            == [(((0, 1),), 3)]
+        assert (stats.cells_tested, stats.cells_pruned, stats.cells_flagged) \
+            == (11, 6, 7)
 
     def test_top_down_no_prune_tests_everything(self):
         ds = self._x111_dataset()
@@ -109,14 +127,14 @@ class TestSearchSemantics:
         ds = make_dataset([[1, 1], [2, 2], [1, 2], [2, 1]] * 5)
         provider = StubProvider(ds.level_counts, {}, default_sigma=-1.0)
         flags, stats = search_infrequent(ds, provider, maxlen=2, prune=True)
-        assert all(not recs for recs in flags)
+        assert all(not recs for recs in flags.by_row())
         assert stats.cells_flagged == 0
 
     def test_identical_rows_flag_full_chain_frequent(self):
         ds = make_dataset([[1, 1, 1]] * 8)
         provider = StubProvider(ds.level_counts, {}, default_sigma=4.0)
         flags, _ = search_frequent(ds, provider, maxlen=3, prune=True)
-        lengths = sorted(len(rec.itemset) for rec in flags[0])
+        lengths = sorted(len(rec.itemset) for rec in flags.by_row()[0])
         assert lengths == [1, 1, 1, 2, 2, 2, 3]
 
     def test_tie_flags_in_both_modes(self):
@@ -124,8 +142,8 @@ class TestSearchSemantics:
         provider = StubProvider(ds.level_counts, {}, default_sigma=2.0)
         flags_inf, _ = search_infrequent(ds, provider, maxlen=1, prune=True)
         flags_freq, _ = search_frequent(ds, provider, maxlen=1, prune=True)
-        assert all(len(recs) == 1 for recs in flags_inf)  # supp 2 <= sigma 2
-        assert all(len(recs) == 1 for recs in flags_freq)  # supp 2 >= sigma 2
+        assert all(len(recs) == 1 for recs in flags_inf.by_row())  # supp 2 <= sigma 2
+        assert all(len(recs) == 1 for recs in flags_freq.by_row())  # supp 2 >= sigma 2
 
     def test_fully_pruned_subsets_not_materialized(self):
         # every singleton cell of X1 is flagged, so every superset containing
@@ -183,3 +201,20 @@ class TestSearchSemantics:
         r2, _, f2 = run_analysis(ds, model, cfg)
         assert flag_keys(f1) == flag_keys(f2)
         assert r1.scores.tolist() == r2.scores.tolist()
+
+
+class TestRowPermutation:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("infrequent", "frequent")),
+           st.data())
+    def test_permuting_rows_permutes_results_exactly(self, seed, mode, data):
+        ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
+        perm = np.array(data.draw(st.permutations(range(ds.n))))
+        shuffled = dataclasses.replace(ds, codes=ds.codes[perm])
+        cfg = RunConfig(mode=mode)
+        report, info, _ = run_analysis(ds, empirical_model(ds), cfg)
+        moved, moved_info, _ = run_analysis(shuffled, empirical_model(shuffled), cfg)
+        assert moved_info.maxlen == info.maxlen
+        assert np.array_equal(moved.scores, report.scores[perm])
+        assert np.array_equal(moved.depths, report.depths[perm])
+        assert np.array_equal(moved.contributions, report.contributions[perm])

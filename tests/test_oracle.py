@@ -53,7 +53,7 @@ class TestWalker:
         model = empirical_model(ds)
         report, info, flags = run_analysis(ds, model, RunConfig(alpha=0.05))
         ref = walker(ds, model, 0.05, 2.0)
-        assert _flag_key_sets(flags) == _flag_key_sets(ref.flag_sets)
+        assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
         np.testing.assert_allclose(report.scores, ref.report.scores, rtol=1e-9)
 
     def test_prune_off_strictly_larger_on_engineered_fixture(self):
@@ -76,7 +76,7 @@ class TestWalker:
         for prune, ref in ((True, res_on), (False, res_off)):
             rep, _, flags = run_analysis(
                 ds_ext, model, RunConfig(prune=prune, alpha=0.05, r=2.0))
-            assert _flag_key_sets(flags) == _flag_key_sets(ref.flag_sets)
+            assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
             np.testing.assert_allclose(rep.scores, ref.report.scores, rtol=1e-9)
 
     def test_walker_is_deterministic(self):

@@ -1,33 +1,37 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sono import (DomainError, FlagRecord, InternalConsistencyError, Itemset,
-                  RunConfig, build_report, contribution_matrix, depth_flags,
-                  empirical_model, max_score_bound, random_dataset, run_analysis,
-                  score_flags)
+                  RunConfig, build_report, empirical_model, max_score_bound,
+                  random_dataset, run_analysis)
 
-from conftest import make_dataset
+from conftest import flags_of, make_dataset
 
 
 def rec(entries, supp, sigma):
     return FlagRecord(itemset=Itemset.of(*entries), supp=supp, sigma=sigma)
 
 
+def report_of(flag_sets, r=2.0, mode="infrequent", maxlen=3, p=6):
+    return build_report(flags_of(flag_sets), r=r, mode=mode, maxlen=maxlen, p=p)
+
+
 class TestScore:
     def test_single_term(self):
         flags = [[rec([(0, 1)], supp=2, sigma=10.0)]]
-        assert score_flags(flags, r=2.0, mode="infrequent", maxlen=3)[0] == 5.0
+        assert report_of(flags, r=2.0, mode="infrequent", maxlen=3).scores[0] == 5.0
 
     def test_empty_is_zero(self):
-        assert score_flags([[]], r=2.0, mode="infrequent", maxlen=3)[0] == 0.0
+        assert report_of([[]], r=2.0, mode="infrequent", maxlen=3).scores[0] == 0.0
 
     def test_frequent_term(self):
         flags = [[rec([(0, 1), (1, 2)], supp=30, sigma=10.0)]]
         # maxlen 3, |d| = 2 -> (3 - 2 + 1)^r = 4
-        assert score_flags(flags, r=2.0, mode="frequent", maxlen=3)[0] \
+        assert report_of(flags, r=2.0, mode="frequent", maxlen=3).scores[0] \
             == pytest.approx(30 / 40.0)
 
     def test_infrequent_terms_at_least_inverse_length_power(self):
@@ -36,7 +40,7 @@ class TestScore:
             ds = random_dataset(rng, n_max=80, p_max=4)
             model = empirical_model(ds)
             _, _, flags = run_analysis(ds, model, RunConfig(r=2.0))
-            for recs in flags:
+            for recs in flags.by_row():
                 for record in recs:
                     term = record.sigma / (record.supp * record.length ** 2.0)
                     assert term >= 1.0 / record.length ** 2.0 - 1e-12
@@ -44,28 +48,38 @@ class TestScore:
     def test_frequent_nonpositive_sigma_is_internal_error(self):
         flags = [[rec([(0, 1)], supp=5, sigma=0.0)]]
         with pytest.raises(InternalConsistencyError):
-            score_flags(flags, r=1.0, mode="frequent", maxlen=2)
+            report_of(flags, r=1.0, mode="frequent", maxlen=2)
 
     def test_r_validation(self):
         with pytest.raises(DomainError):
-            score_flags([[]], r=0.0, mode="infrequent", maxlen=1)
+            report_of([[]], r=0.0, mode="infrequent", maxlen=1)
         with pytest.warns(UserWarning, match="not recommended"):
-            score_flags([[]], r=5.0, mode="infrequent", maxlen=1)
+            report_of([[]], r=5.0, mode="infrequent", maxlen=1)
+
+    def test_large_r_warns_once_per_run(self):
+        ds = make_dataset([[1, 1], [1, 2], [2, 1], [1, 1]] * 10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_analysis(ds, empirical_model(ds), RunConfig(r=4.0))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, UserWarning)] == [
+            "r=4.0 strongly damps longer itemsets; values much above 3.0 "
+            "are not recommended"]
 
 
 class TestDepth:
     def test_worked_example_bottom_up(self):
         flags = [[rec([(0, 1)], 1, 5.0),
                   rec([(0, 1), (1, 1), (2, 1)], 1, 4.0)]]
-        assert depth_flags(flags, "infrequent", maxlen=3)[0] == 2.0
+        assert report_of(flags, mode="infrequent", maxlen=3).depths[0] == 2.0
 
     def test_worked_example_top_down(self):
         flags = [[rec([(0, 1), (1, 1)], 9, 5.0), rec([(2, 1)], 9, 4.0)]]
-        assert depth_flags(flags, "frequent", maxlen=3)[0] == 2.5
+        assert report_of(flags, mode="frequent", maxlen=3).depths[0] == 2.5
 
     def test_single_record(self):
         flags = [[rec([(1, 2)], 3, 7.0)]]
-        assert depth_flags(flags, "infrequent", maxlen=4)[0] == 1.0
+        assert report_of(flags, mode="infrequent", maxlen=4).depths[0] == 1.0
 
     def test_zero_depth_iff_zero_score(self):
         rng = np.random.default_rng(8)
@@ -82,14 +96,14 @@ class TestDepth:
 class TestContributions:
     def test_equal_split(self):
         flags = [[rec([(1, 1), (4, 2)], supp=1, sigma=8.0)]]
-        mat = contribution_matrix(flags, r=1.0, mode="infrequent", maxlen=3, p=6)
+        mat = report_of(flags, r=1.0, mode="infrequent", maxlen=3, p=6).contributions
         assert mat[0, 1] == pytest.approx(2.0)
         assert mat[0, 4] == pytest.approx(2.0)
         assert mat[0].sum() == pytest.approx(4.0)  # equals the score term 8/(1*2)
         assert mat[0, 0] == 0.0
 
     def test_empty_row_is_zero(self):
-        mat = contribution_matrix([[]], r=2.0, mode="infrequent", maxlen=2, p=3)
+        mat = report_of([[]], r=2.0, mode="infrequent", maxlen=2, p=3).contributions
         assert np.all(mat == 0)
 
     def test_nonnegative_and_row_sums_match_scores(self):
@@ -184,7 +198,7 @@ class TestScaleFree:
 class TestBuildReport:
     def test_fields_round_trip(self):
         flags = [[rec([(0, 1)], 1, 3.0)], []]
-        report = build_report(flags, r=2.0, mode="infrequent", maxlen=2, p=2)
+        report = build_report(flags_of(flags), r=2.0, mode="infrequent", maxlen=2, p=2)
         assert report.mode == "infrequent"
         assert report.maxlen == 2
         assert report.scores.shape == (2,)
