@@ -17,8 +17,8 @@ from .engine import RunInfo, run_analysis
 from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
                      EmptyDatasetError, IngestionError, InternalConsistencyError,
                      OracleRefusal, SonoError, TableExplosion)
-from .lattice import (FlagRecord, Flags, SearchStats, count_support,
-                      search_frequent, search_infrequent)
+from .lattice import (FlagRecord, Flags, SearchStats, search_frequent,
+                      search_infrequent)
 from .oracle import (OracleConfig, TruncatedPoissonMoments, WalkerResult,
                      check_propositions, edgeworth_sum_density, exact_nu,
                      random_dataset, truncated_poisson_moments, walker)
@@ -36,8 +36,7 @@ __all__ = [
     "SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
     "DegenerateTruncation", "CISearchFailure", "TableExplosion", "OracleRefusal",
     "InternalConsistencyError",
-    "FlagRecord", "Flags", "SearchStats", "count_support", "search_infrequent",
-    "search_frequent",
+    "FlagRecord", "Flags", "SearchStats", "search_infrequent", "search_frequent",
     "ScoreReport", "build_report", "max_score_bound",
     "CellSpec", "SimultaneousCI", "coverage_probability", "find_c",
     "simultaneous_intervals",

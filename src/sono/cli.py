@@ -7,6 +7,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig, load_config_file, merge_config
 from .data import IngestionOptions, empirical_model, read_csv, user_model
@@ -84,20 +86,14 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _write_scores_csv(path: str, scores, depths) -> None:
+def _write_rows_csv(path: str, names, columns) -> None:
+    """A 1-based "row" column plus float columns as reprs. Only the header,
+    whose names may need quoting, goes through `csv`; rows end in its CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "score", "depth"])
-        for i, (s, d) in enumerate(zip(scores, depths), start=1):
-            writer.writerow([i, repr(float(s)), repr(float(d))])
-
-
-def _write_contributions_csv(path: str, contributions, names) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", *names])
-        for i, row in enumerate(contributions, start=1):
-            writer.writerow([i, *(repr(float(v)) for v in row)])
+        csv.writer(fh).writerow(["row", *names])
+        fh.writelines(f"{i},{','.join(map(repr, row))}\r\n"
+                      for i, row in enumerate(np.asarray(columns, dtype=float).tolist(),
+                                              start=1))
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -144,10 +140,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     try:
         os.makedirs(cfg.out, exist_ok=True)
         if "csv" in cfg.format:
-            _write_scores_csv(os.path.join(cfg.out, "scores.csv"),
-                              report.scores, report.depths)
-            _write_contributions_csv(os.path.join(cfg.out, "contributions.csv"),
-                                     report.contributions, ds.variable_names)
+            _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
+                            np.column_stack([report.scores, report.depths]))
+            _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
+                            ds.variable_names, report.contributions)
         if "json" in cfg.format:
             run_doc = {
                 "config": cfg.to_flat_dict(),

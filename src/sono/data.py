@@ -3,7 +3,9 @@
 Levels of each nominal variable are encoded as 1-based integer codes. The
 probability model holds one probability vector per variable; under the
 independence assumption the probability of a cell (an itemset) is the product
-of its per-variable level probabilities.
+of its per-variable level probabilities. This module is the one home of that
+product: `cell_probs` for given cells (row-wise), `subset_cell_probs` for the
+full grid of a table.
 """
 from __future__ import annotations
 
@@ -281,26 +283,25 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
     return ds2, ProbabilityModel(pi=tuple(vecs), source="user")
 
 
+def cell_probs(pi: Sequence[np.ndarray], levels: np.ndarray) -> np.ndarray:
+    """Independence product of each row of 1-based `levels` (cells x len(pi)),
+    folded left from 1.0 so that every caller gets the same bits for a cell."""
+    levels = np.asarray(levels)
+    prob = np.ones(levels.shape[0], dtype=float)
+    for j, vec in enumerate(pi):
+        prob = prob * vec[levels[:, j] - 1]
+    return prob
+
+
 def cell_probability(model: ProbabilityModel, itemset: Itemset) -> float:
     """Independence product of the per-variable level probabilities of an itemset."""
-    prob = 1.0
     for var, level in itemset.entries:
         if not (0 <= var < model.p):
             raise DomainError(f"variable index {var} out of range")
-        vec = model.pi[var]
-        if not (1 <= level <= vec.size):
+        if not (1 <= level <= model.pi[var].size):
             raise DomainError(f"level {level} out of range for variable {var}")
-        prob *= vec[level - 1]
-    return float(prob)
-
-
-def subset_strides(level_counts: Sequence[int], subset: Sequence[int]) -> np.ndarray:
-    """C-order strides for encoding a cell of the table over `subset`."""
-    ls = [level_counts[j] for j in subset]
-    strides = np.ones(len(ls), dtype=np.int64)
-    for j in range(len(ls) - 2, -1, -1):
-        strides[j] = strides[j + 1] * ls[j + 1]
-    return strides
+    pi = [model.pi[var] for var in itemset.variables]
+    return float(cell_probs(pi, np.array([itemset.levels]))[0])
 
 
 def subset_cell_probs(model: ProbabilityModel, subset: Sequence[int]) -> np.ndarray:

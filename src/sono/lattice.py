@@ -10,6 +10,10 @@ Pruning state is kept per (subset, row) as boolean masks: bottom-up, whether
 the row's cell contains a flagged itemset; top-down, whether it is flagged.
 A row's cell is its projection, so the masks propagate level by level with
 ORs over neighbouring subsets. Both searches return a `Flags` table.
+
+A subset's observed cells are grouped by `subset_codes`, an integer key that
+only this module knows; each cell's levels, which price it and name its
+itemset, are read from one of its rows.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Itemset, subset_strides
+from .data import Dataset, Itemset
 from .thresholds import ThresholdProvider
 
 
@@ -75,27 +79,25 @@ class Flags:
 
 
 def subset_codes(ds: Dataset, subset: Sequence[int]) -> np.ndarray:
-    """C-order cell code of every row's projection onto `subset`."""
-    subset = tuple(subset)
-    strides = subset_strides(ds.level_counts, subset)
+    """Every row's cell over `subset` as one integer, a grouping key that is
+    never decoded: codes are equal iff cells are, and sort like level tuples."""
     codes = np.zeros(ds.n, dtype=np.int64)
-    for stride, j in zip(strides, subset):
-        codes += (ds.codes[:, j].astype(np.int64) - 1) * stride
+    for j in subset:  # Horner: code = code * l_j + (x_j - 1)
+        codes *= ds.level_counts[j]
+        codes += ds.codes[:, j]
+        codes -= 1
     return codes
 
 
-def count_support(ds: Dataset, subset: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Exact observed-cell supports of the table over `subset`, one data pass."""
-    subset = tuple(sorted(subset))
-    codes = subset_codes(ds, subset)
-    uniq, counts = np.unique(codes, return_counts=True)
-    strides = subset_strides(ds.level_counts, subset)
-    out = {}
-    for code, cnt in zip(uniq.tolist(), counts.tolist()):
-        levels = tuple(int(code // strides[j]) % ds.level_counts[subset[j]] + 1
-                       for j in range(len(subset)))
-        out[levels] = int(cnt)
-    return out
+def _observed_cells(ds: Dataset, subset: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observed cells over `subset` in level-tuple order: their 1-based
+    levels (cells x |subset|), each row's cell index and each cell's support."""
+    uniq, inv, counts = np.unique(subset_codes(ds, subset),
+                                  return_inverse=True, return_counts=True)
+    rep = np.empty(uniq.size, dtype=np.intp)
+    rep[inv] = np.arange(ds.n)
+    return ds.codes[rep[:, None], subset], inv, counts
 
 
 def _neighbour_mask(masks: dict[tuple[int, ...], np.ndarray], subset: tuple[int, ...],
@@ -132,17 +134,15 @@ class _Search:
         mode (it lies under one). Returns the row mask of the flagged cells.
         """
         stats = self.stats
-        uniq, inv, counts = np.unique(subset_codes(self.ds, subset),
-                                      return_inverse=True, return_counts=True)
+        levels, inv, counts = _observed_cells(self.ds, subset)
         stats.subsets_materialized += 1
         stats.deepest_level_tested = max(stats.deepest_level_tested, len(subset))
-        decided = np.zeros(uniq.size, dtype=bool)
+        decided = np.zeros(counts.size, dtype=bool)
         decided[inv[near]] = True
         n_decided = int(decided.sum())
         stats.cells_pruned += n_decided
-        stats.cells_tested += uniq.size - n_decided
-        table = self.provider.get(subset)
-        sigma = table.sigma_codes(uniq, self.mode)
+        stats.cells_tested += counts.size - n_decided
+        sigma = self.provider.get(subset).sigma(levels, self.mode)
         if self.mode == "infrequent":
             flagged = ~decided & (counts.astype(float) <= sigma)
         else:
@@ -152,9 +152,9 @@ class _Search:
         hit = flagged[inv]
         if pos.size:
             cell_id = np.cumsum(flagged) - 1 + len(self.records)
-            for k, levels in zip(pos.tolist(), table.decode_codes(uniq[pos])):
+            for k, cell in zip(pos.tolist(), levels[pos].tolist()):
                 self.records.append(FlagRecord(
-                    itemset=Itemset(tuple(zip(subset, levels))),
+                    itemset=Itemset(tuple(zip(subset, cell))),
                     supp=int(counts[k]),
                     sigma=float(sigma[k]),
                 ))

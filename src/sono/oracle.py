@@ -314,17 +314,17 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
             for i in range(n):
                 cell = tuple(int(ds.codes[i, j]) for j in subset)
                 seen[cell] = seen.get(cell, 0) + 1
-            for cell in sorted(seen):
+            cells = sorted(seen)
+            sigmas = table.sigma(np.array(cells), mode).tolist()
+            for cell, sigma in zip(cells, sigmas):
                 itemset = Itemset(tuple(zip(subset, cell)))
                 supp = seen[cell]
                 if mode == "infrequent":
                     if prune and any(itemset.contains(f.itemset) for f in flagged):
                         continue
-                    sigma = table.sigma_levels(cell, "infrequent")
                     if supp <= sigma:
                         flagged.append(FlagRecord(itemset, supp, sigma))
                 else:
-                    sigma = table.sigma_levels(cell, "frequent")
                     if prune and any(f.itemset.contains(itemset) for f in flagged):
                         flagged.append(FlagRecord(itemset, supp, sigma))
                     elif supp >= sigma:

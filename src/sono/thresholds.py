@@ -5,7 +5,10 @@ the Kronecker product of the per-variable probability vectors as cell
 probabilities. One integer half-width c (and its gamma) is found per subset at
 confidence level 1-2*alpha; the infrequent-mode threshold of a cell with
 probability p_d is then n*p_d - c and the frequent-mode threshold is
-n*p_d + c + 2*gamma.
+n*p_d + c + 2*gamma. A `ThresholdTable` keeps only (c, gamma) and the
+subset's probability vectors: `sigma` prices the cells it is shown, with p_d
+from `data.cell_probs`, and `max_sigma` the most probable cell, which the
+maxlen rule also uses.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import ProbabilityModel, subset_cell_probs, subset_strides
+from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
 from .simci import (CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec,
                     coverage_probability, find_c)
@@ -38,12 +41,18 @@ _RULE_MARGIN = 5e-3
 _ALGORITHM_VERSION = 2
 
 
+def _extreme_cell_prob(pi: Sequence[np.ndarray], largest: bool) -> float:
+    """Probability of the most (or, with largest=False, least) probable cell."""
+    pick = np.argmax if largest else np.argmin
+    return float(cell_probs(pi, np.array([[pick(v) + 1 for v in pi]]))[0])
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Thresholds for every cell of the table over one variable subset.
+    """The (c, gamma) of one variable subset and the thresholds it implies.
 
-    Cell thresholds are derived on demand from the per-variable probability
-    slices; sigma_map() materializes the full map for small tables.
+    `sigma(levels, mode)` gives the threshold of each cell named by a row of
+    1-based levels; cells are never enumerated.
     """
 
     subset: tuple[int, ...]
@@ -51,34 +60,6 @@ class ThresholdTable:
     gamma: float
     n: int
     pi: tuple[np.ndarray, ...]  # probability vectors of the subset's variables
-    level_counts: tuple[int, ...]
-    strides: np.ndarray
-
-    @property
-    def cells(self) -> int:
-        return int(np.prod([float(l) for l in self.level_counts]))
-
-    def decode_codes(self, codes: np.ndarray) -> list[tuple[int, ...]]:
-        """C-order cell codes -> 1-based level tuples."""
-        codes = np.asarray(codes, dtype=np.int64)
-        levels = []
-        for j, l in enumerate(self.level_counts):
-            levels.append((codes // self.strides[j]) % l + 1)
-        return [tuple(int(x) for x in row) for row in zip(*levels)]
-
-    def cell_prob_codes(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.int64)
-        prob = np.ones(codes.shape, dtype=float)
-        for j, l in enumerate(self.level_counts):
-            lev = (codes // self.strides[j]) % l
-            prob = prob * self.pi[j][lev]
-        return prob
-
-    def cell_prob_levels(self, levels: Sequence[int]) -> float:
-        prob = 1.0
-        for j, lev in enumerate(levels):
-            prob = prob * float(self.pi[j][lev - 1])
-        return prob
 
     def _sigma(self, p, mode: str):
         """Threshold of a cell with probability p (scalar or array) in `mode`."""
@@ -88,30 +69,13 @@ class ThresholdTable:
             return self.n * p + self.c + 2.0 * self.gamma
         raise ValueError(f"unknown mode {mode!r}")
 
-    def sigma_codes(self, codes: np.ndarray, mode: str) -> np.ndarray:
-        return self._sigma(self.cell_prob_codes(codes), mode)
-
-    def sigma_levels(self, levels: Sequence[int], mode: str) -> float:
-        return self._sigma(self.cell_prob_levels(levels), mode)
-
-    def _extreme_prob(self, kind: str) -> float:
-        prob = 1.0
-        for v in self.pi:
-            prob = prob * float(v.max() if kind == "max" else v.min())
-        return prob
-
-    def min_sigma(self, mode: str = "infrequent") -> float:
-        """Smallest threshold over the full Kronecker cell set (not only observed)."""
-        return self._sigma(self._extreme_prob("min"), mode)
+    def sigma(self, levels: np.ndarray, mode: str) -> np.ndarray:
+        """Thresholds of the cells given as rows of 1-based levels (cells x |subset|)."""
+        return self._sigma(cell_probs(self.pi, levels), mode)
 
     def max_sigma(self, mode: str = "infrequent") -> float:
-        return self._sigma(self._extreme_prob("max"), mode)
-
-    def sigma_map(self, mode: str = "infrequent") -> dict[tuple[int, ...], float]:
-        """Full cell -> threshold map; intended for small (test-sized) tables."""
-        codes = np.arange(self.cells, dtype=np.int64)
-        sig = self.sigma_codes(codes, mode)
-        return dict(zip(self.decode_codes(codes), sig.tolist()))
+        """Threshold of the table's most probable cell, observed or not."""
+        return self._sigma(_extreme_cell_prob(self.pi, True), mode)
 
 
 @dataclass(frozen=True)
@@ -143,10 +107,7 @@ def _table(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     """The ThresholdTable of a sorted subset with a known (c, gamma)."""
     return ThresholdTable(
         subset=subset, c=c, gamma=gamma, n=n,
-        pi=tuple(model.pi[j] for j in subset),
-        level_counts=tuple(model.level_counts[j] for j in subset),
-        strides=subset_strides(model.level_counts, subset),
-    )
+        pi=tuple(model.pi[j] for j in subset))
 
 
 def subset_thresholds(model: ProbabilityModel, n: int, subset: Sequence[int],
@@ -168,10 +129,7 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     once; only values within _RULE_MARGIN of the level fall back to the
     literal sweep (raw nu tracks a nondecreasing function within ~2e-3).
     """
-    p_ref = 1.0
-    for j in subset:
-        v = model.pi[j]
-        p_ref *= float(v.max() if rule == "any-cell" else v.min())
+    p_ref = _extreme_cell_prob([model.pi[j] for j in subset], rule == "any-cell")
     if n * p_ref < SIGMA_FLOOR:
         return False  # sigma_ref < 2 for every c >= 0, no table needed
     t = math.floor(n * p_ref - SIGMA_FLOOR + 1e-9)

@@ -36,44 +36,25 @@ def require_uci(name: str) -> str:
 class StubTable:
     """Duck-typed ThresholdTable with handcrafted per-cell thresholds."""
 
-    def __init__(self, subset, level_counts, sigma_by_levels, default_sigma):
-        self.subset = tuple(subset)
-        self.level_counts = tuple(level_counts[j] for j in subset)
-        self.c = 0
-        self.gamma = 0.0
-        self._sigma = dict(sigma_by_levels)
+    def __init__(self, subset, sigma_by_levels, default_sigma):
+        self.subset = subset
+        self.by_levels = sigma_by_levels
         self._default = default_sigma
-        strides = np.ones(len(self.level_counts), dtype=np.int64)
-        for j in range(len(self.level_counts) - 2, -1, -1):
-            strides[j] = strides[j + 1] * self.level_counts[j + 1]
-        self.strides = strides
 
-    def decode_codes(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        levels = []
-        for j, l in enumerate(self.level_counts):
-            levels.append((codes // self.strides[j]) % l + 1)
-        return [tuple(int(x) for x in row) for row in zip(*levels)]
-
-    def sigma_codes(self, codes, mode):
-        return np.array([self._sigma.get((self.subset, lv), self._default)
-                         for lv in self.decode_codes(codes)], dtype=float)
-
-    def sigma_levels(self, levels, mode):
-        return float(self._sigma.get((self.subset, tuple(levels)), self._default))
+    def sigma(self, levels, mode):
+        return np.array([self.by_levels.get((self.subset, tuple(lv)), self._default)
+                         for lv in np.asarray(levels).tolist()], dtype=float)
 
 
 class StubProvider:
     """Threshold provider for handcrafted search scenarios."""
 
-    def __init__(self, level_counts, sigma_by_levels, default_sigma):
-        self.level_counts = tuple(level_counts)
+    def __init__(self, sigma_by_levels, default_sigma):
         self.sigma_by_levels = dict(sigma_by_levels)
         self.default_sigma = default_sigma
 
     def get(self, subset):
-        return StubTable(tuple(sorted(subset)), self.level_counts,
-                         self.sigma_by_levels, self.default_sigma)
+        return StubTable(tuple(sorted(subset)), self.sigma_by_levels, self.default_sigma)
 
 
 def flags_of(flag_sets) -> Flags:

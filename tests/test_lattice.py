@@ -1,12 +1,16 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (RunConfig, ThresholdProvider, count_support, empirical_model,
-                  random_dataset, run_analysis, search_frequent, search_infrequent)
+from sono import (IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
+                  load_dataset, random_dataset, run_analysis, search_frequent,
+                  search_infrequent)
+from sono.lattice import _observed_cells
 
 from conftest import StubProvider, make_dataset
 
@@ -22,33 +26,51 @@ def flagged_itemsets(flags):
     return out
 
 
+def support(ds, subset):
+    """Observed-cell supports over `subset`, counted row by row."""
+    return Counter(tuple(row) for row in ds.codes[:, list(subset)].tolist())
+
+
+def search_support(ds, subset):
+    """The observed cells as the search groups them: {levels: supp}, in order."""
+    levels, inv, counts = _observed_cells(ds, tuple(subset))
+    by_row = support(ds, subset)
+    assert counts[inv].tolist() == [by_row[tuple(row)]
+                                    for row in ds.codes[:, list(subset)].tolist()]
+    return dict(zip(map(tuple, levels.tolist()), counts.tolist()))
+
+
 class TestCountSupport:
+    """The search's support counting: cells grouped by `subset_codes`, with
+    levels read from a representative row, against a row-by-row Counter."""
+
     def test_single_variable(self):
         ds = make_dataset([[1, 1], [1, 2], [1, 1]])
-        assert count_support(ds, (0,)) == {(1,): 3}
+        assert search_support(ds, (0,)) == {(1,): 3}
 
     def test_pair(self):
         ds = make_dataset([[1, 1], [1, 2], [1, 1]])
-        assert count_support(ds, (0, 1)) == {(1, 1): 2, (1, 2): 1}
+        assert search_support(ds, (0, 1)) == {(1, 1): 2, (1, 2): 1}
 
     def test_matches_nested_loop_counter(self):
         rng = np.random.default_rng(17)
         codes = rng.integers(1, 4, size=(1000, 5))
         ds = make_dataset(codes, level_counts=(3,) * 5)
         for subset in ((0,), (3,), (0, 2), (1, 4), (0, 1, 2), (2, 3, 4)):
-            fast = count_support(ds, subset)
+            fast = search_support(ds, subset)
             slow = {}
             for i in range(1000):
                 cell = tuple(int(codes[i, j]) for j in subset)
                 slow[cell] = slow.get(cell, 0) + 1
             assert fast == slow
+            assert list(fast) == sorted(slow)  # cells come in level-tuple order
 
     def test_supports_sum_to_n(self):
         rng = np.random.default_rng(23)
         ds = make_dataset(rng.integers(1, 3, size=(77, 3)), level_counts=(2, 2, 2))
         for size in (1, 2, 3):
             for subset in itertools.combinations(range(3), size):
-                assert sum(count_support(ds, subset).values()) == 77
+                assert sum(search_support(ds, subset).values()) == 77
 
 
 class TestFigureScenarios:
@@ -61,7 +83,6 @@ class TestFigureScenarios:
         ds = self._x111_dataset()
         # (X1=1, X2=1) infrequent at length 2; singletons never flagged
         provider = StubProvider(
-            ds.level_counts,
             {((0, 1), (1, 1)): 5.0,   # supp 2 <= 5 -> flagged
              ((0, 1, 2), (1, 1, 1)): 5.0},  # would flag if it were tested
             default_sigma=-1.0)
@@ -81,7 +102,6 @@ class TestFigureScenarios:
         # (X1=1, X3=1) frequent; singleton thresholds so high that a direct
         # test could never flag them, proving they were marked, not tested
         provider = StubProvider(
-            ds.level_counts,
             {((0, 2), (1, 1)): 2.0},  # supp 2 >= 2 -> flagged
             default_sigma=1e9)
         flags, stats = search_frequent(ds, provider, maxlen=2, prune=True)
@@ -100,8 +120,7 @@ class TestFigureScenarios:
         # only the length-3 cell (1, 1, 1) can flag by test; its pairs and
         # singletons are implied, the singletons through the implied pairs
         ds = make_dataset([[1, 1, 1]] * 2 + [[1, 2, 2]] + [[2, 2, 2]] * 5)
-        provider = StubProvider(ds.level_counts, {((0, 1, 2), (1, 1, 1)): 2.0},
-                                default_sigma=1e9)
+        provider = StubProvider({((0, 1, 2), (1, 1, 1)): 2.0}, default_sigma=1e9)
         flags, stats = search_frequent(ds, provider, maxlen=3, prune=True)
         rows = flags.by_row()
         assert sorted((rec.length, rec.supp) for rec in rows[0]) == [
@@ -113,8 +132,7 @@ class TestFigureScenarios:
 
     def test_top_down_no_prune_tests_everything(self):
         ds = self._x111_dataset()
-        provider = StubProvider(ds.level_counts, {((0, 2), (1, 1)): 2.0},
-                                default_sigma=1e9)
+        provider = StubProvider({((0, 2), (1, 1)): 2.0}, default_sigma=1e9)
         flags, _ = search_frequent(ds, provider, maxlen=2, prune=False)
         flagged = flagged_itemsets(flags)
         assert any(i.entries == ((0, 1), (2, 1)) for i in flagged)
@@ -125,21 +143,21 @@ class TestFigureScenarios:
 class TestSearchSemantics:
     def test_nothing_flagged_gives_empty_sets(self):
         ds = make_dataset([[1, 1], [2, 2], [1, 2], [2, 1]] * 5)
-        provider = StubProvider(ds.level_counts, {}, default_sigma=-1.0)
+        provider = StubProvider({}, default_sigma=-1.0)
         flags, stats = search_infrequent(ds, provider, maxlen=2, prune=True)
         assert all(not recs for recs in flags.by_row())
         assert stats.cells_flagged == 0
 
     def test_identical_rows_flag_full_chain_frequent(self):
         ds = make_dataset([[1, 1, 1]] * 8)
-        provider = StubProvider(ds.level_counts, {}, default_sigma=4.0)
+        provider = StubProvider({}, default_sigma=4.0)
         flags, _ = search_frequent(ds, provider, maxlen=3, prune=True)
         lengths = sorted(len(rec.itemset) for rec in flags.by_row()[0])
         assert lengths == [1, 1, 1, 2, 2, 2, 3]
 
     def test_tie_flags_in_both_modes(self):
         ds = make_dataset([[1], [1], [2], [2]])
-        provider = StubProvider(ds.level_counts, {}, default_sigma=2.0)
+        provider = StubProvider({}, default_sigma=2.0)
         flags_inf, _ = search_infrequent(ds, provider, maxlen=1, prune=True)
         flags_freq, _ = search_frequent(ds, provider, maxlen=1, prune=True)
         assert all(len(recs) == 1 for recs in flags_inf.by_row())  # supp 2 <= sigma 2
@@ -150,7 +168,6 @@ class TestSearchSemantics:
         # X1 is dead; with p=2 the pair subset is never materialized
         ds = make_dataset([[1, 1], [2, 2], [1, 2], [2, 1]])
         provider = StubProvider(
-            ds.level_counts,
             {((0,), (1,)): 10.0, ((0,), (2,)): 10.0},
             default_sigma=-1.0)
         flags, stats = search_infrequent(ds, provider, maxlen=2, prune=True)
@@ -184,10 +201,10 @@ class TestSearchSemantics:
         ds = random_dataset(rng, n_max=60, p_max=4)
         for size in range(2, ds.p + 1):
             for subset in itertools.combinations(range(ds.p), size):
-                supp = count_support(ds, subset)
+                supp = support(ds, subset)
                 for drop in range(size):
                     sub = subset[:drop] + subset[drop + 1:]
-                    sub_supp = count_support(ds, sub)
+                    sub_supp = support(ds, sub)
                     for cell, cnt in supp.items():
                         sub_cell = cell[:drop] + cell[drop + 1:]
                         assert cnt <= sub_supp[sub_cell]
@@ -218,3 +235,54 @@ class TestRowPermutation:
         assert np.array_equal(moved.scores, report.scores[perm])
         assert np.array_equal(moved.depths, report.depths[perm])
         assert np.array_equal(moved.contributions, report.contributions[perm])
+
+
+def labelled_flags(ds, flags):
+    """{flagged itemset by (variable, level label): (supp, sigma)}."""
+    return {tuple((j, ds.level_labels[j][lev - 1]) for j, lev in rec.itemset.entries):
+            (rec.supp, rec.sigma) for rec in flags.records}
+
+
+class TestLevelRelabelling:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("infrequent", "frequent")),
+           st.booleans(), st.data())
+    def test_relabelling_levels_keeps_results(self, seed, mode, prune, data):
+        # the same table read with --level-order first and lexicographic, and
+        # with a drawn per-variable permutation of the codes and their labels
+        ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
+        table = [list(ds.variable_names)] + [list(ds.decode_row(i)) for i in range(ds.n)]
+        first = load_dataset(table, IngestionOptions(level_order="first"))
+        lexicographic = load_dataset(table, IngestionOptions(level_order="lexicographic"))
+        perms = [np.array(data.draw(st.permutations(range(l)))) for l in first.level_counts]
+        drawn = dataclasses.replace(
+            first,
+            codes=np.column_stack([perm[first.codes[:, j] - 1] + 1
+                                   for j, perm in enumerate(perms)]),
+            level_labels=tuple(tuple(labels[k] for k in np.argsort(perm))
+                               for labels, perm in zip(first.level_labels, perms)))
+        cfg = RunConfig(mode=mode, prune=prune)
+        report, info, flags = run_analysis(first, empirical_model(first), cfg)
+        expected = labelled_flags(first, flags)
+        for other in (lexicographic, drawn):
+            got, got_info, got_flags = run_analysis(other, empirical_model(other), cfg)
+            assert got_info.maxlen == info.maxlen
+            relabelled = labelled_flags(other, got_flags)
+            assert relabelled.keys() == expected.keys()
+            if mode == "infrequent":
+                # p_d multiplies the same level probabilities in the same
+                # variable order and c is an integer: every bit is kept
+                assert relabelled == expected
+                assert np.array_equal(got.scores, report.scores)
+                assert np.array_equal(got.depths, report.depths)
+                assert np.array_equal(got.contributions, report.contributions)
+            else:
+                # gamma comes from nu over the table's cells in a permuted
+                # order, so sigma and what is built on it may move in the
+                # last bits
+                for key, (supp, sigma) in expected.items():
+                    assert relabelled[key][0] == supp
+                    assert relabelled[key][1] == pytest.approx(sigma, rel=1e-12)
+                for a, b in ((got.scores, report.scores), (got.depths, report.depths),
+                             (got.contributions, report.contributions)):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)

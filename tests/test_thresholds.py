@@ -6,7 +6,9 @@ import pytest
 
 from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
                   ThresholdTable, determine_maxlen, find_c, subset_thresholds)
-from sono.data import subset_strides
+from sono.data import subset_cell_probs
+from sono.simci import _computes_exactly
+from sono.thresholds import SIGMA_FLOOR
 
 
 def model_of(*vectors):
@@ -16,10 +18,38 @@ def model_of(*vectors):
 
 def manual_table(pi_vectors, c, gamma, n):
     pi = tuple(np.array(v, dtype=float) for v in pi_vectors)
-    counts = tuple(v.size for v in pi)
-    return ThresholdTable(
-        subset=tuple(range(len(pi))), c=c, gamma=gamma, n=n, pi=pi,
-        level_counts=counts, strides=subset_strides(counts, range(len(pi))))
+    return ThresholdTable(subset=tuple(range(len(pi))), c=c, gamma=gamma, n=n, pi=pi)
+
+
+def sigma_of(table, cell, mode):
+    return float(table.sigma(np.array([cell]), mode)[0])
+
+
+def grid(table):
+    """Every cell of the table's full grid as rows of 1-based levels, C order."""
+    return np.array(list(itertools.product(*(range(1, v.size + 1) for v in table.pi))))
+
+
+def audit_maxlen_rule(model, n, rule, alpha=0.05):
+    """Hold determine_maxlen to its definition, sigma_ref >= 2 with sigma_ref
+    read from each subset's own threshold table, on every subset it judged
+    (in its order, up to the violating one). Returns how many of them have
+    nu(c + 1) on the Edgeworth path."""
+    decision = determine_maxlen(model, n, alpha, rule=rule)
+    pick = np.argmax if rule == "any-cell" else np.argmin
+    edgeworth = 0
+    for size in range(1, model.p + 1):
+        for subset in itertools.combinations(range(model.p), size):
+            table = subset_thresholds(model, n, subset, alpha)
+            sigma_ref = sigma_of(table, [pick(v) + 1 for v in table.pi], "infrequent")
+            spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
+            edgeworth += not _computes_exactly(spec, "auto", table.c + 1)
+            if subset == decision.violating_subset:
+                assert sigma_ref < SIGMA_FLOOR + 1e-9, (rule, n, subset)
+                return edgeworth
+            assert sigma_ref >= SIGMA_FLOOR - 1e-9, (rule, n, subset)
+    assert decision.violating_subset is None
+    return edgeworth
 
 
 class TestSigmaForSubset:
@@ -30,47 +60,48 @@ class TestSigmaForSubset:
         c_oracle, _ = find_c(CellSpec(probs=np.array([0.9, 0.1]), n=n),
                              1 - 2 * alpha, method="exact")
         assert table.c == c_oracle
-        assert table.sigma_levels((1,), "infrequent") == pytest.approx(90 - table.c)
-        assert table.sigma_levels((2,), "infrequent") == pytest.approx(10 - table.c)
+        assert sigma_of(table, (1,), "infrequent") == pytest.approx(90 - table.c)
+        assert sigma_of(table, (2,), "infrequent") == pytest.approx(10 - table.c)
 
     def test_sigma_arithmetic_from_given_c(self):
         table = manual_table([[0.4, 0.6]], c=6, gamma=0.0, n=100)
-        assert table.sigma_levels((1,), "infrequent") == pytest.approx(34.0)
+        assert sigma_of(table, (1,), "infrequent") == pytest.approx(34.0)
 
     def test_frequent_adds_width(self):
         table = manual_table([[0.4, 0.6]], c=6, gamma=0.25, n=100)
-        assert table.sigma_levels((1,), "frequent") == pytest.approx(40 + 6.5)
+        assert sigma_of(table, (1,), "frequent") == pytest.approx(40 + 6.5)
 
     def test_zero_probability_cell_unflaggable(self):
         model = model_of([0.0, 1.0], [0.5, 0.5])
         table = subset_thresholds(model, 50, (0, 1), 0.05)
-        assert table.sigma_levels((1, 1), "infrequent") == pytest.approx(-table.c)
-        assert table.sigma_levels((1, 1), "infrequent") <= 0.0
+        assert sigma_of(table, (1, 1), "infrequent") == pytest.approx(-table.c)
+        assert sigma_of(table, (1, 1), "infrequent") <= 0.0
 
     def test_sigma_strictly_increasing_in_cell_probability(self):
         model = model_of([0.5, 0.3, 0.2], [0.6, 0.4])
         table = subset_thresholds(model, 80, (0, 1), 0.05)
-        sig = table.sigma_map("infrequent")
-        probs = {cell: table.cell_prob_levels(cell) for cell in sig}
-        cells = sorted(sig, key=probs.get)
-        for lo, hi in zip(cells, cells[1:]):
+        sig = table.sigma(grid(table), "infrequent")
+        probs = subset_cell_probs(model, (0, 1))
+        order = np.argsort(probs, kind="stable")
+        for lo, hi in zip(order, order[1:]):
             if probs[hi] > probs[lo]:
                 assert sig[hi] > sig[lo]
 
     def test_min_sigma_over_full_kronecker_set(self):
         model = model_of([0.99, 0.01], [0.5, 0.5])
         table = subset_thresholds(model, 40, (0, 1), 0.05)
-        sig = table.sigma_map("infrequent")
-        assert table.min_sigma("infrequent") == pytest.approx(min(sig.values()))
-        assert table.max_sigma("infrequent") == pytest.approx(max(sig.values()))
-        # the walker reads sigma_levels, the fast path sigma_codes: equal bits
+        cells = grid(table)
         for mode in ("infrequent", "frequent"):
-            for cell, sigma in table.sigma_map(mode).items():
-                assert table.sigma_levels(cell, mode) == sigma
+            sig = table.sigma(cells, mode)
+            # the row-wise product prices the grid with the bits of the
+            # full-grid Kronecker vector that find_c is given
+            assert np.array_equal(sig, table._sigma(subset_cell_probs(model, (0, 1)), mode))
+            assert min(sig) == table._sigma(0.01 * 0.5, mode)
+            assert table.max_sigma(mode) == max(sig)
+            # one cell at a time gives the same bits as the whole grid
+            assert [sigma_of(table, cell, mode) for cell in cells.tolist()] == sig.tolist()
         # an unknown mode raises everywhere instead of falling back
-        for call in (lambda m: table.sigma_codes(np.arange(table.cells), m),
-                     lambda m: table.sigma_levels((1, 1), m),
-                     table.min_sigma, table.max_sigma):
+        for call in (lambda m: table.sigma(cells, m), table.max_sigma):
             with pytest.raises(ValueError, match="unknown mode"):
                 call("bogus")
 
@@ -127,6 +158,31 @@ class TestDetermineMaxlen:
             for subset in itertools.combinations(range(4), size):
                 table = subset_thresholds(model, n, subset, 0.05)
                 assert table.max_sigma("infrequent") >= 2.0
+        # and the rule's raw-nu shortcut agrees with its definition on
+        # seeded random models, skewed and flat, under both rules (they stop
+        # at sizes 1 to 5 or never)
+        for _ in range(16):
+            p = int(rng.integers(3, 7))
+            conc = float(rng.choice([0.7, 4.0]))
+            model = model_of(*(rng.dirichlet(np.full(int(rng.integers(2, 5)), conc))
+                               for _ in range(p)))
+            n = int(rng.integers(20, 600))
+            for rule in ("any-cell", "all-cells"):
+                audit_maxlen_rule(model, n, rule)
+
+    def test_rule_matches_definition_on_benchmark_shapes(self):
+        # a 1389-row model with solar-flare level counts and a 30000-row model
+        # over seven binaries; between them some c + 1 lies on the Edgeworth
+        # path, where the shortcut leans on raw nu tracking the sweep
+        rng = np.random.default_rng(11)
+        models = [(model_of(*(rng.dirichlet(np.full(l, 0.6)) for l in (7, 6, 4, 2, 3, 3))),
+                   1389),
+                  (model_of(*(rng.dirichlet(np.full(2, 0.6)) for _ in range(7))), 30000)]
+        edgeworth = 0
+        for model, n in models:
+            for rule in ("any-cell", "all-cells"):
+                edgeworth += audit_maxlen_rule(model, n, rule)
+        assert edgeworth > 0
 
 
 class TestThresholdProvider:
