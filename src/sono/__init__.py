@@ -19,12 +19,12 @@ from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
                      OracleRefusal, SonoError, TableExplosion)
 from .lattice import (FlagRecord, Flags, SearchStats, search_frequent,
                       search_infrequent)
-from .oracle import (OracleConfig, TruncatedPoissonMoments, WalkerResult,
-                     check_propositions, edgeworth_sum_density, exact_nu,
-                     random_dataset, truncated_poisson_moments, walker)
+from .oracle import (OracleConfig, SimultaneousCI, TruncatedPoissonMoments,
+                     WalkerResult, check_propositions, edgeworth_sum_density,
+                     exact_nu, random_dataset, simultaneous_intervals,
+                     truncated_poisson_moments, walker)
 from .scoring import ScoreReport, build_report, max_score_bound
-from .simci import (CellSpec, SimultaneousCI, coverage_probability, find_c,
-                    simultaneous_intervals)
+from .simci import CellSpec, coverage_probability, find_c
 from .thresholds import (MaxlenDecision, ThresholdProvider, ThresholdTable,
                          determine_maxlen, subset_thresholds)
 
@@ -38,11 +38,10 @@ __all__ = [
     "InternalConsistencyError",
     "FlagRecord", "Flags", "SearchStats", "search_infrequent", "search_frequent",
     "ScoreReport", "build_report", "max_score_bound",
-    "CellSpec", "SimultaneousCI", "coverage_probability", "find_c",
-    "simultaneous_intervals",
+    "CellSpec", "coverage_probability", "find_c",
     "MaxlenDecision", "ThresholdTable", "ThresholdProvider", "determine_maxlen",
     "subset_thresholds",
     "OracleConfig", "WalkerResult", "walker", "exact_nu", "check_propositions",
     "random_dataset", "TruncatedPoissonMoments", "truncated_poisson_moments",
-    "edgeworth_sum_density",
+    "edgeworth_sum_density", "SimultaneousCI", "simultaneous_intervals",
 ]

@@ -9,7 +9,7 @@ from .config import RunConfig
 from .data import Dataset, ProbabilityModel
 from .lattice import Flags, SearchStats, search_frequent, search_infrequent
 from .scoring import ScoreReport, build_report
-from .thresholds import MaxlenDecision, ThresholdProvider, determine_maxlen
+from .thresholds import MaxlenDecision, ThresholdProvider
 
 CACHE_ENV = "SONO_CACHE_DIR"
 
@@ -34,16 +34,14 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
     t0 = time.perf_counter()
     method = "exact" if cfg.oracle_nu else "auto"
 
+    provider = ThresholdProvider(model, ds.n, cfg.alpha, method=method,
+                                 max_cells=cfg.max_cells,
+                                 cache_dir=os.environ.get(CACHE_ENV))
     if cfg.max_len is not None:
         decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),
                                   violating_subset=None, rule="manual")
     else:
-        decision = determine_maxlen(model, ds.n, cfg.alpha, rule=cfg.maxlen_rule,
-                                    method=method, max_cells=cfg.max_cells)
-
-    provider = ThresholdProvider(model, ds.n, cfg.alpha, method=method,
-                                 max_cells=cfg.max_cells,
-                                 cache_dir=os.environ.get(CACHE_ENV))
+        decision = provider.maxlen(cfg.maxlen_rule)
     search = search_infrequent if cfg.mode == "infrequent" else search_frequent
     flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
     report = build_report(flags, cfg.r, cfg.mode, decision.maxlen, ds.p)

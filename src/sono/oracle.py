@@ -4,9 +4,10 @@ These exist so every fast-path result can be audited: a nested-loop lattice
 walker that recomputes flags, scores, depths and contributions from the
 definitions; an exact coverage probability (a cell-by-cell convolution of its
 own plus a multinomial enumeration self-check); the literal clamped sweep for
-the half-width c; truncated-Poisson moments by direct summation and the
-Edgeworth density of their sum; and numeric checkers for the two
-maximum-score propositions. Deliberately single-threaded and cache-free.
+the half-width c; the simultaneous intervals the coverage simulation checks;
+truncated-Poisson moments by direct summation and the Edgeworth density of
+their sum; and numeric checkers for the two maximum-score propositions.
+Deliberately single-threaded and cache-free.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from . import simci
 from .data import Dataset, Itemset, ProbabilityModel, empirical_model
 from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRefusal
 from .lattice import FlagRecord
@@ -192,6 +193,56 @@ def sweep_find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[in
 
 
 # ---------------------------------------------------------------------------
+# Simultaneous intervals, for the coverage simulation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimultaneousCI:
+    """Simultaneous interval endpoints plus the (c, gamma) pair behind them."""
+
+    c: int
+    gamma: float
+    alpha: float
+    lower: np.ndarray
+    upper: np.ndarray
+    sidedness: str  # "two-sided", "upper-one-sided", "lower-one-sided"
+
+
+def simultaneous_intervals(spec: CellSpec, alpha: float, sidedness: str = "two-sided",
+                           method: str = "auto") -> SimultaneousCI:
+    """Simultaneous interval endpoints for all cell proportions.
+
+    two-sided uses level 1-alpha: (p_i - c/n, p_i + (c+2*gamma)/n).
+    One-sided variants use level 1-2*alpha: upper-one-sided keeps
+    (p_i - c/n, 1); lower-one-sided keeps (0, p_i + (c+2*gamma)/n).
+    Endpoints are the raw formula values, not clamped to [0, 1].
+
+    (c, gamma) come from the fast path's simci.find_c: the coverage
+    simulation audits the c that scoring uses, not sweep_find_c's.
+    """
+    if not (0.0 < alpha <= 0.5):
+        raise DomainError("alpha must be in (0, 0.5]")
+    if sidedness not in ("two-sided", "upper-one-sided", "lower-one-sided"):
+        raise DomainError(f"unknown sidedness {sidedness!r}")
+    level = 1.0 - alpha if sidedness == "two-sided" else 1.0 - 2.0 * alpha
+    if not (0.0 < level < 1.0):
+        raise DomainError(f"resulting confidence level {level} is outside (0, 1)")
+    c, gamma = simci.find_c(spec, level, method)
+    n = spec.n
+    if sidedness == "two-sided":
+        lower = spec.probs - c / n
+        upper = spec.probs + (c + 2.0 * gamma) / n
+    elif sidedness == "upper-one-sided":
+        lower = spec.probs - c / n
+        upper = np.ones_like(spec.probs)
+    else:
+        lower = np.zeros_like(spec.probs)
+        upper = spec.probs + (c + 2.0 * gamma) / n
+    return SimultaneousCI(c=c, gamma=gamma, alpha=alpha, lower=lower, upper=upper,
+                          sidedness=sidedness)
+
+
+# ---------------------------------------------------------------------------
 # Truncated-Poisson moments by direct summation
 # ---------------------------------------------------------------------------
 
@@ -219,6 +270,8 @@ def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMom
         raise DomainError("lam must be positive")
     if a < 0 or b < a:
         raise DomainError("need 0 <= a <= b")
+    from scipy.special import logsumexp
+
     y = np.arange(a, b + 1, dtype=float)
     logw = poisson_log_pmf(y, lam)
     log_mass = float(logsumexp(logw))

@@ -7,7 +7,8 @@ times the pmf of their sum conditioned to total n, normalized by the
 Poisson(n) atom at n.  The sum pmf is either computed exactly by convolution
 (small truncation grids) or approximated by a fourth-order Edgeworth series
 (everything else).  The integer half-width c and the interpolation weight
-gamma then give two-sided and one-sided simultaneous intervals.
+gamma then give the support thresholds (sono.thresholds) and the
+simultaneous intervals of the coverage simulation (sono.oracle).
 
 The exact path reads one entry of the sum pmf: all cells' log-pmfs come from
 one vectorized call, cells are combined pairwise in a product tree (direct
@@ -20,6 +21,9 @@ and bisection; the literal sweep lives on in sono.oracle as the reference.
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
 and b_i = min(floor(m_i+c), n).
+
+SciPy is imported inside the functions that evaluate nu: importing sono, and
+a run whose thresholds and maxlen all come from the spill file, never load it.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, gammaln, logsumexp, pdtr
 
 from .errors import CISearchFailure, DomainError, OracleRefusal
 
@@ -77,18 +80,6 @@ class CellSpec:
         return self.probs.size
 
 
-@dataclass(frozen=True)
-class SimultaneousCI:
-    """Simultaneous interval endpoints plus the (c, gamma) pair behind them."""
-
-    c: int
-    gamma: float
-    alpha: float
-    lower: np.ndarray
-    upper: np.ndarray
-    sidedness: str  # "two-sided", "upper-one-sided", "lower-one-sided"
-
-
 def _snap_int(x: np.ndarray) -> np.ndarray:
     """Round values that are within float fuzz of an integer."""
     r = np.round(x)
@@ -96,6 +87,8 @@ def _snap_int(x: np.ndarray) -> np.ndarray:
 
 
 def poisson_log_pmf(y, lam):
+    from scipy.special import gammaln
+
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     safe = np.where(lam > 0, lam, 1.0)
@@ -109,6 +102,8 @@ def poisson_log_pmf(y, lam):
 
 def _poisson_cdf(k, lam):
     """P(Y <= k) for Y ~ Poisson(lam); k may be negative."""
+    from scipy.special import pdtr
+
     k = np.asarray(k, dtype=float)
     return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0.0), lam))
 
@@ -305,6 +300,8 @@ def _coverage_edgeworth(spec: CellSpec, c: int, split_dominant: bool = False) ->
     aggregate variance (the regime where the sum is nowhere near normal) are
     convolved exactly and only the remainder is approximated.
     """
+    from scipy.special import logsumexp
+
     m, a, b = truncation_bounds(spec, c)
     if np.any(a > b):
         return 0.0
@@ -420,6 +417,8 @@ def _seed_c(spec: CellSpec, level: float) -> int:
     at or a little below nu(c), so the result is usually the first c with
     nu(c) > level or one or two above it; n if no c qualifies.
     """
+    from scipy.special import bdtr
+
     p = spec.probs
     m = spec.n * p
 
@@ -527,34 +526,3 @@ def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, flo
     raise CISearchFailure(
         f"no c in [0, {spec.n}] brackets level {level} (nu capped at {prev})"
     )
-
-
-def simultaneous_intervals(spec: CellSpec, alpha: float, sidedness: str = "two-sided",
-                           method: str = "auto") -> SimultaneousCI:
-    """Simultaneous interval endpoints for all cell proportions.
-
-    two-sided uses level 1-alpha: (p_i - c/n, p_i + (c+2*gamma)/n).
-    One-sided variants use level 1-2*alpha: upper-one-sided keeps
-    (p_i - c/n, 1); lower-one-sided keeps (0, p_i + (c+2*gamma)/n).
-    Endpoints are the raw formula values, not clamped to [0, 1].
-    """
-    if not (0.0 < alpha <= 0.5):
-        raise DomainError("alpha must be in (0, 0.5]")
-    if sidedness not in ("two-sided", "upper-one-sided", "lower-one-sided"):
-        raise DomainError(f"unknown sidedness {sidedness!r}")
-    level = 1.0 - alpha if sidedness == "two-sided" else 1.0 - 2.0 * alpha
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"resulting confidence level {level} is outside (0, 1)")
-    c, gamma = find_c(spec, level, method)
-    n = spec.n
-    if sidedness == "two-sided":
-        lower = spec.probs - c / n
-        upper = spec.probs + (c + 2.0 * gamma) / n
-    elif sidedness == "upper-one-sided":
-        lower = spec.probs - c / n
-        upper = np.ones_like(spec.probs)
-    else:
-        lower = np.zeros_like(spec.probs)
-        upper = spec.probs + (c + 2.0 * gamma) / n
-    return SimultaneousCI(c=c, gamma=gamma, alpha=alpha, lower=lower, upper=upper,
-                          sidedness=sidedness)

@@ -8,7 +8,8 @@ probability p_d is then n*p_d - c and the frequent-mode threshold is
 n*p_d + c + 2*gamma. A `ThresholdTable` keeps only (c, gamma) and the
 subset's probability vectors: `sigma` prices the cells it is shown, with p_d
 from `data.cell_probs`, and `max_sigma` the most probable cell, which the
-maxlen rule also uses.
+maxlen rule also uses. `ThresholdProvider` serves both the tables and the
+maxlen decision, from memory or from its spill file.
 """
 from __future__ import annotations
 
@@ -87,18 +88,19 @@ class MaxlenDecision:
     rule: str
 
 
-def _table_cells(model: ProbabilityModel, subset: Sequence[int]) -> float:
+def _check_table_cells(model: ProbabilityModel, subset: Sequence[int],
+                       max_cells: float) -> None:
+    """Refuse a subset whose full table has more than max_cells cells."""
     cells = 1.0
     for j in subset:
         cells *= model.level_counts[j]
-    return cells
+    if cells > max_cells:
+        raise TableExplosion(subset, cells, max_cells)
 
 
 def _cell_spec(model: ProbabilityModel, n: int, subset: Sequence[int],
                max_cells: float) -> CellSpec:
-    cells = _table_cells(model, subset)
-    if cells > max_cells:
-        raise TableExplosion(subset, cells, max_cells)
+    _check_table_cells(model, subset, max_cells)
     return CellSpec(probs=subset_cell_probs(model, subset), n=n)
 
 
@@ -169,17 +171,37 @@ def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
     return MaxlenDecision(maxlen=p, violating_subset=None, rule=rule)
 
 
-def _valid_spill_entry(value) -> bool:
-    """A spilled (c, gamma) pair: an integer c >= 0 and a finite gamma."""
+# A subset's spilled (c, gamma) is keyed by its comma-joined column indices,
+# a maxlen decision by this prefix, the rule and max_cells.
+_DECISION_PREFIX = "maxlen:"
+
+
+def _valid_spill_entry(key: str, value, p: int) -> bool:
+    """A spilled (c, gamma) pair: an integer c >= 0 and a finite gamma. A
+    spilled maxlen decision, [maxlen, violating_subset]: an integer maxlen in
+    [1, p] and a violating subset that determine_maxlen can return with it,
+    None only at maxlen p, else strictly increasing column indices, maxlen + 1
+    of them (or one, when size 1 already fails)."""
     if not isinstance(value, list) or len(value) != 2:
         return False
+    if key.startswith(_DECISION_PREFIX):
+        maxlen, subset = value
+        if type(maxlen) is not int or not 1 <= maxlen <= p:
+            return False
+        if subset is None:
+            return maxlen == p
+        return (isinstance(subset, list)
+                and (len(subset) == maxlen + 1 or (maxlen == 1 and len(subset) == 1))
+                and all(type(j) is int and 0 <= j < p for j in subset)
+                and all(a < b for a, b in zip(subset, subset[1:])))
     c, gamma = value
     return (type(c) is int and c >= 0 and type(gamma) in (int, float)
             and math.isfinite(gamma))
 
 
 class ThresholdProvider:
-    """Caches ThresholdTables per subset; optionally spills (c, gamma) to disk."""
+    """Caches ThresholdTables per subset and maxlen decisions per rule;
+    optionally spills (c, gamma) and the decisions to one file on disk."""
 
     def __init__(self, model: ProbabilityModel, n: int, alpha: float, *,
                  method: str = "auto", max_cells: float = DEFAULT_MAX_CELLS,
@@ -215,7 +237,8 @@ class ThresholdProvider:
             log.warning("ignoring threshold cache %s (%s); recomputing",
                         self._spill_path, exc)
             return {}
-        bad = {key: value for key, value in spilled.items() if not _valid_spill_entry(value)}
+        bad = {key: value for key, value in spilled.items()
+               if not _valid_spill_entry(key, value, self.model.p)}
         if bad:
             key = next(iter(bad))
             log.warning("ignoring threshold cache %s: %d malformed entries (first: %r: %r); "
@@ -229,6 +252,7 @@ class ThresholdProvider:
             return table
         spill_key = ",".join(map(str, key))
         if spill_key in self._spilled:
+            _check_table_cells(self.model, key, self.max_cells)
             c, gamma = self._spilled[spill_key]
             table = _table(self.model, self.n, key, int(c), float(gamma))
         else:
@@ -237,6 +261,23 @@ class ThresholdProvider:
             self._spilled[spill_key] = [table.c, table.gamma]
         self._tables[key] = table
         return table
+
+    def maxlen(self, rule: str) -> MaxlenDecision:
+        """determine_maxlen on this provider's inputs, or its spilled answer.
+
+        The spill file's digest covers everything the decision depends on
+        but the rule and max_cells, so the entry is keyed by those two.
+        """
+        key = f"{_DECISION_PREFIX}{rule}:{float(self.max_cells)!r}"
+        if key in self._spilled:
+            maxlen, subset = self._spilled[key]
+            return MaxlenDecision(maxlen=maxlen, rule=rule,
+                                  violating_subset=None if subset is None else tuple(subset))
+        decision = determine_maxlen(self.model, self.n, self.alpha, rule=rule,
+                                    method=self.method, max_cells=self.max_cells)
+        subset = decision.violating_subset
+        self._spilled[key] = [decision.maxlen, None if subset is None else list(subset)]
+        return decision
 
     def flush_spill(self) -> None:
         """Write the spill file through a temp file and an atomic rename."""

@@ -15,8 +15,8 @@ from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
-                     random_dataset, sweep_find_c, walker)
-from .simci import CellSpec, coverage_probability, find_c, simultaneous_intervals
+                     random_dataset, simultaneous_intervals, sweep_find_c, walker)
+from .simci import CellSpec, coverage_probability, find_c
 
 Check = tuple[str, bool, str]
 

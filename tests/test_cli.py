@@ -1,14 +1,61 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import sono
+import sono.simci
+import sono.thresholds
 from sono.cli import main
 
 RNG = np.random.default_rng(123)
+SONO_PATH = os.path.dirname(os.path.dirname(os.path.abspath(sono.__file__)))
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports sono from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SONO_PATH, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Runs `sono` with the given arguments, then fails if SciPy was imported.
+SCORE_WITHOUT_SCIPY = """
+import sys
+from sono.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+assert "scipy" not in sys.modules, "scipy was imported"
+sys.exit(status)
+"""
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that its calls are counted; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def spilled_decisions(cache):
+    (spill,) = cache.glob("thresholds-*.json")
+    return {k: v for k, v in json.loads(spill.read_text()).items()
+            if k.startswith("maxlen:")}
 
 
 def write_csv(path, rows, header=("A", "B", "C")):
@@ -212,6 +259,101 @@ class TestScoreCommand:
                   for o in (out1, out2))
         assert c1 == c2
         assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+    def test_cached_run_enforces_max_cells(self, tmp_path, monkeypatch, capsys):
+        # three 8-level variables: the triple's table has 512 cells
+        rows = RNG.integers(1, 9, size=(300, 3)).astype(str).tolist()
+        path = tmp_path / "d.csv"
+        write_csv(path, rows)
+        args = ["score", "--input", str(path), "--max-len", "3"]
+        monkeypatch.setenv("SONO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main([*args, "--out", str(tmp_path / "o1"), "--max-cells", "1e4"]) == 0
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "o2"), "--max-cells", "100"]) == 3
+        cached = capsys.readouterr().err
+        monkeypatch.delenv("SONO_CACHE_DIR")
+        assert main([*args, "--out", str(tmp_path / "o3"), "--max-cells", "100"]) == 3
+        uncached = capsys.readouterr().err
+        assert "table over variables (0, 1, 2) has 512 cells" in uncached
+        assert cached == uncached
+
+    def test_warm_run_reads_the_decision_without_scipy(self, sample_csv, tmp_path,
+                                                       monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
+        assert list(spilled_decisions(cache)) == ["maxlen:any-cell:10000000.0"]
+        warm = run_python(SCORE_WITHOUT_SCIPY, "score", "--input", sample_csv,
+                          "--out", str(out2))
+        assert warm.returncode == 0, warm.stderr
+        for name in ("scores.csv", "contributions.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        m1, m2 = (json.dumps(json.loads((o / "run.json").read_text())["maxlen"])
+                  for o in (out1, out2))
+        assert m1 == m2
+
+    def test_warm_run_evaluates_no_nu(self, sample_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("SONO_CACHE_DIR", str(tmp_path / "cache"))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
+
+        def no_nu(*args, **kwargs):
+            raise AssertionError("nu evaluated on a warm run")
+
+        for module in (sono.simci, sono.thresholds):
+            monkeypatch.setattr(module, "coverage_probability", no_nu)
+        assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
+        assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+    def test_decision_keyed_by_rule_and_max_cells(self, sample_csv, tmp_path,
+                                                  monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        calls = count_calls(monkeypatch, sono.thresholds, "determine_maxlen")
+        runs = [[], ["--maxlen-rule", "all-cells"], ["--max-cells", "1e6"]]
+        for i, extra in enumerate(runs * 2):
+            out = tmp_path / f"o{i}"
+            assert main(["score", "--input", sample_csv, "--out", str(out), *extra]) == 0
+            assert len(calls) == min(i + 1, len(runs))
+        assert sorted(spilled_decisions(cache)) == [
+            "maxlen:all-cells:10000000.0", "maxlen:any-cell:1000000.0",
+            "maxlen:any-cell:10000000.0"]
+        for i in range(len(runs)):
+            a, b = (json.loads((tmp_path / f"o{j}" / "run.json").read_text())["maxlen"]
+                    for j in (i, i + len(runs)))
+            assert a == b
+
+    def test_spill_file_without_decision_is_served(self, sample_csv, tmp_path,
+                                                   monkeypatch):
+        # spill files of earlier versions hold (c, gamma) entries only
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0
+        (spill,) = cache.glob("thresholds-*.json")
+        full = json.loads(spill.read_text())
+        tables = {k: v for k, v in full.items() if not k.startswith("maxlen:")}
+        assert tables and len(tables) == len(full) - 1
+        spill.write_text(json.dumps(tables))
+        maxlen_calls = count_calls(monkeypatch, sono.thresholds, "determine_maxlen")
+        table_calls = count_calls(monkeypatch, sono.thresholds, "subset_thresholds")
+        assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
+        assert (len(maxlen_calls), len(table_calls)) == (1, 0)
+        assert json.loads(spill.read_text()) == full
+        assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["--help"]],
+                             ids=["import", "version", "help"])
+    def test_scipy_not_imported(self, argv):
+        code = ("import sys, sono.cli; assert 'scipy' not in sys.modules" if not argv
+                else SCORE_WITHOUT_SCIPY)
+        proc = run_python(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        if argv:
+            assert "sono" in proc.stdout
 
 
 class TestVerifyCommand:

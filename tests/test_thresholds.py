@@ -6,6 +6,7 @@ import pytest
 
 from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
                   ThresholdTable, determine_maxlen, find_c, subset_thresholds)
+import sono.thresholds as thresholds
 from sono.data import subset_cell_probs
 from sono.simci import _computes_exactly
 from sono.thresholds import SIGMA_FLOOR
@@ -220,6 +221,46 @@ class TestThresholdProvider:
         pb.flush_spill()
         assert json.loads(spill.read_text()) == {"0,1": [ta.c, ta.gamma]}
         assert [p.name for p in tmp_path.iterdir()] == [spill.name]
+
+    @pytest.mark.parametrize("entry", [
+        [0, None], [4, None], [2, None], [True, None], [3.0, None], [1, [0, 1], 0],
+        {"maxlen": 1}, [1, "0,1"], [2, [0, 1]], [1, [1, 0]], [1, [0, 0]],
+        [1, [0, 3]], [1, [-1, 0]], [2, [0, 1, 2.0]], [3, [0, 1, 2, 3]]])
+    def test_malformed_decision_warns_and_recomputes(self, tmp_path, caplog,
+                                                     monkeypatch, entry):
+        model = model_of([0.5, 0.5], [0.3, 0.7], [0.2, 0.8])
+        pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        da = pa.maxlen("all-cells")
+        ta = pa.get((0, 1))
+        pa.flush_spill()
+        (spill,) = tmp_path.glob("thresholds-*.json")
+        good = json.loads(spill.read_text())
+        key = "maxlen:all-cells:10000000.0"
+        assert good[key] == [1, [0, 2]]
+        spill.write_text(json.dumps({**good, key: entry}))
+        calls = []
+        monkeypatch.setattr(thresholds, "determine_maxlen",
+                            lambda *a, **k: calls.append(a) or determine_maxlen(*a, **k))
+        pb = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        assert caplog.text.count(f"ignoring threshold cache {spill}: 1 malformed") == 1
+        assert pb.maxlen("all-cells") == da
+        assert len(calls) == 1
+        tb = pb.get((0, 1))
+        assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
+        pb.flush_spill()
+        assert json.loads(spill.read_text()) == good
+
+    def test_spilled_decision_is_served(self, tmp_path, monkeypatch):
+        model = model_of([0.9, 0.1], [0.9, 0.1], [0.9, 0.1])
+        pa = ThresholdProvider(model, 200, 0.05, cache_dir=str(tmp_path))
+        decisions = {rule: pa.maxlen(rule) for rule in ("any-cell", "all-cells")}
+        pa.flush_spill()
+        monkeypatch.setattr(thresholds, "determine_maxlen", None)  # not called
+        pb = ThresholdProvider(model, 200, 0.05, cache_dir=str(tmp_path))
+        for rule, decision in decisions.items():
+            assert pb.maxlen(rule) == decision
+            assert decision == determine_maxlen(model, 200, 0.05, rule=rule)
+        assert decisions["all-cells"].violating_subset == (0, 1)
 
     def test_spill_keyed_by_inputs(self, tmp_path):
         model = model_of([0.5, 0.5])
