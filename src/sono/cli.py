@@ -86,14 +86,19 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _write_rows_csv(path: str, names, columns) -> None:
+def _write_rows_csv(path: str, names, columns, group: np.ndarray) -> None:
     """A 1-based "row" column plus float columns as reprs. Only the header,
-    whose names may need quoting, goes through `csv`; rows end in its CRLF."""
+    whose names may need quoting, goes through `csv`; rows end in its CRLF.
+
+    Rows i and j with group[i] == group[j] hold the same values, so each
+    group's line is formatted once, from any one of its rows."""
+    rep = np.empty(int(group.max(initial=-1)) + 1, dtype=np.intp)
+    rep[group] = np.arange(group.size)
+    lines = [",".join(map(repr, row))
+             for row in np.asarray(columns, dtype=float)[rep].tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["row", *names])
-        fh.writelines(f"{i},{','.join(map(repr, row))}\r\n"
-                      for i, row in enumerate(np.asarray(columns, dtype=float).tolist(),
-                                              start=1))
+        fh.writelines(f"{i},{lines[g]}\r\n" for i, g in enumerate(group.tolist(), start=1))
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -132,7 +137,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         model = empirical_model(ds)
 
-    report, info, _flags = run_analysis(ds, model, cfg)
+    report, info, flags = run_analysis(ds, model, cfg)
     print(f"n={ds.n} p={ds.p} maxlen={info.maxlen} (rule {info.maxlen_rule}) "
           f"nonzero scores {int((report.scores > 0).sum())}/{ds.n} "
           f"in {info.runtime_s:.1f}s", file=sys.stderr)
@@ -141,9 +146,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         os.makedirs(cfg.out, exist_ok=True)
         if "csv" in cfg.format:
             _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
-                            np.column_stack([report.scores, report.depths]))
+                            np.column_stack([report.scores, report.depths]), flags.group)
             _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
-                            ds.variable_names, report.contributions)
+                            ds.variable_names, report.contributions, flags.group)
         if "json" in cfg.format:
             run_doc = {
                 "config": cfg.to_flat_dict(),

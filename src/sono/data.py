@@ -164,9 +164,12 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     With header=True the first row names the variables. Levels are coded in
     first-appearance order unless options.level_order == "lexicographic".
     Raw strings are matched exactly (no case or whitespace normalization).
+
+    Identical rows are checked, cleaned and encoded once: the distinct rows,
+    in first-appearance order, meet every level in the order the rows do.
     """
     opts = options or IngestionOptions()
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         raise EmptyDatasetError("empty input table")
     if opts.header:
@@ -175,11 +178,16 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     else:
         names = list(variable_names) if variable_names else None
         body = rows
-    width = len(body[0]) if body else (len(names) if names else 0)
+    index: dict[tuple, int] = {}
+    group = np.array([index.setdefault(tuple(r), len(index)) for r in body],
+                     dtype=np.intp)
+    distinct = list(index)
+    width = len(distinct[0]) if distinct else (len(names) if names else 0)
     if width == 0:
         raise EmptyDatasetError("empty input table")
-    for idx, r in enumerate(body):
+    for d, r in enumerate(distinct):
         if len(r) != width:
+            idx = int(np.argmax(group == d))
             raise IngestionError(f"ragged table: row {idx} has {len(r)} fields, expected {width}")
     if names is None:
         names = [f"V{i + 1}" for i in range(width)]
@@ -192,14 +200,10 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     names = [names[j] for j in keep]
 
     markers = set(opts.missing_markers)
-    cleaned = []
-    dropped = 0
-    for r in body:
-        vals = [r[j] for j in keep]
-        if opts.missing_policy == "drop" and any(v in markers for v in vals):
-            dropped += 1
-            continue
-        cleaned.append(vals)
+    vals = [[r[j] for j in keep] for r in distinct]
+    kept = np.array([opts.missing_policy != "drop" or not any(v in markers for v in r)
+                     for r in vals], dtype=bool)
+    cleaned = [r for r, k in zip(vals, kept) if k]
     if not cleaned:
         raise EmptyDatasetError("no rows left after missing-value cleaning")
 
@@ -215,10 +219,11 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
                 if v not in maps[j]:
                     maps[j][v] = len(vocab[j]) + 1
                     vocab[j].append(v)
-    codes = np.empty((len(cleaned), p), dtype=np.int32)
-    for i, r in enumerate(cleaned):
-        for j, v in enumerate(r):
-            codes[i, j] = maps[j][v]
+    distinct_codes = np.array([[maps[j][v] for j, v in enumerate(r)] for r in cleaned],
+                              dtype=np.int32)
+    row_kept = kept[group]
+    codes = distinct_codes[(np.cumsum(kept) - 1)[group[row_kept]]]
+    dropped = int(row_kept.size - np.count_nonzero(row_kept))
     return Dataset(
         codes=codes,
         level_counts=tuple(len(v) for v in vocab),

@@ -6,7 +6,10 @@ itemsets are dropped). Frequent mode walks maxlen..1 top-down; with pruning
 on, every subset of a flagged itemset is marked flagged without testing and
 still recorded with its true support and threshold.
 
-Pruning state is kept per (subset, row) as boolean masks: bottom-up, whether
+A row's flags depend only on its levels, so the search runs over the
+distinct rows of the data, each weighted by how often it occurs: a cell's
+support is the weighted count of the distinct rows that hold it. Pruning
+state is kept per (subset, distinct row) as boolean masks: bottom-up, whether
 the row's cell contains a flagged itemset; top-down, whether it is flagged.
 A row's cell is its projection, so the masks propagate level by level with
 ORs over neighbouring subsets. Both searches return a `Flags` table.
@@ -57,47 +60,69 @@ class SearchStats:
 
 @dataclass(frozen=True, eq=False)
 class Flags:
-    """The flagged cells of a search and the rows that contain them.
+    """The flagged cells of a search and the distinct rows that contain them.
 
-    `records` holds the flagged cells in search order. Incidence k says that
-    row `row[k]` contains cell `records[cell[k]]`; incidences run subset by
-    subset and by row within a subset, so every row meets its cells in
-    search order.
+    `records` holds the flagged cells in search order. Observation i is
+    distinct row `group[i]`. Incidence k says that distinct row `row[k]`
+    contains cell `records[cell[k]]`; incidences run subset by subset and by
+    row within a subset, so every row meets its cells in search order.
     """
 
     records: tuple[FlagRecord, ...]
     row: np.ndarray
     cell: np.ndarray
-    n: int
+    group: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Number of observations."""
+        return self.group.size
+
+    @property
+    def distinct(self) -> int:
+        """Number of distinct rows."""
+        return int(self.group.max(initial=-1)) + 1
 
     def by_row(self) -> list[list[FlagRecord]]:
-        """Per-row lists of flagged cells, each in search order."""
-        out: list[list[FlagRecord]] = [[] for _ in range(self.n)]
+        """Per-observation lists of flagged cells, each in search order."""
+        out: list[list[FlagRecord]] = [[] for _ in range(self.distinct)]
         for i, k in zip(self.row.tolist(), self.cell.tolist()):
             out[i].append(self.records[k])
-        return out
+        return [list(out[d]) for d in self.group.tolist()]
 
 
-def subset_codes(ds: Dataset, subset: Sequence[int]) -> np.ndarray:
+def _distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous code matrix, each row's
+    distinct-row index and each distinct row's multiplicity. Rows are grouped
+    by their bytes, one opaque key per row, which sorts faster than rows."""
+    keys = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
+    _, first, group, weight = np.unique(keys, return_index=True, return_inverse=True,
+                                        return_counts=True)
+    return codes[first], group, weight
+
+
+def subset_codes(codes: np.ndarray, level_counts: Sequence[int],
+                 subset: Sequence[int]) -> np.ndarray:
     """Every row's cell over `subset` as one integer, a grouping key that is
     never decoded: codes are equal iff cells are, and sort like level tuples."""
-    codes = np.zeros(ds.n, dtype=np.int64)
+    out = np.zeros(codes.shape[0], dtype=np.int64)
     for j in subset:  # Horner: code = code * l_j + (x_j - 1)
-        codes *= ds.level_counts[j]
-        codes += ds.codes[:, j]
-        codes -= 1
-    return codes
+        out *= level_counts[j]
+        out += codes[:, j]
+        out -= 1
+    return out
 
 
-def _observed_cells(ds: Dataset, subset: tuple[int, ...]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The observed cells over `subset` in level-tuple order: their 1-based
-    levels (cells x |subset|), each row's cell index and each cell's support."""
-    uniq, inv, counts = np.unique(subset_codes(ds, subset),
-                                  return_inverse=True, return_counts=True)
+def _observed_cells(codes: np.ndarray, weight: np.ndarray, level_counts: Sequence[int],
+                    subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observed cells over `subset` of rows with multiplicities `weight`,
+    in level-tuple order: their 1-based levels (cells x |subset|), each row's
+    cell index and each cell's support, the weighted count of its rows."""
+    uniq, inv = np.unique(subset_codes(codes, level_counts, subset), return_inverse=True)
     rep = np.empty(uniq.size, dtype=np.intp)
-    rep[inv] = np.arange(ds.n)
-    return ds.codes[rep[:, None], subset], inv, counts
+    rep[inv] = np.arange(codes.shape[0])
+    supports = np.bincount(inv, weights=weight, minlength=uniq.size).astype(np.int64)
+    return codes[rep[:, None], subset], inv, supports
 
 
 def _neighbour_mask(masks: dict[tuple[int, ...], np.ndarray], subset: tuple[int, ...],
@@ -120,7 +145,8 @@ class _Search:
     """One search's counters and the flagged cells and incidences found so far."""
 
     def __init__(self, ds: Dataset, provider: ThresholdProvider, mode: str):
-        self.ds, self.provider, self.mode = ds, provider, mode
+        self.provider, self.mode, self.level_counts = provider, mode, ds.level_counts
+        self.codes, self.group, self.weight = _distinct_rows(ds.codes)
         self.stats = SearchStats()
         self.records: list[FlagRecord] = []
         self.rows: list[np.ndarray] = []
@@ -131,10 +157,12 @@ class _Search:
 
         A cell holding a row of `near` is decided without a test: pruned in
         infrequent mode (it contains a flagged itemset), flagged in frequent
-        mode (it lies under one). Returns the row mask of the flagged cells.
+        mode (it lies under one). Returns the distinct-row mask of the
+        flagged cells.
         """
         stats = self.stats
-        levels, inv, counts = _observed_cells(self.ds, subset)
+        levels, inv, counts = _observed_cells(self.codes, self.weight, self.level_counts,
+                                              subset)
         stats.subsets_materialized += 1
         stats.deepest_level_tested = max(stats.deepest_level_tested, len(subset))
         decided = np.zeros(counts.size, dtype=bool)
@@ -166,21 +194,21 @@ class _Search:
     def result(self) -> tuple[Flags, SearchStats]:
         def cat(parts: list[np.ndarray]) -> np.ndarray:
             return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        flags = Flags(tuple(self.records), cat(self.rows), cat(self.cells), self.ds.n)
+        flags = Flags(tuple(self.records), cat(self.rows), cat(self.cells), self.group)
         return flags, self.stats
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
                       prune: bool = True) -> tuple[Flags, SearchStats]:
     """Bottom-up search for cells with supp <= sigma."""
-    n, p = ds.n, ds.p
     search = _Search(ds, provider, "infrequent")
+    rows, p = search.codes.shape
     dead_prev: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, min(maxlen, p) + 1):
         dead_cur: dict[tuple[int, ...], np.ndarray] = {}
         live = []
         for subset in itertools.combinations(range(p), size):
-            dead = _neighbour_mask(dead_prev, subset, p, n, up=False)
+            dead = _neighbour_mask(dead_prev, subset, p, rows, up=False)
             if dead.all():
                 search.stats.subsets_skipped += 1
                 dead_cur[subset] = dead
@@ -205,13 +233,13 @@ def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
     cell is implied when one of its rows lies in a flagged cell, tested or
     implied, of a direct superset.
     """
-    n, p = ds.n, ds.p
     search = _Search(ds, provider, "frequent")
+    rows, p = search.codes.shape
     hit_prev: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(min(maxlen, p), 0, -1):
         hit_cur: dict[tuple[int, ...], np.ndarray] = {}
         for subset in itertools.combinations(range(p), size):
-            implied = _neighbour_mask(hit_prev, subset, p, n, up=True)
+            implied = _neighbour_mask(hit_prev, subset, p, rows, up=True)
             hit = search.visit(subset, implied)
             if prune:
                 hit_cur[subset] = hit

@@ -9,7 +9,8 @@ complement maxlen - |d| + 1 (frequent); observations with no flags get 0.
 
 `build_report` reads the search's flagged-cell table (`lattice.Flags`) once:
 each flagged cell's term, share and depth length is computed a single time
-and scattered to the rows that contain it.
+and scattered to the distinct rows that contain it. Each distinct row is
+scored once, and the observations take their distinct row's results.
 """
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
     Scores are compensated sums (`math.fsum`, independent of order); depths
     are exact integer sums over counts; contributions add each share per
     (row, variable) in search order, starting from 0.0. The results are
-    bit-identical to summing the per-row lists of `flags.by_row()`.
+    bit-identical to summing the per-row lists of `flags.by_row()`. They are
+    computed per distinct row and expanded to the n observations.
     """
     validate_exponent(r)
     terms, shares, lengths = [], [], []
@@ -73,17 +75,17 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
             terms.append(rec.supp / (rec.sigma * k ** r))
             shares.append(rec.supp / (rec.sigma * k ** r * d))
             lengths.append(k)
-    n, row, cell = flags.n, flags.row, flags.cell
+    distinct, row, cell = flags.distinct, flags.row, flags.cell
 
-    per_row = np.bincount(row, minlength=n)
+    per_row = np.bincount(row, minlength=distinct)
     ends = np.cumsum(per_row).tolist()
     grouped = cell[np.argsort(row)].tolist()
     scores = np.array([math.fsum([terms[k] for k in grouped[a:b]])
                        for a, b in zip([0] + ends[:-1], ends)])
 
     depth_sum = np.bincount(row, weights=np.asarray(lengths, dtype=float)[cell],
-                            minlength=n)
-    depths = np.zeros(n)
+                            minlength=distinct)
+    depths = np.zeros(distinct)
     np.divide(depth_sum, per_row, out=depths, where=per_row > 0)
 
     # bincount adds its weights in incidence order, which is search order
@@ -92,13 +94,14 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
     for k, rec in enumerate(flags.records):
         member[k, list(rec.itemset.variables)] = True
     weight = np.asarray(shares, dtype=float)[cell]
-    contributions = np.zeros((n, p))
+    contributions = np.zeros((distinct, p))
     for var in range(p):
         inside = member[cell, var]
         contributions[:, var] = np.bincount(row[inside], weights=weight[inside],
-                                            minlength=n)
-    return ScoreReport(scores=scores, depths=depths, contributions=contributions,
-                       mode=mode, r=r, maxlen=maxlen)
+                                            minlength=distinct)
+    group = flags.group
+    return ScoreReport(scores=scores[group], depths=depths[group],
+                       contributions=contributions[group], mode=mode, r=r, maxlen=maxlen)
 
 
 def max_score_bound(n: int, p: int, r: float, maxlen: int) -> float:

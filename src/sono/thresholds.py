@@ -214,6 +214,9 @@ class ThresholdProvider:
         self._tables: dict[tuple[int, ...], ThresholdTable] = {}
         self._spill_path = None
         self._spilled: dict[str, list] = {}
+        # Whether the spill file differs from _spilled: entries were added,
+        # or the file held what could not be used.
+        self._unsaved = False
         if cache_dir:
             digest = hashlib.sha256()
             for v in model.pi:
@@ -236,6 +239,7 @@ class ThresholdProvider:
         except (OSError, ValueError) as exc:
             log.warning("ignoring threshold cache %s (%s); recomputing",
                         self._spill_path, exc)
+            self._unsaved = True
             return {}
         bad = {key: value for key, value in spilled.items()
                if not _valid_spill_entry(key, value, self.model.p)}
@@ -243,6 +247,7 @@ class ThresholdProvider:
             key = next(iter(bad))
             log.warning("ignoring threshold cache %s: %d malformed entries (first: %r: %r); "
                         "recomputing them", self._spill_path, len(bad), key, bad[key])
+            self._unsaved = True
         return {key: value for key, value in spilled.items() if key not in bad}
 
     def get(self, subset: Iterable[int]) -> ThresholdTable:
@@ -259,6 +264,7 @@ class ThresholdProvider:
             table = subset_thresholds(self.model, self.n, key, self.alpha,
                                       method=self.method, max_cells=self.max_cells)
             self._spilled[spill_key] = [table.c, table.gamma]
+            self._unsaved = True
         self._tables[key] = table
         return table
 
@@ -277,11 +283,13 @@ class ThresholdProvider:
                                     method=self.method, max_cells=self.max_cells)
         subset = decision.violating_subset
         self._spilled[key] = [decision.maxlen, None if subset is None else list(subset)]
+        self._unsaved = True
         return decision
 
     def flush_spill(self) -> None:
-        """Write the spill file through a temp file and an atomic rename."""
-        if not self._spill_path:
+        """Write the spill file through a temp file and an atomic rename, if
+        it differs from what this provider holds."""
+        if not self._spill_path or not self._unsaved:
             return
         tmp = None
         try:
@@ -290,6 +298,7 @@ class ThresholdProvider:
             with os.fdopen(fd, "w") as fh:
                 json.dump(self._spilled, fh)
             os.replace(tmp, self._spill_path)
+            self._unsaved = False
         except OSError as exc:
             log.warning("cannot write threshold cache %s: %s", self._spill_path, exc)
             if tmp is not None and os.path.exists(tmp):

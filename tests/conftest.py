@@ -58,7 +58,8 @@ class StubProvider:
 
 
 def flags_of(flag_sets) -> Flags:
-    """The flag table of handcrafted per-row lists of FlagRecords."""
+    """The flag table of handcrafted per-row lists of FlagRecords, each row
+    its own distinct row."""
     records: dict = {}
     rows, cells = [], []
     for i, recs in enumerate(flag_sets):
@@ -66,7 +67,7 @@ def flags_of(flag_sets) -> Flags:
             rows.append(i)
             cells.append(records.setdefault(rec, len(records)))
     return Flags(tuple(records), np.array(rows, dtype=np.intp),
-                 np.array(cells, dtype=np.intp), len(flag_sets))
+                 np.array(cells, dtype=np.intp), np.arange(len(flag_sets)))
 
 
 @pytest.fixture

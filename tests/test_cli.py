@@ -98,6 +98,24 @@ class TestScoreCommand:
             assert float(srow[1]) == pytest.approx(
                 sum(float(v) for v in crow[1:]), rel=1e-9, abs=1e-12)
 
+    def test_csv_lines_follow_the_observations(self, tmp_path):
+        # 120 shuffled rows over 6 distinct rows: every line is its own row's
+        patterns = [["a", "x", "u"]] * 40 + [["b", "y", "u"]] * 40 + [["a", "y", "v"]] * 30
+        patterns += [["c", "x", "v"]] * 6 + [["b", "x", "v"]] * 3 + [["c", "y", "u"]]
+        rows = [patterns[i] for i in RNG.permutation(len(patterns))]
+        path = tmp_path / "dup.csv"
+        write_csv(path, rows)
+        out = tmp_path / "out"
+        assert main(["score", "--input", str(path), "--out", str(out)]) == 0
+        ds = sono.read_csv(str(path))
+        report, _, _ = sono.run_analysis(ds, sono.empirical_model(ds), sono.RunConfig())
+        assert len(set(report.scores.tolist())) >= 3
+        for name, columns in (("scores.csv", zip(report.scores, report.depths)),
+                              ("contributions.csv", report.contributions.tolist())):
+            lines = (out / name).read_bytes().decode().split("\r\n")
+            assert lines[1:] == [f"{i},{','.join(map(repr, map(float, row)))}"
+                                 for i, row in enumerate(columns, start=1)] + [""]
+
     def test_run_json_contents(self, sample_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0
@@ -241,6 +259,26 @@ class TestScoreCommand:
         assert list(cache.glob("thresholds-*.json"))
         assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
         assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+    def test_warm_run_leaves_the_spill_file_alone(self, sample_csv, tmp_path,
+                                                  monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        args = ["score", "--input", sample_csv, "--out", str(tmp_path / "out")]
+        assert main([*args, "--max-len", "1"]) == 0
+        (spill,) = cache.glob("thresholds-*.json")
+        before = spill.stat()
+        assert main([*args, "--max-len", "1"]) == 0
+        after = spill.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        # a run that adds entries replaces the file by a rename, keeping the old ones
+        old = json.loads(spill.read_text())
+        assert main(args) == 0
+        assert spill.stat().st_ino != before.st_ino
+        new = json.loads(spill.read_text())
+        assert new.items() > old.items()
+        assert "maxlen:any-cell:10000000.0" in new
+        assert sorted(p.name for p in cache.iterdir()) == [spill.name]
 
     def test_spill_path_that_is_a_directory(self, sample_csv, tmp_path, monkeypatch,
                                             caplog):

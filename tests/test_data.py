@@ -188,3 +188,85 @@ def test_encoding_round_trip(raw):
     ds = load_dataset(rows, opts)
     decoded = [list(ds.decode_row(i)) for i in range(ds.n)]
     assert decoded == rows
+
+
+def reference_load(rows, opts):
+    """load_dataset row by row: every row checked, cleaned and encoded on its
+    own, in input order. Returns the Dataset's fields or raises like it."""
+    names, body = [str(c) for c in rows[0]], [list(r) for r in rows[1:]]
+    width = len(body[0]) if body else len(names)
+    for idx, r in enumerate(body):
+        if len(r) != width:
+            raise IngestionError(f"ragged table: row {idx} has {len(r)} fields, "
+                                 f"expected {width}")
+    keep = [j for j, nm in enumerate(names) if nm not in opts.drop_cols]
+    cleaned, dropped = [], 0
+    for r in body:
+        vals = [r[j] for j in keep]
+        if opts.missing_policy == "drop" and any(v in opts.missing_markers for v in vals):
+            dropped += 1
+        else:
+            cleaned.append(vals)
+    if not cleaned:
+        raise EmptyDatasetError("no rows left after missing-value cleaning")
+    vocab = [[] for _ in keep]
+    for r in cleaned:
+        for j, v in enumerate(r):
+            if v not in vocab[j]:
+                vocab[j].append(v)
+    if opts.level_order == "lexicographic":
+        vocab = [sorted(v) for v in vocab]
+    codes = [[vocab[j].index(v) + 1 for j, v in enumerate(r)] for r in cleaned]
+    return (codes, tuple(len(v) for v in vocab), tuple(names[j] for j in keep),
+            tuple(map(tuple, vocab)), dropped)
+
+
+def loaded_fields(rows, opts):
+    ds = load_dataset(rows, opts)
+    return (ds.codes.tolist(), ds.level_counts, ds.variable_names, ds.level_labels,
+            ds.dropped_rows)
+
+
+class TestIngestionOfRepeatedRows:
+    """load_dataset checks, cleans and encodes each distinct row once; the
+    result must be the row-by-row encoding's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(patterns=st.lists(st.lists(st.sampled_from(["b", "a", "?", "", "c", "A"]),
+                                      min_size=3, max_size=3),
+                             min_size=1, max_size=5),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+           policy=st.sampled_from(["drop", "level"]),
+           order=st.sampled_from(["first", "lexicographic"]),
+           drop_cols=st.sampled_from([(), ("V2",), ("V1", "V3")]))
+    def test_matches_row_by_row_encoding(self, patterns, picks, policy, order,
+                                         drop_cols):
+        rows = [["V1", "V2", "V3"]] + [list(patterns[k % len(patterns)]) for k in picks]
+        opts = IngestionOptions(missing_policy=policy, level_order=order,
+                                drop_cols=drop_cols)
+        try:
+            want = reference_load(rows, opts)
+        except EmptyDatasetError:
+            with pytest.raises(EmptyDatasetError):
+                load_dataset(rows, opts)
+            return
+        assert loaded_fields(rows, opts) == want
+
+    def test_dropped_rows_counted_with_multiplicity(self):
+        rows = [["A", "B"]] + [["a", "?"]] * 7 + [["a", "x"]] * 3 + [["", "y"]] * 2
+        opts = IngestionOptions()
+        assert loaded_fields(rows, opts) == reference_load(rows, opts)
+        assert load_dataset(rows, opts).dropped_rows == 9
+
+    @pytest.mark.parametrize("body, idx", [
+        ([["a", "b"]] * 3 + [["c", "d"], ["a", "b"], ["x"], ["x"], ["y", "z", "w"]], 5),
+        ([["a", "b"], ["a"], ["a", "b"], ["b"], ["a"]], 1),
+        ([["a", "b"], ["a", "b"], ["c", "d", "e"], ["a", "b"]], 2),
+    ])
+    def test_ragged_row_after_duplicates_names_its_index(self, body, idx):
+        rows = [["A", "B"]] + body
+        with pytest.raises(IngestionError) as want:
+            reference_load(rows, IngestionOptions())
+        with pytest.raises(IngestionError, match=f"row {idx} has") as got:
+            load_dataset(rows, IngestionOptions())
+        assert str(got.value) == str(want.value)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sono import (IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
                   load_dataset, random_dataset, run_analysis, search_frequent,
                   search_infrequent)
-from sono.lattice import _observed_cells
+from sono.lattice import _distinct_rows, _observed_cells
 
 from conftest import StubProvider, make_dataset
 
@@ -33,16 +33,20 @@ def support(ds, subset):
 
 def search_support(ds, subset):
     """The observed cells as the search groups them: {levels: supp}, in order."""
-    levels, inv, counts = _observed_cells(ds, tuple(subset))
+    codes, group, weight = _distinct_rows(ds.codes)
+    assert np.array_equal(codes[group], ds.codes)
+    assert weight.tolist() == np.bincount(group).tolist()
+    levels, inv, counts = _observed_cells(codes, weight, ds.level_counts, tuple(subset))
     by_row = support(ds, subset)
-    assert counts[inv].tolist() == [by_row[tuple(row)]
-                                    for row in ds.codes[:, list(subset)].tolist()]
+    assert counts[inv][group].tolist() == [by_row[tuple(row)]
+                                           for row in ds.codes[:, list(subset)].tolist()]
     return dict(zip(map(tuple, levels.tolist()), counts.tolist()))
 
 
 class TestCountSupport:
-    """The search's support counting: cells grouped by `subset_codes`, with
-    levels read from a representative row, against a row-by-row Counter."""
+    """The search's support counting: cells of the distinct rows grouped by
+    `subset_codes`, supports weighted by row multiplicity and levels read from
+    a representative row, against a row-by-row Counter."""
 
     def test_single_variable(self):
         ds = make_dataset([[1, 1], [1, 2], [1, 1]])

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st_stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sono import (CellSpec, OracleConfig, OracleRefusal, RunConfig,
-                  check_propositions, empirical_model, exact_nu, random_dataset,
-                  run_analysis, user_model, walker)
+from sono import (CellSpec, IngestionOptions, OracleConfig, OracleRefusal, RunConfig,
+                  check_propositions, empirical_model, exact_nu, load_dataset,
+                  random_dataset, run_analysis, user_model, walker)
 from sono.verify import _flag_key_sets
 
 from conftest import make_dataset
@@ -87,6 +89,60 @@ class TestWalker:
         b = walker(ds, model, 0.1, 1.0, mode="frequent")
         assert _flag_key_sets(a.flag_sets) == _flag_key_sets(b.flag_sets)
         assert a.report.scores.tolist() == b.report.scores.tolist()
+
+
+def per_row_report(flags, r, mode, maxlen, p):
+    """Scores, depths and contributions summed row by row over `flags.by_row()`."""
+    scores, depths, contributions = [], [], []
+    for recs in flags.by_row():
+        terms, lengths, row = [], [], [0.0] * p
+        for rec in recs:
+            d = rec.length
+            if mode == "infrequent":
+                k = d
+                term = rec.sigma / (rec.supp * d ** r)
+                share = rec.sigma / (rec.supp * d ** (r + 1.0))
+            else:
+                k = maxlen - d + 1
+                term = rec.supp / (rec.sigma * k ** r)
+                share = rec.supp / (rec.sigma * k ** r * d)
+            terms.append(term)
+            lengths.append(k)
+            for var in rec.itemset.variables:
+                row[var] += share
+        scores.append(math.fsum(terms))
+        depths.append(sum(lengths) / len(lengths) if lengths else 0.0)
+        contributions.append(row)
+    return scores, depths, contributions
+
+
+class TestDuplicateHeavyData:
+    """Few distinct rows with large multiplicities, the case the search and
+    scoring collapse: flags against the walker, the report against per-row sums."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(patterns=st.lists(st.lists(st.sampled_from("abc"), min_size=3, max_size=3),
+                             min_size=2, max_size=8),
+           multiplicities=st.lists(st.integers(1, 37), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_walker_and_per_row_sums(self, patterns, multiplicities, seed):
+        rows = [row for row, m in zip(patterns, multiplicities) for _ in range(m)]
+        np.random.default_rng(seed).shuffle(rows)
+        ds = load_dataset(rows, IngestionOptions(header=False))
+        model = empirical_model(ds)
+        for mode in ("infrequent", "frequent"):
+            for prune in (True, False):
+                report, info, flags = run_analysis(
+                    ds, model, RunConfig(mode=mode, prune=prune, alpha=0.1, r=2.0))
+                ref = walker(ds, model, 0.1, 2.0, mode=mode, prune=prune)
+                assert info.maxlen == ref.maxlen
+                assert flags.n == ds.n == len(rows)
+                assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
+                scores, depths, contributions = per_row_report(
+                    flags, 2.0, mode, info.maxlen, ds.p)
+                assert report.scores.tolist() == scores
+                assert report.depths.tolist() == depths
+                assert report.contributions.tolist() == contributions
 
 
 class TestCheckPropositions:
