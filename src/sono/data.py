@@ -164,6 +164,7 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     With header=True the first row names the variables. Levels are coded in
     first-appearance order unless options.level_order == "lexicographic".
     Raw strings are matched exactly (no case or whitespace normalization).
+    Every name in options.drop_cols must name a column.
 
     Identical rows are checked, cleaned and encoded once: the distinct rows,
     in first-appearance order, meet every level in the order the rows do.
@@ -194,6 +195,9 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     if len(names) != width:
         raise IngestionError("header width does not match data width")
 
+    unknown = [nm for nm in dict.fromkeys(opts.drop_cols) if nm not in names]
+    if unknown:
+        raise IngestionError(f"cannot drop unknown column(s): {', '.join(unknown)}")
     keep = [j for j, nm in enumerate(names) if nm not in set(opts.drop_cols)]
     if not keep:
         raise EmptyDatasetError("all columns dropped")

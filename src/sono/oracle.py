@@ -6,8 +6,9 @@ definitions; an exact coverage probability (a cell-by-cell convolution of its
 own plus a multinomial enumeration self-check); the literal clamped sweep for
 the half-width c; the simultaneous intervals the coverage simulation checks;
 truncated-Poisson moments by direct summation and the Edgeworth density of
-their sum; and numeric checkers for the two maximum-score propositions.
-Deliberately single-threaded and cache-free.
+their sum; and exact checkers for the two maximum-score propositions, which
+search every flag configuration (no sampling). Deliberately single-threaded
+and cache-free.
 """
 from __future__ import annotations
 
@@ -431,72 +432,36 @@ class PropositionCase:
         return all(self.checks.values())
 
 
-def _config_score(alpha_vec: dict[int, int], p: int, r: float) -> float:
-    """Total unit-support score (in units of n-1) of a flag configuration.
+def _best_configuration(p: int, r: float) -> float:
+    """Largest total unit-support score (in units of n-1) of any flag configuration.
 
-    alpha_vec maps index i in 1..p-1 (itemset length i+1) to the number of
-    variables covered by unit-support itemsets of that length; uncovered
-    variables are unit-support singletons.
+    A configuration covers, for each itemset length k = 2..p, either no
+    variables or a group of a_k in [k, p] of them with unit support on all
+    C(a_k, k) of their length-k itemsets, with sum a_k <= p; the uncovered
+    variables are unit-support singletons. It scores
+    p - sum a_k + sum C(a_k, k)/k^r. A group knapsack over the number of
+    variables used visits every configuration: best[u] is the largest
+    sum C(a_k, k)/k^r over the configurations covering exactly u variables.
     """
-    used = sum(alpha_vec.values())
-    total = p - used
-    for i, a in alpha_vec.items():
-        total += math.comb(a, i + 1) / (i + 1) ** r
-    return total
+    best = np.full(p + 1, -np.inf)
+    best[0] = 0.0
+    for k in range(2, p + 1):
+        grown = best.copy()
+        for a in range(k, p + 1):
+            grown[a:] = np.maximum(grown[a:], best[:p + 1 - a] + math.comb(a, k) / k ** r)
+        best = grown
+    return float(max((p - u) + best[u] for u in range(p + 1)))
 
 
-def _sample_alpha_vecs(rng: np.random.Generator, p: int, n_samples: int):
-    """Random feasible configurations: alpha_i in {0} u {i+1..p}, sum <= p."""
-    out = []
-    for _ in range(n_samples):
-        k_active = int(rng.integers(1, 4))
-        idx = rng.choice(np.arange(1, p), size=min(k_active, p - 1), replace=False)
-        vec: dict[int, int] = {}
-        budget = p
-        for i in sorted(int(x) for x in idx):
-            lo = i + 1  # a nonzero alpha_i needs at least i+1 variables
-            if lo > budget:
-                continue
-            val = int(rng.integers(lo, budget + 1))
-            vec[i] = val
-            budget -= val
-            if budget <= 0:
-                break
-        if vec:
-            out.append(vec)
-    return out
+def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0)) -> list[PropositionCase]:
+    """Verify the maximum-score location and closed form exactly.
 
-
-def _enumerate_alpha_vecs(p: int):
-    """All feasible configurations for small p (exhaustive search)."""
-    out = []
-
-    def rec(i: int, budget: int, current: dict[int, int]):
-        if i == p:
-            if current:
-                out.append(dict(current))
-            return
-        rec(i + 1, budget, current)
-        for val in range(i + 1, budget + 1):
-            current[i] = val
-            rec(i + 1, budget - val, current)
-            del current[i]
-
-    rec(1, p, {})
-    return out
-
-
-def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0), *,
-                       n_samples: int = 10_000, exhaustive_limit: int = 10,
-                       seed: int = 20240901) -> list[PropositionCase]:
-    """Numerically verify the maximum-score location and closed form.
-
-    For each (p, r): below the p < 2^(r+1)+1 threshold the all-singletons
-    configuration must dominate every sampled/enumerated configuration; at or
-    above it the best single-length boundary configuration dominates; and the
-    closed-form argmax_k C(p,k)/k^r = floor((p-r)/2) must hold.
+    For each (p, r) the best of every flag configuration comes from
+    `_best_configuration` (an exhaustive search, no sampling). Below the
+    p < 2^(r+1)+1 threshold the all-singletons configuration must reach it;
+    at or above it the best single-length boundary configuration must; and
+    the closed-form argmax_k C(p,k)/k^r = floor((p-r)/2) must hold.
     """
-    rng = np.random.default_rng(seed)
     cases = []
     for p in p_range:
         if p > 60:
@@ -504,24 +469,20 @@ def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0), *,
         for r in r_set:
             case = PropositionCase(p=p, r=float(r))
             threshold = 2.0 ** (r + 1.0) + 1.0
-            if p <= exhaustive_limit:
-                vecs = _enumerate_alpha_vecs(p)
-            else:
-                vecs = _sample_alpha_vecs(rng, p, n_samples)
-            best_sampled = max((_config_score(v, p, r) for v in vecs), default=0.0)
-            singletons = float(p)  # all alpha_i = 0
+            best_config = _best_configuration(p, r)
+            singletons = float(p)  # every a_k = 0
             if p < threshold:
-                ok = singletons >= best_sampled - 1e-9
+                ok = singletons >= best_config - 1e-9
                 case.checks["singletons_dominate"] = bool(ok)
                 case.details["singletons_dominate"] = (
-                    f"p={p} vs best sampled {best_sampled:.6g}")
+                    f"p={p} vs best configuration {best_config:.6g}")
             else:
                 boundary = max(
                     math.comb(p, j + 1) / (j + 1) ** r for j in range(1, p))
-                ok = boundary >= best_sampled - 1e-9
+                ok = boundary >= best_config - 1e-9
                 case.checks["boundary_dominates"] = bool(ok)
                 case.details["boundary_dominates"] = (
-                    f"boundary {boundary:.6g} vs best sampled {best_sampled:.6g}")
+                    f"boundary {boundary:.6g} vs best configuration {best_config:.6g}")
                 if r == int(r):  # exact rational arithmetic, no tie fuzz
                     from fractions import Fraction
                     values = [Fraction(math.comb(p, k), k ** int(r))

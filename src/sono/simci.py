@@ -386,8 +386,10 @@ def _computes_exactly(spec: CellSpec, method: str, c: int) -> bool:
 
     For "auto" that is its path rule; for "exact", staying within the work
     cap. Both hold on a prefix of c because every truncation width only
-    grows with c.
+    grows with c. "edgeworth" never does.
     """
+    if method == "edgeworth":
+        return False
     _, a, b = truncation_bounds(spec, c)
     if method == "exact":
         return bool(np.any(a > b)) or _convolution_work(a, b) <= CONVOLUTION_WORK_CAP

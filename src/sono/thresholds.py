@@ -28,18 +28,18 @@ import numpy as np
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
 from .simci import (CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec,
-                    coverage_probability, find_c)
+                    _computes_exactly, coverage_probability, find_c)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_CELLS = 1e7
 SIGMA_FLOOR = 2.0
-# nu values this close to the level fall back to the literal clamped sweep.
-_RULE_MARGIN = 5e-3
 # Part of the spill-file key: bump it whenever a change to the nu or find_c
-# numerics may move a spilled (c, gamma), so no stale entry is ever served.
+# numerics may move a spilled (c, gamma), or a change to the maxlen rule may
+# move a spilled decision, so no stale entry is ever served.
 # 2: exact nu by a rescaled product tree, find_c by galloping and bisection.
-_ALGORITHM_VERSION = 2
+# 3: the maxlen rule decides by its definition where raw nu does not settle it.
+_ALGORITHM_VERSION = 3
 
 
 def _extreme_cell_prob(pi: Sequence[np.ndarray], largest: bool) -> float:
@@ -127,24 +127,24 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     """Does every-cell (all-cells) / some-cell (any-cell) sigma >= 2 hold?
 
     sigma_ref >= 2  <=>  c(S) <= t with t = floor(n*p_ref - 2), and by the
-    clamped-sweep definition of c that is nu(t+1) > level. Raw nu is evaluated
-    once; only values within _RULE_MARGIN of the level fall back to the
-    literal sweep (raw nu tracks a nondecreasing function within ~2e-3).
+    clamped-sweep definition of c that is: the clamped nu(t+1) exceeds the
+    level. Raw nu(t+1) is evaluated once. The clamped nu is never below it,
+    so a raw nu(t+1) above the level passes; exact nu does not decrease along
+    its prefix, so an exactly computed nu(t+1) below the level fails. Any
+    other value (Edgeworth and not above the level, or equal to it) is
+    settled by find_c itself.
     """
     p_ref = _extreme_cell_prob([model.pi[j] for j in subset], rule == "any-cell")
     if n * p_ref < SIGMA_FLOOR:
         return False  # sigma_ref < 2 for every c >= 0, no table needed
-    t = math.floor(n * p_ref - SIGMA_FLOOR + 1e-9)
-    if t >= n:
-        return True
+    t = math.floor(n * p_ref - SIGMA_FLOOR + 1e-9)  # <= n - 2, as p_ref <= 1
     spec = _cell_spec(model, n, subset, max_cells)
     v = coverage_probability(spec, t + 1, method)
-    if v > level + _RULE_MARGIN:
+    if v > level:
         return True
-    if v <= level - _RULE_MARGIN:
+    if v < level and _computes_exactly(spec, method, t + 1):
         return False
-    c, _ = find_c(spec, level, method)
-    return c <= t
+    return find_c(spec, level, method)[0] <= t
 
 
 def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,

@@ -178,6 +178,13 @@ class TestScoreCommand:
         assert doc["dataset"]["p"] == 2
         assert doc["config"]["prune"] is False
 
+    def test_unknown_drop_cols_exit_code(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out),
+                     "--drop-cols", "NOPE"]) == 2
+        assert "unknown column(s): NOPE" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
     def test_retired_threads_key_in_old_run_json(self, sample_csv, tmp_path, caplog):
         # run.json files of earlier versions hold "threads": 1
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

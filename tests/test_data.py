@@ -53,6 +53,11 @@ class TestLoadDataset:
         assert ds.variable_names == ("color",)
         assert ds.level_counts == (2,)
 
+    def test_unknown_drop_cols_raise(self):
+        rows = [["id", "color"], ["1", "red"], ["2", "blue"]]
+        with pytest.raises(IngestionError, match="unknown column.*: NOPE, size$"):
+            load_dataset(rows, IngestionOptions(drop_cols=("id", "NOPE", "size", "NOPE")))
+
     def test_exact_string_matching(self):
         # no whitespace/case normalization: "A" and "a " are distinct levels
         ds = load_dataset([["A"], ["a "], ["A"]], IngestionOptions(header=False))

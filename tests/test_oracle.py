@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sono import (CellSpec, IngestionOptions, OracleConfig, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
+from sono.oracle import _best_configuration
 from sono.verify import _flag_key_sets
 
 from conftest import make_dataset
@@ -173,6 +175,33 @@ class TestCheckPropositions:
     def test_p_cap(self):
         with pytest.raises(OracleRefusal):
             check_propositions(range(61, 62), (1.0,))
+
+    @staticmethod
+    def enumerated_best(p, r):
+        """Best score over the flag configurations listed one by one: for each
+        length k = 2..p, no group or one group of a >= k of the still
+        uncovered variables; the variables left over are singletons."""
+        def best_from(k, free):
+            if k > p:
+                return float(free)
+            best = best_from(k + 1, free)
+            for a in range(k, free + 1):
+                best = max(best, math.comb(a, k) / k ** r + best_from(k + 1, free - a))
+            return best
+        return best_from(2, p)
+
+    def test_best_configuration_matches_enumeration(self):
+        for p in range(1, 13):
+            for r in (1.0, 1.5, 2.0, 3.0):
+                assert _best_configuration(p, r) == pytest.approx(
+                    self.enumerated_best(p, r), rel=1e-12), (p, r)
+
+    def test_best_configuration_is_the_best_single_length(self):
+        for p in range(2, 61):
+            for r in (1, 2, 3):
+                want = max(Fraction(math.comb(p, k), k ** r) for k in range(1, p + 1))
+                assert _best_configuration(p, float(r)) == pytest.approx(
+                    float(want), rel=1e-12), (p, r)
 
 
 def test_oracle_does_not_reuse_the_fast_exact_path():

@@ -6,6 +6,7 @@ import pytest
 
 from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
                   ThresholdTable, determine_maxlen, find_c, subset_thresholds)
+import sono.simci
 import sono.thresholds as thresholds
 from sono.data import subset_cell_probs
 from sono.simci import _computes_exactly
@@ -184,6 +185,21 @@ class TestDetermineMaxlen:
             for rule in ("any-cell", "all-cells"):
                 edgeworth += audit_maxlen_rule(model, n, rule)
         assert edgeworth > 0
+
+    def test_edgeworth_nu_below_the_level_is_settled_by_find_c(self, monkeypatch):
+        # nu wiggles above the level at c = 10 only: the clamped sweep gives
+        # c = 9 <= t = 48, so the single subset passes although nu(t+1) is
+        # well below the level
+        def nu(spec, c, method="auto"):
+            return 0.91 if c == 10 else 0.89
+        monkeypatch.setattr(sono.simci, "coverage_probability", nu)
+        monkeypatch.setattr(thresholds, "coverage_probability", nu)
+        model = model_of([0.5, 0.5])
+        spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=100)
+        assert find_c(spec, 0.9, "edgeworth")[0] == 9
+        decision = determine_maxlen(model, 100, 0.05, method="edgeworth")
+        assert decision.violating_subset is None
+        assert decision.maxlen == 1
 
 
 class TestThresholdProvider:
