@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -81,10 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    keys = ("input", "mode", "alpha", "r", "prune", "max_len", "probs", "out",
-            "format", "drop_cols", "missing", "oracle_nu", "delimiter",
-            "header", "missing_markers", "level_order", "maxlen_rule", "max_cells")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    names = (f.name for f in fields(RunConfig))
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
 def _write_rows_csv(path: str, names, columns, group: np.ndarray) -> None:
@@ -120,9 +119,12 @@ def cmd_score(args: argparse.Namespace) -> int:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise IngestionError(f"cannot read probability file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise IngestionError("bad probability file: it must hold a JSON object")
         mapping = {
             var: (dict((k, v) for entry in spec for k, v in entry.items())
-                  if isinstance(spec, list) else spec)
+                  if isinstance(spec, list) and all(isinstance(e, dict) for e in spec)
+                  else spec)
             for var, spec in doc.items()
         }
         if mapping:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
@@ -44,7 +45,7 @@ class RunConfig:
             raise DomainError(f"mode must be infrequent or frequent, got {self.mode!r}")
         if not (0.0 < self.alpha <= 0.5):
             raise DomainError("alpha must be in (0, 0.5]")
-        if self.r <= 0:
+        if not self.r > 0:  # NaN fails too
             raise DomainError("r must be > 0")
         if self.max_len is not None:
             if self.max_len < 1:
@@ -58,6 +59,8 @@ class RunConfig:
             raise DomainError("missing policy must be drop or level")
         if self.maxlen_rule not in ("any-cell", "all-cells"):
             raise DomainError("maxlen-rule must be any-cell or all-cells")
+        if math.isnan(self.max_cells):
+            raise DomainError("max-cells must be a number")
 
     def to_flat_dict(self) -> dict[str, Any]:
         d = asdict(self)
@@ -67,9 +70,21 @@ class RunConfig:
         return d
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _check_type(name: str, value: Any, key: str, tag: str) -> None:
+    """A value of the field's declared type; a string list may be a comma list."""
+    kind = _FIELD_TYPES[name]
+    types = {"bool": bool, "float": (int, float), "int | None": int,
+             "tuple[str, ...]": (str, list)}.get(kind, str)
+    if (not isinstance(value, types) or (isinstance(value, bool) and kind != "bool")
+            or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+        raise IngestionError(f"{tag} option {key!r} must be of type {kind}, got {value!r}")
+
+
 def _coerce(name: str, value: Any) -> Any:
-    tuples = {"format", "drop_cols", "missing_markers"}
-    if name in tuples:
+    if _FIELD_TYPES[name] == "tuple[str, ...]":
         if isinstance(value, str):
             value = [v for v in value.split(",") if v != ""] if name != "missing_markers" \
                 else value.split(",")
@@ -94,6 +109,7 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
                 raise IngestionError(f"unknown {tag} option {key!r}")
             if value is None:
                 continue
+            _check_type(name, value, key, tag)
             setattr(cfg, name, _coerce(name, value))
     return cfg
 

@@ -55,8 +55,8 @@ class Dataset:
         n, p = codes.shape if codes.ndim == 2 else (0, 0)
         if n < 1 or p < 1:
             raise EmptyDatasetError("dataset needs at least one row and one variable")
-        if len(self.level_counts) != p or len(self.variable_names) != p:
-            raise IngestionError("level_counts / variable_names length mismatch")
+        if not len(self.level_counts) == len(self.variable_names) == len(self.level_labels) == p:
+            raise IngestionError("level_counts / variable_names / level_labels length mismatch")
         if len(set(self.variable_names)) != p:
             raise IngestionError("variable names must be unique")
         for i, (l, labels) in enumerate(zip(self.level_counts, self.level_labels)):
@@ -143,8 +143,8 @@ class ProbabilityModel:
             v = np.ascontiguousarray(np.asarray(v, dtype=float))
             if v.ndim != 1 or v.size < 1:
                 raise DomainError(f"probability vector {i} must be 1-D and non-empty")
-            if np.any(v < 0) or np.any(v > 1):
-                raise DomainError(f"probability vector {i} has entries outside [0, 1]")
+            if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
+                raise DomainError(f"probability vector {i} has entries not in [0, 1]")
             if abs(math.fsum(v.tolist()) - 1.0) > PROB_SUM_TOL:
                 raise DomainError(f"probability vector {i} does not sum to 1")
             v.setflags(write=False)
@@ -272,6 +272,8 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
         spec = mapping.get(name)
         if spec is None:
             extra.append(())
+        elif not isinstance(spec, Mapping):
+            raise DomainError(f"probabilities of {name} must map level labels to numbers")
         else:
             observed = set(ds.level_labels[i])
             missing = observed - set(spec)
@@ -288,7 +290,10 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
         if spec is None:
             vecs.append(emp.pi[i])
         else:
-            vecs.append(np.array([float(spec[lab]) for lab in ds2.level_labels[i]]))
+            try:
+                vecs.append(np.array([float(spec[lab]) for lab in ds2.level_labels[i]]))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"probabilities of {name} must be numbers: {exc}") from exc
     return ds2, ProbabilityModel(pi=tuple(vecs), source="user")
 
 

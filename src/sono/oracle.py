@@ -24,7 +24,7 @@ from .data import Dataset, Itemset, ProbabilityModel, empirical_model
 from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRefusal
 from .lattice import FlagRecord
 from .scoring import ScoreReport
-from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _auto_uses_exact,
+from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
                     _edgeworth_value, coverage_probability, poisson_log_pmf,
                     truncation_bounds)
 from .thresholds import determine_maxlen, subset_thresholds
@@ -161,24 +161,22 @@ def sweep_find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[in
 
     nu(c) is clamped against its running maximum; c is one below the first j
     whose clamped nu exceeds the level, and gamma interpolates between the
-    clamped values at j-1 and j. Exact nu comes from the cell-by-cell
-    convolution above, wherever `method` computes nu exactly ("exact", and
-    "auto" while its path rule picks the convolution), under the fast path's
-    work cap; Edgeworth nu comes from coverage_probability.
+    clamped values at j-1 and j. Wherever the fast path's rule
+    (simci._computes_exactly) has `method` compute nu exactly, nu comes from
+    the cell-by-cell convolution above; elsewhere it comes from
+    coverage_probability (Edgeworth for "auto", a refusal for "exact").
     """
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must be in (0, 1)")
-    if method not in ("auto", "exact", "edgeworth"):
+    if method not in ("auto", "exact"):
         raise DomainError(f"unknown coverage method {method!r}")
 
     def nu(c: int) -> float:
         if spec.k == 1:
             return 1.0
-        if method == "edgeworth":
-            return coverage_probability(spec, c, method)
-        if method == "auto" and not _auto_uses_exact(*truncation_bounds(spec, c)[1:]):
-            return coverage_probability(spec, c, method)
-        return _sequential_convolution(spec, c, CONVOLUTION_WORK_CAP)
+        if _computes_exactly(method, *truncation_bounds(spec, c)[1:]):
+            return _sequential_convolution(spec, c, CONVOLUTION_WORK_CAP)
+        return coverage_probability(spec, c, method)
 
     prev = nu(0)
     if prev >= level:
@@ -314,10 +312,6 @@ def edgeworth_sum_density(moments: Sequence[TruncatedPoissonMoments], target: in
 
 def _row_contains(ds: Dataset, row: int, itemset: Itemset) -> bool:
     return all(ds.codes[row, var] == level for var, level in itemset.entries)
-
-
-def _walker_support(ds: Dataset, itemset: Itemset) -> int:
-    return sum(1 for i in range(ds.n) if _row_contains(ds, i, itemset))
 
 
 @dataclass

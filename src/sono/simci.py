@@ -4,11 +4,13 @@ The coverage probability nu(c) = P(all k multinomial cell counts fall within
 +-c of their expected counts) is computed through the exact factorization of a
 multinomial rectangle probability into a product of truncated-Poisson masses
 times the pmf of their sum conditioned to total n, normalized by the
-Poisson(n) atom at n.  The sum pmf is either computed exactly by convolution
-(small truncation grids) or approximated by a fourth-order Edgeworth series
-(everything else).  The integer half-width c and the interpolation weight
-gamma then give the support thresholds (sono.thresholds) and the
-simultaneous intervals of the coverage simulation (sono.oracle).
+Poisson(n) atom at n.  Method "exact" computes the sum pmf by convolution;
+"auto" does so while the truncation grid is small and otherwise uses a
+fourth-order Edgeworth series, with the cells that dominate the variance
+convolved exactly.  _computes_exactly is the one rule for that choice.  The
+integer half-width c and the interpolation weight gamma then give the support
+thresholds (sono.thresholds) and the simultaneous intervals of the coverage
+simulation (sono.oracle).
 
 The exact path reads one entry of the sum pmf: all cells' log-pmfs come from
 one vectorized call, cells are combined pairwise in a product tree (direct
@@ -34,13 +36,13 @@ import numpy as np
 
 from .errors import CISearchFailure, DomainError, OracleRefusal
 
-# Below this product of truncation widths, nu is computed exactly by
+# Below this product of truncation widths, method "auto" computes nu exactly by
 # convolution instead of the Edgeworth approximation.
 CONVOLUTION_AUTO_CAP = 1e5
 # The convolution is also used whenever its estimated work (bounded by the
 # squared sum of truncation widths) stays below this.
 CONVOLUTION_AUTO_WORK = 4e7
-# Array-work cap for an explicitly requested exact convolution.
+# Array-work cap of method "exact", which refuses beyond it.
 CONVOLUTION_WORK_CAP = 2e8
 _SNAP = 1e-9
 _VAR_EPS = 1e-9
@@ -66,7 +68,7 @@ class CellSpec:
         v = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
         if v.ndim != 1 or v.size < 1:
             raise DomainError("cell probabilities must be a non-empty vector")
-        if np.any(v < 0) or np.any(v > 1):
+        if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
             raise DomainError("cell probabilities must lie in [0, 1]")
         if abs(float(v.sum()) - 1.0) > 1e-12:
             raise DomainError("cell probabilities must sum to 1")
@@ -178,15 +180,19 @@ def _cell_moment_arrays(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
     }
 
 
-def _auto_uses_exact(a: np.ndarray, b: np.ndarray) -> bool:
-    """The auto rule: exact convolution while the truncation grid is small.
+def _computes_exactly(method: str, a: np.ndarray, b: np.ndarray) -> bool:
+    """The path rule: does `method` compute nu at bounds (a, b) by the exact convolution?
 
-    Bounds with a > b (nu = 0 on every path) count as exact. The widths
-    b - a + 1 only grow with c, so the rule holds on a prefix of c.
+    "auto" does while the truncation grid is small, "exact" while it stays
+    within the work cap (beyond it, it refuses). Bounds with a > b (nu = 0 on
+    every path) count as exact. The widths b - a + 1 only grow with c, so the
+    rule holds on a prefix of c.
     """
     widths = b - a + 1.0
     if np.any(widths <= 0.0):
         return True
+    if method == "exact":
+        return _convolution_work(a, b) <= CONVOLUTION_WORK_CAP
     width_sum = float(widths.sum())
     return float(np.log(widths).sum()) <= math.log(CONVOLUTION_AUTO_CAP) \
         or width_sum * width_sum <= CONVOLUTION_AUTO_WORK
@@ -253,26 +259,18 @@ def _log_product_entry(lo: np.ndarray, lam: np.ndarray, lens: np.ndarray, cut: i
     return math.log(entry) + log_scale if entry > 0.0 else -math.inf
 
 
-def _coverage_convolution(spec: CellSpec, c: int, work_cap: float = CONVOLUTION_WORK_CAP) -> float:
-    """Exact nu(c): the truncated-Poisson sum's pmf at n, by a rescaled product tree.
+def _coverage_convolution(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact nu: the truncated-Poisson sum's pmf at n, by a rescaled product tree.
 
-    Width-1 cells contribute a deterministic shift and a scalar mass factor;
-    only wider cells are convolved, and only the entries up to the one read
-    off (index n minus the summed lower bounds) are kept.
+    m, a, b are the expected counts and truncation bounds (a <= b, not full
+    coverage). Width-1 cells contribute a deterministic shift and a scalar
+    mass factor; only wider cells are convolved, and only the entries up to
+    the one read off (index n minus the summed lower bounds) are kept.
     """
-    m, a, b = truncation_bounds(spec, c)
-    if np.any(a > b):
-        return 0.0
-    if np.all((a == 0.0) & (b == float(spec.n))):
-        return 1.0
     wide = b > a
     log_scale = float(poisson_log_pmf(a[~wide], m[~wide]).sum())
     if not np.isfinite(log_scale):
         return 0.0
-    work = _convolution_work(a, b)
-    if work > work_cap:
-        raise OracleRefusal(
-            f"exact convolution needs ~{work:.2g} array cells, cap is {work_cap:.2g}")
     target = spec.n - int(a.sum())
     if not 0 <= target <= int((b - a).sum()):
         return 0.0
@@ -293,20 +291,16 @@ def _sum_density(mean: float, var: float, k3: float, k4: float, x) -> np.ndarray
     return np.maximum(_edgeworth_value(mean, var, k3, k4, x), 0.0)
 
 
-def _coverage_edgeworth(spec: CellSpec, c: int, split_dominant: bool = False) -> float:
-    """nu(c) through the Edgeworth density of the truncated-Poisson sum.
+def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """nu through the Edgeworth density of the truncated-Poisson sum.
 
-    With split_dominant, cells holding more than half of the remaining
-    aggregate variance (the regime where the sum is nowhere near normal) are
-    convolved exactly and only the remainder is approximated.
+    m, a, b are the expected counts and truncation bounds (a <= b, not full
+    coverage). Cells holding more than half of the remaining aggregate
+    variance (the regime where the sum is nowhere near normal) are convolved
+    exactly and only the remainder is approximated.
     """
     from scipy.special import logsumexp
 
-    m, a, b = truncation_bounds(spec, c)
-    if np.any(a > b):
-        return 0.0
-    if np.all((a == 0.0) & (b == float(spec.n))):
-        return 1.0
     cells = _cell_moment_arrays(m, a, b)
     if cells is None:
         return 0.0
@@ -319,16 +313,15 @@ def _coverage_edgeworth(spec: CellSpec, c: int, split_dominant: bool = False) ->
     sum_log_mass = cells["sum_log_mass"]
 
     top: list[int] = []
-    if split_dominant and cells["idx"].size:
-        rest_var = var
-        rest_mu2 = mu2.copy()
-        while len(top) < _DOMINANCE_MAX_CELLS and rest_mu2.size:
-            j = int(np.argmax(rest_mu2))
-            if rest_var <= _VAR_EPS or rest_mu2[j] <= _DOMINANCE_SHARE * rest_var:
-                break
-            rest_var -= rest_mu2[j]
-            rest_mu2[j] = -np.inf
-            top.append(j)
+    rest_var = var
+    rest_mu2 = mu2.copy()
+    while len(top) < _DOMINANCE_MAX_CELLS and rest_mu2.size:
+        j = int(np.argmax(rest_mu2))
+        if rest_var <= _VAR_EPS or rest_mu2[j] <= _DOMINANCE_SHARE * rest_var:
+            break
+        rest_var -= rest_mu2[j]
+        rest_mu2[j] = -np.inf
+        top.append(j)
 
     if not top:
         fw = float(_sum_density(mean, var, k3v, k4v, float(spec.n)))
@@ -359,57 +352,51 @@ def _coverage_edgeworth(spec: CellSpec, c: int, split_dominant: bool = False) ->
 def coverage_probability(spec: CellSpec, c: int, method: str = "auto") -> float:
     """nu(c) = P(all cell counts within +-c of their expected counts), in [0, 1].
 
-    method: "auto" uses exact convolution while the product of truncation
-    widths is <= CONVOLUTION_AUTO_CAP and the Edgeworth approximation beyond;
-    "edgeworth" and "exact" force one path.
+    The truncation bounds are computed once; nu is 0 where some a > b and 1
+    at full coverage. Otherwise _computes_exactly picks the path: the exact
+    convolution, or for "auto" the Edgeworth kernel, while "exact" refuses
+    beyond the convolution's work cap.
     """
     if c < 0:
         raise DomainError("c must be >= 0")
+    if method not in ("auto", "exact"):
+        raise DomainError(f"unknown coverage method {method!r}")
     if spec.k == 1:
         return 1.0
-    if method == "exact":
-        return _coverage_convolution(spec, c)
-    if method == "edgeworth":
-        return _coverage_edgeworth(spec, c)
-    if method != "auto":
-        raise DomainError(f"unknown coverage method {method!r}")
     m, a, b = truncation_bounds(spec, c)
     if np.any(a > b):
         return 0.0
-    if _auto_uses_exact(a, b):
-        return _coverage_convolution(spec, c)
-    return _coverage_edgeworth(spec, c, split_dominant=True)
-
-
-def _computes_exactly(spec: CellSpec, method: str, c: int) -> bool:
-    """Does `method` compute nu(c) by the exact convolution (without refusing)?
-
-    For "auto" that is its path rule; for "exact", staying within the work
-    cap. Both hold on a prefix of c because every truncation width only
-    grows with c. "edgeworth" never does.
-    """
-    if method == "edgeworth":
-        return False
-    _, a, b = truncation_bounds(spec, c)
+    if np.all((a == 0.0) & (b == float(spec.n))):
+        return 1.0
+    if _computes_exactly(method, a, b):
+        return _coverage_convolution(spec, m, a, b)
     if method == "exact":
-        return bool(np.any(a > b)) or _convolution_work(a, b) <= CONVOLUTION_WORK_CAP
-    return _auto_uses_exact(a, b)
+        raise OracleRefusal(f"exact convolution needs ~{_convolution_work(a, b):.2g} "
+                            f"array cells, cap is {CONVOLUTION_WORK_CAP:.2g}")
+    return _coverage_edgeworth(spec, m, a, b)
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """Smallest c in (lo, hi] with pred(c), for pred false at lo and true at hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _exact_prefix_end(spec: CellSpec, method: str) -> int:
     """Largest c in [0, n] up to which `method` computes nu exactly; 0 if none."""
-    if _computes_exactly(spec, method, spec.n):
+    def inexact(c: int) -> bool:
+        return not _computes_exactly(method, *truncation_bounds(spec, c)[1:])
+
+    if not inexact(spec.n):
         return spec.n
-    if not _computes_exactly(spec, method, 0):
+    if inexact(0):
         return 0
-    lo, hi = 0, spec.n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _computes_exactly(spec, method, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(inexact, 0, spec.n) - 1
 
 
 def _seed_c(spec: CellSpec, level: float) -> int:
@@ -431,16 +418,9 @@ def _seed_c(spec: CellSpec, level: float) -> int:
         low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
         return float(np.prod(bdtr(b, spec.n, p) - low)) > level
 
-    lo, hi = 0, spec.n
-    if not above(hi):
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not above(spec.n):
+        return spec.n
+    return _bisect(above, 0, spec.n)
 
 
 def _first_above(spec: CellSpec, level: float, method: str,
@@ -462,7 +442,7 @@ def _first_above(spec: CellSpec, level: float, method: str,
 
     hi = _seed_c(spec, level)
     c_e = None
-    if not _computes_exactly(spec, method, hi):
+    if not _computes_exactly(method, *truncation_bounds(spec, hi)[1:]):
         c_e = hi = _exact_prefix_end(spec, method)
         if c_e == 0:
             return False, 0
@@ -483,13 +463,7 @@ def _first_above(spec: CellSpec, level: float, method: str,
             if above(hi):
                 break
             lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return True, hi
+    return True, _bisect(above, lo, hi)
 
 
 def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, float]:
@@ -505,21 +479,19 @@ def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, flo
     [0, c_e] (see _exact_prefix_end). Exact nu is nondecreasing, so there the
     first j is found by galloping and bisection in O(log n) evaluations and
     the clamp changes nothing. Only if nu(c_e) is still below the level does
-    the literal sweep run, from c_e on; with method="edgeworth" it runs from 0.
+    the literal sweep run, from c_e on.
     """
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must be in (0, 1)")
     prev = coverage_probability(spec, 0, method)
     if prev >= level:
         return 0, 0.0
-    start = 0
-    if method != "edgeworth":
-        nu = {0: prev}
-        found, j = _first_above(spec, level, method, nu)
-        if found:
-            return j - 1, float((level - nu[j - 1]) / (nu[j] - nu[j - 1]))
-        start, prev = j, nu[j]
-    for c in range(start, spec.n):
+    nu = {0: prev}
+    found, j = _first_above(spec, level, method, nu)
+    if found:
+        return j - 1, float((level - nu[j - 1]) / (nu[j] - nu[j - 1]))
+    prev = nu[j]
+    for c in range(j, spec.n):
         nxt = max(prev, coverage_probability(spec, c + 1, method))
         if nxt > level:
             gamma = (level - prev) / (nxt - prev) if nxt > prev else 0.0

@@ -28,7 +28,7 @@ import numpy as np
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
 from .simci import (CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec,
-                    _computes_exactly, coverage_probability, find_c)
+                    _computes_exactly, coverage_probability, find_c, truncation_bounds)
 
 log = logging.getLogger(__name__)
 
@@ -142,7 +142,7 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     v = coverage_probability(spec, t + 1, method)
     if v > level:
         return True
-    if v < level and _computes_exactly(spec, method, t + 1):
+    if v < level and _computes_exactly(method, *truncation_bounds(spec, t + 1)[1:]):
         return False
     return find_c(spec, level, method)[0] <= t
 

@@ -16,7 +16,7 @@ from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
                      random_dataset, simultaneous_intervals, sweep_find_c, walker)
-from .simci import CellSpec, coverage_probability, find_c
+from .simci import CellSpec, coverage_probability, find_c, truncation_bounds
 
 Check = tuple[str, bool, str]
 
@@ -35,23 +35,31 @@ def battery_spec(k: int, n: int, shape: str) -> CellSpec:
     return CellSpec(probs=probs, n=n)
 
 
+def kronecker_spec(levels, n: int, seed: int) -> CellSpec:
+    """Cell probabilities of a product table, as the threshold layer builds them."""
+    rng = np.random.default_rng(seed)
+    probs = np.ones(1)
+    for l in levels:
+        probs = np.kron(probs, rng.dirichlet(np.full(l, 0.6)))
+    return CellSpec(probs=probs / probs.sum(), n=n)
+
+
 def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     """Shipped nu against exact nu over the battery, plus half-width agreement.
 
-    The shipped (auto) path must stay within tol everywhere; the pure
-    Edgeworth method's bracketed c must stay within 1 of the exact path's.
-    The big-table approximation (Edgeworth with dominant cells split out) is
-    additionally held to tol on the k=5 slice where that regime operates.
-    The fast path's own exact nu (product tree) must match the oracle's
-    cell-by-cell convolution within 1e-12, and find_c must return the literal
-    clamped sweep's c, with gamma within 1e-9, on every method.
+    The shipped (auto) path must stay within tol everywhere, and its Edgeworth
+    kernel (called directly: auto convolves the whole battery) on the k=5
+    slice where that regime operates. Auto's c must stay within 1 of exact's
+    on the battery and on flare-shaped tables where auto's find_c crosses
+    into Edgeworth. The fast path's own exact nu (product tree) must match
+    the oracle's cell-by-cell convolution within 1e-12, and find_c must
+    return the literal clamped sweep's c, with gamma within 1e-9.
     """
     from .simci import _coverage_edgeworth
 
     checks: list[Check] = []
     worst = 0.0
     worst_at = ""
-    worst_edgeworth = 0.0
     worst_split = 0.0
     worst_fast = 0.0
     for k, n, shape in NU_BATTERY:
@@ -61,20 +69,16 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
             dev = abs(coverage_probability(spec, c, "auto") - exact)
             if dev > worst:
                 worst, worst_at = dev, f"k={k} n={n} {shape} c={c}"
-            worst_edgeworth = max(
-                worst_edgeworth, abs(coverage_probability(spec, c, "edgeworth") - exact))
             worst_fast = max(worst_fast, abs(coverage_probability(spec, c, "exact") - exact))
             if k == 5 and c >= 5:
-                worst_split = max(
-                    worst_split,
-                    abs(_coverage_edgeworth(spec, c, split_dominant=True) - exact))
+                split = _coverage_edgeworth(spec, *truncation_bounds(spec, c))
+                worst_split = max(worst_split, abs(split - exact))
     checks.append(("nu accuracy",
                    worst <= config.nu_tol and worst_split <= config.nu_tol,
                    f"max |nu_auto - nu_exact| = {worst:.2e}"
                    + (f" at {worst_at}" if worst_at else "")
                    + f" (tol {config.nu_tol:.0e}); split-Edgeworth on its k=5 "
-                   f"operating slice {worst_split:.2e}; whole-sum Edgeworth "
-                   f"everywhere {worst_edgeworth:.2e}"))
+                   f"operating slice {worst_split:.2e}"))
     checks.append(("fast exact nu", worst_fast <= 1e-12,
                    f"max |nu_product_tree - nu_oracle| = {worst_fast:.2e} (tol 1e-12)"))
     worst_c = 0
@@ -84,18 +88,21 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
         spec = battery_spec(k, n, shape)
         for level in (0.90, 0.95):
             found = {}
-            for method in ("exact", "auto", "edgeworth"):
+            for method in ("exact", "auto"):
                 found[method] = find_c(spec, level, method)
                 c_ref, gamma_ref = sweep_find_c(spec, level, method)
                 if found[method][0] != c_ref:
                     sweep_misses.append(f"k={k} n={n} {shape} {level} {method}")
                 worst_gamma = max(worst_gamma, abs(found[method][1] - gamma_ref))
-            c_x = found["exact"][0]
-            worst_c = max(worst_c, abs(found["auto"][0] - c_x),
-                          abs(found["edgeworth"][0] - c_x))
+            worst_c = max(worst_c, abs(found["auto"][0] - found["exact"][0]))
+    crossing = ((7, 6, 4, 2), (6, 4, 3, 3), (7, 6, 4, 3))
+    for levels in crossing:
+        spec = kronecker_spec(levels, 1389, seed=3)
+        worst_c = max(worst_c, abs(find_c(spec, 0.9, "auto")[0]
+                                   - find_c(spec, 0.9, "exact")[0]))
     checks.append(("c agreement", worst_c <= 1,
-                   f"max |c - c_exact| = {worst_c} over auto and Edgeworth paths "
-                   "(tol 1)"))
+                   f"max |c_auto - c_exact| = {worst_c} over the battery and "
+                   f"{len(crossing)} tables crossing into Edgeworth (tol 1)"))
     checks.append(("find_c against the literal sweep",
                    not sweep_misses and worst_gamma <= 1e-9,
                    f"{len(sweep_misses)} c mismatches"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -236,6 +237,64 @@ class TestScoreCommand:
         assert main(["score", "--input", str(path), "--probs", str(probs),
                      "--out", str(tmp_path / "o")]) == 0
         assert "empirical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"V": {"a": NaN, "b": 0.5}}', "not in [0, 1]"),
+        ('[{"V": {"a": 0.5, "b": 0.5}}]', "must hold a JSON object"),
+        ('{"V": {"a": "abc", "b": 0.5}}', "must be numbers"),
+        ('{"V": 0.5}', "must map level labels to numbers"),
+    ])
+    def test_malformed_probability_file_exit_code(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "d.csv"
+        write_csv(path, [["a"], ["b"], ["a"]], header=("V",))
+        probs = tmp_path / "probs.json"
+        probs.write_text(doc)
+        out = tmp_path / "out"
+        assert main(["score", "--input", str(path), "--probs", str(probs),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error: bad probability file")
+        assert message in err
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"alpha": "0.05"}, "'alpha' must be of type float, got '0.05'"),
+        ({"max_len": 1.5}, "'max_len' must be of type int | None, got 1.5"),
+        ({"prune": 0}, "'prune' must be of type bool, got 0"),
+        ({"max_cells": True}, "'max_cells' must be of type float, got True"),
+        ({"format": ["csv", 1]}, "'format' must be of type tuple[str, ...]"),
+    ])
+    def test_config_value_of_the_wrong_type_exit_code(self, sample_csv, tmp_path, capsys,
+                                                      doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert f"ingestion error: config file option {message}" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("option, message", [("--r", "r must be > 0"),
+                                                 ("--max-cells", "max-cells must be a number")])
+    def test_nan_option_rejected(self, sample_csv, tmp_path, capsys, option, message):
+        # a NaN r used to write NaN scores and exit 0
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out), option, "nan"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+
+    def test_every_config_field_is_a_command_line_option(self, tmp_path):
+        from sono.cli import _build_parser, _cli_overrides
+        args = _build_parser().parse_args([
+            "score", "--input", "d.csv", "--mode", "frequent", "--alpha", "0.1",
+            "--r", "1", "--no-prune", "--max-len", "2", "--probs", "p.json",
+            "--out", "o", "--format", "csv", "--drop-cols", "A", "--missing", "level",
+            "--oracle-nu", "--delimiter", ";", "--no-header", "--missing-markers", "NA",
+            "--level-order", "lexicographic", "--maxlen-rule", "all-cells",
+            "--max-cells", "100"])
+        overrides = _cli_overrides(args)
+        assert list(overrides) == [f.name for f in dataclasses.fields(sono.RunConfig)]
+        assert overrides["max_len"] == 2 and overrides["prune"] is False
 
     def test_missing_policy_level(self, tmp_path):
         rows = [["a"], ["?"], ["b"], ["a"]]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,11 @@ class TestLoadDataset:
         with pytest.raises(IngestionError, match="unique"):
             load_dataset([["x", "x"], ["a", "b"]], IngestionOptions())
 
+    def test_too_few_level_label_sets_raise(self, toy_table):
+        # zip would stop at the shorter tuple and decode_row fail much later
+        with pytest.raises(IngestionError, match="level_labels length mismatch"):
+            dataclasses.replace(toy_table, level_labels=toy_table.level_labels[:1])
+
 
 class TestEmpiricalModel:
     def test_direct_frequency(self):
@@ -110,6 +117,11 @@ class TestProbabilityModel:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             ProbabilityModel(pi=(np.array([-0.1, 1.1]),), source="user")
+
+    def test_rejects_nan(self):
+        # NaN passes both range comparisons and the sum check
+        with pytest.raises(DomainError, match="not in"):
+            ProbabilityModel(pi=(np.array([np.nan, 0.5]),), source="user")
 
 
 class TestCellProbability:
@@ -180,6 +192,14 @@ class TestUserModel:
     def test_unknown_variable_rejected(self, toy_table):
         with pytest.raises(DomainError, match="unknown"):
             user_model(toy_table, {"nope": {"a": 1.0}})
+
+    def test_non_numeric_probability_rejected(self, toy_table):
+        with pytest.raises(DomainError, match="must be numbers"):
+            user_model(toy_table, {"V1": {"a": "abc", "b": 0.5}})
+
+    def test_levels_not_a_mapping_rejected(self, toy_table):
+        with pytest.raises(DomainError, match="must map level labels"):
+            user_model(toy_table, {"V1": [0.5, 0.5]})
 
 
 @settings(max_examples=40, deadline=None)

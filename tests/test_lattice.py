@@ -290,3 +290,40 @@ class TestLevelRelabelling:
                 for a, b in ((got.scores, report.scores), (got.depths, report.depths),
                              (got.contributions, report.contributions)):
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def named_flags(ds, flags):
+    """{flagged itemset by (variable name, level label): (supp, sigma)}."""
+    return {frozenset((ds.variable_names[j], ds.level_labels[j][lev - 1])
+                      for j, lev in rec.itemset.entries): (rec.supp, rec.sigma)
+            for rec in flags.records}
+
+
+class TestColumnPermutation:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("infrequent", "frequent")),
+           st.booleans(), st.data())
+    def test_permuting_columns_permutes_contributions(self, seed, mode, prune, data):
+        ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
+        perm = list(data.draw(st.permutations(range(ds.p))))
+        moved = dataclasses.replace(
+            ds, codes=ds.codes[:, perm],
+            level_counts=tuple(ds.level_counts[j] for j in perm),
+            variable_names=tuple(ds.variable_names[j] for j in perm),
+            level_labels=tuple(ds.level_labels[j] for j in perm))
+        cfg = RunConfig(mode=mode, prune=prune)
+        report, info, flags = run_analysis(ds, empirical_model(ds), cfg)
+        got, got_info, got_flags = run_analysis(moved, empirical_model(moved), cfg)
+        assert got_info.maxlen == info.maxlen
+        # the cell probabilities multiply the level probabilities in another
+        # variable order, so sigma and what is built on it may move in the
+        # last bits
+        expected = named_flags(ds, flags)
+        renamed = named_flags(moved, got_flags)
+        assert renamed.keys() == expected.keys()
+        for key, (supp, sigma) in expected.items():
+            assert renamed[key][0] == supp
+            assert renamed[key][1] == pytest.approx(sigma, rel=1e-12)
+        for a, b in ((got.scores, report.scores), (got.depths, report.depths),
+                     (got.contributions, report.contributions[:, perm])):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)

@@ -10,9 +10,9 @@ from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
                   coverage_probability, edgeworth_sum_density, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
 from sono.oracle import sweep_find_c
-from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _exact_prefix_end,
-                        truncation_bounds)
-from sono.verify import NU_BATTERY, battery_spec
+from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _coverage_edgeworth,
+                        _exact_prefix_end, truncation_bounds)
+from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
 
 
 def direct_moments(lam, a, b):
@@ -126,9 +126,13 @@ def enumeration_nu(probs, n, c):
 class TestCoverageProbability:
     def test_full_coverage(self):
         spec = CellSpec(probs=np.array([0.5, 0.3, 0.2]), n=15)
-        for method in ("auto", "edgeworth", "exact"):
+        for method in ("auto", "exact"):
             assert coverage_probability(spec, 15, method) == 1.0
             assert coverage_probability(spec, 40, method) == 1.0
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(DomainError, match="lie in"):
+            CellSpec(probs=np.array([np.nan, 0.5, 0.5]), n=10)
 
     def test_single_cell_is_one(self):
         spec = CellSpec(probs=np.array([1.0]), n=10)
@@ -139,7 +143,8 @@ class TestCoverageProbability:
         exact = enumeration_nu([1 / 3] * 3, 10, 3)
         assert exact == pytest.approx(0.9068739521414403, rel=1e-12)
         assert coverage_probability(spec, 3, "auto") == pytest.approx(exact, abs=2e-3)
-        assert coverage_probability(spec, 3, "edgeworth") == pytest.approx(exact, abs=2e-3)
+        edgeworth = _coverage_edgeworth(spec, *truncation_bounds(spec, 3))
+        assert edgeworth == pytest.approx(exact, abs=2e-3)
 
     def test_binomial_identity(self):
         spec = CellSpec(probs=np.array([0.5, 0.5]), n=20)
@@ -152,8 +157,9 @@ class TestCoverageProbability:
         assert coverage_probability(spec, 23) == 1.0
 
     def test_dominant_cell_regression(self):
-        # one cell carrying ~97% of the variance: the whole-sum Edgeworth is
-        # off by ~12% here; the shipped path must match the exact value
+        # one cell carrying ~97% of the variance: an Edgeworth series over the
+        # whole sum is off by ~12% here, so the kernel convolves that cell
+        # exactly; auto must match the exact value
         probs = np.array([0.973] + [0.0] * 3 + [0.00675] * 4)
         probs = probs / probs.sum()
         spec = CellSpec(probs=probs, n=148)
@@ -166,10 +172,10 @@ class TestCoverageProbability:
             prev = max(prev, auto)
 
     def test_split_edgeworth_quality_on_big_table_regime(self):
-        from sono.simci import _coverage_edgeworth
+        # auto convolves this table at every c, so the kernel is called directly
         spec = CellSpec(probs=np.array([0.4, 0.3, 0.15, 0.1, 0.05]), n=100)
         for c in range(5, 101, 5):
-            split = _coverage_edgeworth(spec, c, split_dominant=True)
+            split = _coverage_edgeworth(spec, *truncation_bounds(spec, c))
             exact = coverage_probability(spec, c, "exact")
             assert split == pytest.approx(exact, abs=2e-3)
 
@@ -237,15 +243,6 @@ class TestFindC:
 BIG_ORACLE = OracleConfig(conv_work_cap=CONVOLUTION_WORK_CAP, enum_state_cap=0.0)
 
 
-def kronecker_spec(levels, n, seed):
-    """Cell probabilities of a product table, as the threshold layer builds them."""
-    rng = np.random.default_rng(seed)
-    probs = np.ones(1)
-    for l in levels:
-        probs = np.kron(probs, rng.dirichlet(np.full(l, 0.6)))
-    return CellSpec(probs=probs / probs.sum(), n=n)
-
-
 class TestFastExactCoverage:
     """The product-tree exact nu and the bracketed find_c against the oracle."""
 
@@ -282,7 +279,7 @@ class TestFastExactCoverage:
         for k, n, shape in NU_BATTERY:
             spec = battery_spec(k, n, shape)
             for level in (0.5, 0.9, 0.95):
-                for method in ("auto", "exact", "edgeworth"):
+                for method in ("auto", "exact"):
                     c, gamma = find_c(spec, level, method)
                     c_ref, gamma_ref = sweep_find_c(spec, level, method)
                     assert c == c_ref, (k, n, shape, level, method)
@@ -305,7 +302,7 @@ class TestFastExactCoverage:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 60), st.integers(5, 400), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 0.9, 0.95, 0.99]),
-           st.sampled_from(["auto", "exact", "edgeworth"]))
+           st.sampled_from(["auto", "exact"]))
     def test_find_c_matches_literal_sweep_on_dirichlet_tables(self, k, n, seed, level,
                                                               method):
         probs = np.random.default_rng(seed).dirichlet(np.full(k, 0.6))

@@ -9,7 +9,7 @@ from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
 import sono.simci
 import sono.thresholds as thresholds
 from sono.data import subset_cell_probs
-from sono.simci import _computes_exactly
+from sono.simci import _computes_exactly, truncation_bounds
 from sono.thresholds import SIGMA_FLOOR
 
 
@@ -45,7 +45,8 @@ def audit_maxlen_rule(model, n, rule, alpha=0.05):
             table = subset_thresholds(model, n, subset, alpha)
             sigma_ref = sigma_of(table, [pick(v) + 1 for v in table.pi], "infrequent")
             spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
-            edgeworth += not _computes_exactly(spec, "auto", table.c + 1)
+            _, a, b = truncation_bounds(spec, table.c + 1)
+            edgeworth += not _computes_exactly("auto", a, b)
             if subset == decision.violating_subset:
                 assert sigma_ref < SIGMA_FLOOR + 1e-9, (rule, n, subset)
                 return edgeworth
@@ -189,15 +190,16 @@ class TestDetermineMaxlen:
     def test_edgeworth_nu_below_the_level_is_settled_by_find_c(self, monkeypatch):
         # nu wiggles above the level at c = 10 only: the clamped sweep gives
         # c = 9 <= t = 48, so the single subset passes although nu(t+1) is
-        # well below the level
+        # well below the level; the path rule puts every c on the Edgeworth path
         def nu(spec, c, method="auto"):
             return 0.91 if c == 10 else 0.89
-        monkeypatch.setattr(sono.simci, "coverage_probability", nu)
-        monkeypatch.setattr(thresholds, "coverage_probability", nu)
+        for module in (sono.simci, thresholds):
+            monkeypatch.setattr(module, "coverage_probability", nu)
+            monkeypatch.setattr(module, "_computes_exactly", lambda method, a, b: False)
         model = model_of([0.5, 0.5])
         spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=100)
-        assert find_c(spec, 0.9, "edgeworth")[0] == 9
-        decision = determine_maxlen(model, 100, 0.05, method="edgeworth")
+        assert find_c(spec, 0.9)[0] == 9
+        decision = determine_maxlen(model, 100, 0.05)
         assert decision.violating_subset is None
         assert decision.maxlen == 1
 
