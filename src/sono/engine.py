@@ -27,16 +27,28 @@ class RunInfo:
     runtime_s: float
 
 
-def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig
+def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
+                 provider: ThresholdProvider | None = None
                  ) -> tuple[ScoreReport, RunInfo, Flags]:
-    """Score a dataset under a configuration; pure function of its inputs."""
+    """Score a dataset under a configuration; pure function of its inputs.
+
+    A provider built for this model and the run's n, alpha, method and
+    max_cells may be passed to share thresholds and maxlen decisions between
+    runs; the run's c_by_size and saturated_tables then count every table it
+    holds.
+    """
     cfg.validate(p=ds.p)
     t0 = time.perf_counter()
     method = "exact" if cfg.oracle_nu else "auto"
 
-    provider = ThresholdProvider(model, ds.n, cfg.alpha, method=method,
-                                 max_cells=cfg.max_cells,
-                                 cache_dir=os.environ.get(CACHE_ENV))
+    if provider is None:
+        provider = ThresholdProvider(model, ds.n, cfg.alpha, method=method,
+                                     max_cells=cfg.max_cells,
+                                     cache_dir=os.environ.get(CACHE_ENV))
+    elif provider.model is not model or (
+            (provider.n, provider.alpha, provider.method, provider.max_cells)
+            != (ds.n, cfg.alpha, method, cfg.max_cells)):
+        raise ValueError("the threshold provider was built for other inputs")
     if cfg.max_len is not None:
         decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),
                                   violating_subset=None, rule="manual")

@@ -2,13 +2,15 @@
 
 These exist so every fast-path result can be audited: a nested-loop lattice
 walker that recomputes flags, scores, depths and contributions from the
-definitions; an exact coverage probability (a cell-by-cell convolution of its
-own plus a multinomial enumeration self-check); the literal clamped sweep for
-the half-width c; the simultaneous intervals the coverage simulation checks;
-truncated-Poisson moments by direct summation and the Edgeworth density of
-their sum; and exact checkers for the two maximum-score propositions, which
-search every flag configuration (no sampling). Deliberately single-threaded
-and cache-free.
+definitions; the maxlen rule by its definition (sigma_ref read from every
+subset's own threshold table); an exact coverage probability (a
+cell-by-cell convolution of its own plus a multinomial enumeration
+self-check); the literal clamped sweep for the half-width c; the
+simultaneous intervals the coverage simulation checks; truncated-Poisson
+moments by direct summation and the Edgeworth density of their sum; and
+exact checkers for the two maximum-score propositions, which search every
+flag configuration (no sampling). Deliberately single-threaded and
+cache-free.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .scoring import ScoreReport
 from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
                     _edgeworth_value, coverage_probability, poisson_log_pmf,
                     truncation_bounds)
-from .thresholds import determine_maxlen, subset_thresholds
+from .thresholds import SIGMA_FLOOR, MaxlenDecision, subset_thresholds
 
 
 @dataclass(frozen=True)
@@ -314,6 +316,37 @@ def _row_contains(ds: Dataset, row: int, itemset: Itemset) -> bool:
     return all(ds.codes[row, var] == level for var, level in itemset.entries)
 
 
+def reference_subset_passes(model: ProbabilityModel, n: int, subset: Sequence[int],
+                            alpha: float, rule: str = "any-cell",
+                            method: str = "auto") -> bool:
+    """The maxlen rule's test of one subset by its definition: sigma_ref >= 2.
+
+    sigma_ref is read from the subset's own threshold table: the infrequent
+    threshold of its most probable cell ("any-cell") or least probable cell
+    ("all-cells"). The 1e-9 allowance for float fuzz in n*p is the one the
+    fast rule's t = floor(n*p_ref - 2) carries too.
+    """
+    pick = {"any-cell": np.argmax, "all-cells": np.argmin}[rule]
+    table = subset_thresholds(model, n, subset, alpha, method=method)
+    cell = np.array([[pick(v) + 1 for v in table.pi]])
+    return bool(table.sigma(cell, "infrequent")[0] >= SIGMA_FLOOR - 1e-9)
+
+
+def reference_maxlen(model: ProbabilityModel, n: int, alpha: float,
+                     rule: str = "any-cell", method: str = "auto") -> MaxlenDecision:
+    """The maxlen rule by its definition, for determine_maxlen to be held to.
+
+    Sizes are swept upward, every subset is judged by reference_subset_passes,
+    and the sweep stops at the first subset that fails.
+    """
+    for size in range(1, model.p + 1):
+        for subset in itertools.combinations(range(model.p), size):
+            if not reference_subset_passes(model, n, subset, alpha, rule, method):
+                return MaxlenDecision(maxlen=max(size - 1, 1),
+                                      violating_subset=subset, rule=rule)
+    return MaxlenDecision(maxlen=model.p, violating_subset=None, rule=rule)
+
+
 @dataclass
 class WalkerResult:
     report: ScoreReport
@@ -342,8 +375,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     if max_len is not None:
         maxlen = max_len
     else:
-        maxlen = determine_maxlen(model, n, alpha, rule=maxlen_rule,
-                                  method=method).maxlen
+        maxlen = reference_maxlen(model, n, alpha, maxlen_rule, method).maxlen
     maxlen = min(maxlen, p)
 
     flagged: list[FlagRecord] = []

@@ -20,6 +20,12 @@ carried.  find_c keeps the definition of c by a clamped linear sweep, but
 where nu is exact (a prefix of c) it finds the sweep's crossing by galloping
 and bisection; the literal sweep lives on in sono.oracle as the reference.
 
+Each cell count is marginally binomial, so the one-cell binomial coverages on
+the same truncation bounds (_binomial_bounds) bracket the exact nu without a
+convolution: from below by Bonferroni, from above by the least-covered cell.
+Their product seeds find_c's gallop, and the bracket settles most of the
+maxlen rule's single nu(t+1) questions (sono.thresholds) with no nu at all.
+
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
 and b_i = min(floor(m_i+c), n).
@@ -399,28 +405,40 @@ def _exact_prefix_end(spec: CellSpec, method: str) -> int:
     return _bisect(inexact, 0, spec.n) - 1
 
 
-def _seed_c(spec: CellSpec, level: float) -> int:
-    """Smallest c in [1, n] whose product of one-cell binomial coverages exceeds level.
+def _binomial_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, float, float]:
+    """One-cell binomial coverages at half-width c and the bounds they put on nu(c).
 
-    The product treats the cells as independent. On multinomial tables it sits
-    at or a little below nu(c), so the result is usually the first c with
-    nu(c) > level or one or two above it; n if no c qualifies.
+    Each cell count is Binomial(n, p_i), so cover_i = P(a_i <= X_i <= b_i) on
+    the snapped truncation bounds that nu itself uses. nu(c) is the
+    probability that every cell is covered, so it lies between the Bonferroni
+    bound 1 - sum_i (1 - cover_i) and min_i cover_i. Both bound the exact nu,
+    not its Edgeworth approximation. Returns (cover, lower, upper).
     """
     from scipy.special import bdtr
 
+    _, a, b = truncation_bounds(spec, c)
     p = spec.probs
-    m = spec.n * p
+    low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
+    cover = bdtr(b, spec.n, p) - low
+    return cover, 1.0 - float(np.sum(1.0 - cover)), float(cover.min())
 
+
+def _seed_c(spec: CellSpec, level: float) -> int:
+    """Smallest c in [1, n] whose product of one-cell binomial coverages exceeds level.
+
+    The coverages come from _binomial_bounds; their product treats the cells
+    as independent. On multinomial tables it sits at or a little below nu(c),
+    so the result is usually the first c with nu(c) > level or one or two
+    above it. The product is never below the Bonferroni bound, and by
+    Hoeffding each cell's tail is at most 2 exp(-2 c^2 / n), so the product
+    exceeds the level at the c_h below and the bisection starts from
+    [0, min(c_h, n)] rather than [0, n] (at c = n every coverage is 1).
+    """
     def above(c: int) -> bool:
-        # a seed needs no float-fuzz snapping of the bounds (truncation_bounds)
-        a = np.maximum(np.ceil(m - c), 0.0)
-        b = np.minimum(np.floor(m + c), float(spec.n))
-        low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
-        return float(np.prod(bdtr(b, spec.n, p) - low)) > level
+        return float(np.prod(_binomial_bounds(spec, c)[0])) > level
 
-    if not above(spec.n):
-        return spec.n
-    return _bisect(above, 0, spec.n)
+    c_h = math.ceil(math.sqrt(spec.n * math.log(2.0 * spec.k / (1.0 - level)) / 2.0)) + 1
+    return _bisect(above, 0, min(c_h, spec.n))
 
 
 def _first_above(spec: CellSpec, level: float, method: str,
@@ -430,7 +448,8 @@ def _first_above(spec: CellSpec, level: float, method: str,
     Returns (True, j), or (False, c_e) when nu(c_e) <= level at the end c_e of
     the exact prefix. nu holds nu(0) <= level on entry and every value evaluated
     on return, nu(j - 1) and nu(j) or nu(c_e) among them. The search gallops
-    from a seed towards the crossing and then bisects, so it needs nu to be
+    from _seed_c (the independence product of the one-cell coverages, no nu
+    evaluated) towards the crossing and then bisects, so it needs nu to be
     nondecreasing on the prefix, which the exact convolution is. The end of
     the prefix is looked up only when the seed lies beyond it or below the
     crossing.

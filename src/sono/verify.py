@@ -16,7 +16,9 @@ from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
                      random_dataset, simultaneous_intervals, sweep_find_c, walker)
-from .simci import CellSpec, coverage_probability, find_c, truncation_bounds
+from .simci import (CellSpec, _binomial_bounds, coverage_probability, find_c,
+                    truncation_bounds)
+from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
 
@@ -53,7 +55,10 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     on the battery and on flare-shaped tables where auto's find_c crosses
     into Edgeworth. The fast path's own exact nu (product tree) must match
     the oracle's cell-by-cell convolution within 1e-12, and find_c must
-    return the literal clamped sweep's c, with gamma within 1e-9.
+    return the literal clamped sweep's c, with gamma within 1e-9. Exact nu
+    must lie within its one-cell binomial bracket (_binomial_bounds, which
+    settles the maxlen rule without nu) within 1e-12; how often the Edgeworth
+    kernel leaves that bracket is reported, as the rule never uses it there.
     """
     from .simci import _coverage_edgeworth
 
@@ -62,10 +67,15 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     worst_at = ""
     worst_split = 0.0
     worst_fast = 0.0
+    bracket_misses = []
+    edgeworth_outside = edgeworth_points = 0
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for c in range(0, n + 1):
             exact = exact_nu(spec, c, config)
+            _, lower, upper = _binomial_bounds(spec, c)
+            if not lower - 1e-12 <= exact <= upper + 1e-12:
+                bracket_misses.append(f"k={k} n={n} {shape} c={c}")
             dev = abs(coverage_probability(spec, c, "auto") - exact)
             if dev > worst:
                 worst, worst_at = dev, f"k={k} n={n} {shape} c={c}"
@@ -73,6 +83,8 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
             if k == 5 and c >= 5:
                 split = _coverage_edgeworth(spec, *truncation_bounds(spec, c))
                 worst_split = max(worst_split, abs(split - exact))
+                edgeworth_points += 1
+                edgeworth_outside += not lower - 1e-12 <= split <= upper + 1e-12
     checks.append(("nu accuracy",
                    worst <= config.nu_tol and worst_split <= config.nu_tol,
                    f"max |nu_auto - nu_exact| = {worst:.2e}"
@@ -81,6 +93,12 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
                    f"operating slice {worst_split:.2e}"))
     checks.append(("fast exact nu", worst_fast <= 1e-12,
                    f"max |nu_product_tree - nu_oracle| = {worst_fast:.2e} (tol 1e-12)"))
+    checks.append(("binomial bounds", not bracket_misses,
+                   f"{len(bracket_misses)} battery points with exact nu outside "
+                   "[Bonferroni, min-cell] (tol 1e-12)"
+                   + (f" ({', '.join(bracket_misses[:3])})" if bracket_misses else "")
+                   + f"; information only: the Edgeworth kernel leaves the bracket at "
+                   f"{edgeworth_outside} of {edgeworth_points} points on its k=5 slice"))
     worst_c = 0
     sweep_misses = []
     worst_gamma = 0.0
@@ -203,7 +221,11 @@ def _flag_key_sets(flag_sets):
 
 def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
                              config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
-    """Fast path vs nested-loop walker on seeded random datasets."""
+    """Fast path vs nested-loop walker on seeded random datasets.
+
+    The walker decides maxlen by its definition (oracle.reference_maxlen). A
+    dataset's four runs share one alpha and so one ThresholdProvider.
+    """
     rng = np.random.default_rng(seed)
     grid = list(itertools.product(("infrequent", "frequent"), (True, False)))
     failures = []
@@ -213,10 +235,11 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
         model = empirical_model(ds)
         alpha = float(rng.choice((0.05, 0.1)))
         r = float(rng.choice((1.0, 2.0)))
+        provider = ThresholdProvider(model, ds.n, alpha)
         for mode, prune in grid:
             runs += 1
             cfg = RunConfig(mode=mode, alpha=alpha, r=r, prune=prune)
-            report, info, flags = run_analysis(ds, model, cfg)
+            report, info, flags = run_analysis(ds, model, cfg, provider)
             ref = walker(ds, model, alpha, r, mode=mode, prune=prune, config=config)
             if info.maxlen != ref.maxlen:
                 failures.append(f"ds{i} {mode} prune={prune}: maxlen "

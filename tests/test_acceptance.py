@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 import scipy.stats as st_stats
 
-from sono import (RunConfig, build_report, check_propositions, empirical_model,
-                  max_score_bound, random_dataset, read_csv, run_analysis, walker)
-from sono.engine import CACHE_ENV
+from sono import (RunConfig, ThresholdProvider, build_report, check_propositions,
+                  empirical_model, max_score_bound, random_dataset, read_csv,
+                  run_analysis, walker)
 from sono.lattice import FlagRecord
+from sono.oracle import reference_maxlen
 from sono.data import Itemset
 from sono.prepare import prepare_dataset
 from sono.verify import (ARGMAX_OFF_BY_ONE, SINGLETON_GAP,
@@ -50,29 +51,30 @@ def _report_line(num: int, name: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def oracle_sweep(tmp_path_factory):
-    # Each dataset gets a fresh threshold cache: its first run_analysis
-    # computes the thresholds and maxlen and spills them, the other three are
-    # served from the spill file. The walker computes its own every time, so
-    # the served values are held to it too.
+def oracle_sweep():
+    # A dataset's four runs share one alpha and so one ThresholdProvider: the
+    # first run_analysis computes the thresholds and maxlen, the other three
+    # are served from memory. The walker computes its own tables every time,
+    # and maxlen comes from the definition (oracle.reference_maxlen, what the
+    # walker runs when given none), decided once per dataset, so the served
+    # values are held to both.
     rng = np.random.default_rng(SEED)
     runs = []
     t0 = time.perf_counter()
-    with pytest.MonkeyPatch.context() as mp:
-        for i in range(50):
-            mp.setenv(CACHE_ENV, str(tmp_path_factory.mktemp(f"thresholds{i}")))
-            ds = random_dataset(rng, n_max=200, p_max=6, l_max=4)
-            model = empirical_model(ds)
-            alpha = (0.05, 0.1)[i % 2]
-            r = (1.0, 2.0)[(i // 2) % 2]
-            for mode, prune in itertools.product(("infrequent", "frequent"),
-                                                 (True, False)):
-                cfg = RunConfig(mode=mode, alpha=alpha, r=r, prune=prune)
-                report, info, flags = run_analysis(ds, model, cfg)
-                ref = walker(ds, model, alpha, r, mode=mode, prune=prune)
-                runs.append({"i": i, "ds": ds, "mode": mode, "prune": prune,
-                             "alpha": alpha, "r": r, "report": report, "info": info,
-                             "flags": flags, "ref": ref})
+    for i in range(50):
+        ds = random_dataset(rng, n_max=200, p_max=6, l_max=4)
+        model = empirical_model(ds)
+        alpha = (0.05, 0.1)[i % 2]
+        r = (1.0, 2.0)[(i // 2) % 2]
+        provider = ThresholdProvider(model, ds.n, alpha)
+        maxlen = reference_maxlen(model, ds.n, alpha).maxlen
+        for mode, prune in itertools.product(("infrequent", "frequent"), (True, False)):
+            cfg = RunConfig(mode=mode, alpha=alpha, r=r, prune=prune)
+            report, info, flags = run_analysis(ds, model, cfg, provider)
+            ref = walker(ds, model, alpha, r, mode=mode, prune=prune, max_len=maxlen)
+            runs.append({"i": i, "ds": ds, "mode": mode, "prune": prune,
+                         "alpha": alpha, "r": r, "report": report, "info": info,
+                         "flags": flags, "ref": ref})
     return runs, time.perf_counter() - t0
 
 

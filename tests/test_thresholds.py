@@ -1,16 +1,21 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
                   ThresholdTable, determine_maxlen, find_c, subset_thresholds)
+import sono.oracle
 import sono.simci
 import sono.thresholds as thresholds
 from sono.data import subset_cell_probs
-from sono.simci import _computes_exactly, truncation_bounds
-from sono.thresholds import SIGMA_FLOOR
+from sono.oracle import reference_maxlen, reference_subset_passes
+from sono.simci import _binomial_bounds, _computes_exactly, truncation_bounds
+from sono.thresholds import _BOUND_MARGIN, SIGMA_FLOOR
 
 
 def model_of(*vectors):
@@ -33,26 +38,29 @@ def grid(table):
 
 
 def audit_maxlen_rule(model, n, rule, alpha=0.05):
-    """Hold determine_maxlen to its definition, sigma_ref >= 2 with sigma_ref
-    read from each subset's own threshold table, on every subset it judged
-    (in its order, up to the violating one). Returns how many of them have
-    nu(c + 1) on the Edgeworth path."""
+    """Hold determine_maxlen to its definition, oracle.reference_maxlen
+    (sigma_ref read from each subset's own threshold table)."""
     decision = determine_maxlen(model, n, alpha, rule=rule)
-    pick = np.argmax if rule == "any-cell" else np.argmin
-    edgeworth = 0
-    for size in range(1, model.p + 1):
-        for subset in itertools.combinations(range(model.p), size):
-            table = subset_thresholds(model, n, subset, alpha)
-            sigma_ref = sigma_of(table, [pick(v) + 1 for v in table.pi], "infrequent")
-            spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
-            _, a, b = truncation_bounds(spec, table.c + 1)
-            edgeworth += not _computes_exactly("auto", a, b)
-            if subset == decision.violating_subset:
-                assert sigma_ref < SIGMA_FLOOR + 1e-9, (rule, n, subset)
-                return edgeworth
-            assert sigma_ref >= SIGMA_FLOOR - 1e-9, (rule, n, subset)
-    assert decision.violating_subset is None
-    return edgeworth
+    assert decision == reference_maxlen(model, n, alpha, rule), (rule, n, alpha)
+
+
+def count_rule_calls(monkeypatch, nu=None):
+    """Record the c of every nu and each find_c the maxlen rule makes; nu may
+    replace the rule's coverage_probability."""
+    calls = {"nu": [], "find_c": 0}
+    real_nu, real_find_c = thresholds.coverage_probability, thresholds.find_c
+
+    def counted_nu(spec, c, method="auto"):
+        calls["nu"].append(c)
+        return (nu or real_nu)(spec, c, method)
+
+    def counted_find_c(*args):
+        calls["find_c"] += 1
+        return real_find_c(*args)
+
+    monkeypatch.setattr(thresholds, "coverage_probability", counted_nu)
+    monkeypatch.setattr(thresholds, "find_c", counted_find_c)
+    return calls
 
 
 class TestSigmaForSubset:
@@ -161,9 +169,9 @@ class TestDetermineMaxlen:
             for subset in itertools.combinations(range(4), size):
                 table = subset_thresholds(model, n, subset, 0.05)
                 assert table.max_sigma("infrequent") >= 2.0
-        # and the rule's raw-nu shortcut agrees with its definition on
-        # seeded random models, skewed and flat, under both rules (they stop
-        # at sizes 1 to 5 or never)
+        # and the rule's shortcuts agree with its definition on seeded random
+        # models, skewed and flat, under both rules (they stop at sizes 1 to 5
+        # or never)
         for _ in range(16):
             p = int(rng.integers(3, 7))
             conc = float(rng.choice([0.7, 4.0]))
@@ -173,19 +181,84 @@ class TestDetermineMaxlen:
             for rule in ("any-cell", "all-cells"):
                 audit_maxlen_rule(model, n, rule)
 
-    def test_rule_matches_definition_on_benchmark_shapes(self):
+    def test_rule_matches_definition_on_benchmark_shapes(self, monkeypatch):
         # a 1389-row model with solar-flare level counts and a 30000-row model
-        # over seven binaries; between them some c + 1 lies on the Edgeworth
-        # path, where the shortcut leans on raw nu tracking the sweep
+        # over seven binaries; between them some c + 1 of a table the
+        # reference builds lies on the Edgeworth path, where the shortcut
+        # leans on raw nu tracking the sweep
+        edgeworth = []
+
+        def judged(model, n, subset, alpha, **kw):
+            table = subset_thresholds(model, n, subset, alpha, **kw)
+            spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
+            edgeworth.append(not _computes_exactly(
+                "auto", *truncation_bounds(spec, table.c + 1)[1:]))
+            return table
+
+        monkeypatch.setattr(sono.oracle, "subset_thresholds", judged)
         rng = np.random.default_rng(11)
         models = [(model_of(*(rng.dirichlet(np.full(l, 0.6)) for l in (7, 6, 4, 2, 3, 3))),
                    1389),
                   (model_of(*(rng.dirichlet(np.full(2, 0.6)) for _ in range(7))), 30000)]
-        edgeworth = 0
         for model, n in models:
             for rule in ("any-cell", "all-cells"):
-                edgeworth += audit_maxlen_rule(model, n, rule)
-        assert edgeworth > 0
+                audit_maxlen_rule(model, n, rule)
+        assert any(edgeworth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 60), min_size=2, max_size=4),
+                    min_size=1, max_size=5),
+           st.integers(20, 2000), st.sampled_from(["any-cell", "all-cells"]),
+           st.sampled_from([0.05, 0.1]))
+    def test_rule_matches_definition_on_random_models(self, weights, n, rule, alpha):
+        model = model_of(*(np.array(w, dtype=float) / sum(w) for w in weights))
+        audit_maxlen_rule(model, n, rule, alpha)
+        # every subset, also beyond the first failing one: more of them sit
+        # near sigma_ref = 2, where a bracket used too loosely would flip
+        for size in range(1, model.p + 1):
+            for subset in itertools.combinations(range(model.p), size):
+                assert thresholds._subset_passes(
+                    model, n, subset, 1.0 - 2.0 * alpha, rule, "auto",
+                    thresholds.DEFAULT_MAX_CELLS) \
+                    == reference_subset_passes(model, n, subset, alpha, rule), subset
+
+    @pytest.mark.parametrize("probs, n, rule, passes", [
+        ([0.5, 0.5], 100, "any-cell", True),      # lower bound far above the level
+        ([0.97, 0.03], 100, "all-cells", False),  # min-cell coverage about 0.87
+    ])
+    def test_bounds_that_clear_the_level_evaluate_no_nu(self, monkeypatch,
+                                                        probs, n, rule, passes):
+        model = model_of(probs)
+        calls = count_rule_calls(monkeypatch)
+        decision = determine_maxlen(model, n, 0.05, rule=rule)
+        assert calls == {"nu": [], "find_c": 0}
+        assert (decision.violating_subset is None) == passes
+        assert decision == reference_maxlen(model, n, 0.05, rule)
+
+    @pytest.mark.parametrize("probs, n, passes", [
+        ([0.9, 0.1], 40, True),               # nu(t+1) about 0.94
+        ([0.95, 0.05], 119, True),            # nu(t+1) = min-cell coverage, 0.908
+        ([0.4, 0.3, 0.2, 0.1], 113, False),   # nu(t+1) 0.8999, Bonferroni 0.885
+    ])
+    def test_bounds_that_straddle_the_level_fall_back_to_nu_then_find_c(
+            self, monkeypatch, probs, n, passes):
+        # all-cells on one variable: t = floor(n * p_min - 2), and the bracket
+        # at t + 1 holds the level 0.9, two of them within 0.02 of it
+        model, level = model_of(probs), 0.9
+        t = math.floor(n * min(probs) - SIGMA_FLOOR + 1e-9)
+        spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=n)
+        _, lower, upper = _binomial_bounds(spec, t + 1)
+        assert lower < level + _BOUND_MARGIN and upper > level - _BOUND_MARGIN
+        assert _computes_exactly("auto", *truncation_bounds(spec, t + 1)[1:])
+        expected = reference_maxlen(model, n, 0.05, "all-cells")
+        assert (expected.violating_subset is None) == passes
+        calls = count_rule_calls(monkeypatch)
+        assert determine_maxlen(model, n, 0.05, rule="all-cells") == expected
+        assert calls == {"nu": [t + 1], "find_c": 0}  # exact nu settles it
+        # a raw nu that ties the level settles nothing, so find_c decides
+        calls = count_rule_calls(monkeypatch, nu=lambda spec, c, method: level)
+        assert determine_maxlen(model, n, 0.05, rule="all-cells") == expected
+        assert calls == {"nu": [t + 1], "find_c": 1}
 
     def test_edgeworth_nu_below_the_level_is_settled_by_find_c(self, monkeypatch):
         # nu wiggles above the level at c = 10 only: the clamped sweep gives
