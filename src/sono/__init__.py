@@ -19,14 +19,18 @@ from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
                      OracleRefusal, SonoError, TableExplosion)
 from .lattice import (FlagRecord, Flags, SearchStats, search_frequent,
                       search_infrequent)
-from .oracle import (OracleConfig, SimultaneousCI, TruncatedPoissonMoments,
-                     WalkerResult, check_propositions, edgeworth_sum_density,
-                     exact_nu, random_dataset, simultaneous_intervals,
-                     truncated_poisson_moments, walker)
 from .scoring import ScoreReport, build_report, max_score_bound
 from .simci import CellSpec, coverage_probability, find_c
 from .thresholds import (MaxlenDecision, ThresholdProvider, ThresholdTable,
                          determine_maxlen, subset_thresholds)
+
+# The reference oracle is for audits, not scoring: its names load it on first
+# access, so a scoring process never imports it.
+_ORACLE_NAMES = (
+    "OracleConfig", "WalkerResult", "walker", "exact_nu", "check_propositions",
+    "random_dataset", "TruncatedPoissonMoments", "truncated_poisson_moments",
+    "edgeworth_sum_density", "SimultaneousCI", "simultaneous_intervals",
+)
 
 __all__ = [
     "__version__",
@@ -41,7 +45,12 @@ __all__ = [
     "CellSpec", "coverage_probability", "find_c",
     "MaxlenDecision", "ThresholdTable", "ThresholdProvider", "determine_maxlen",
     "subset_thresholds",
-    "OracleConfig", "WalkerResult", "walker", "exact_nu", "check_propositions",
-    "random_dataset", "TruncatedPoissonMoments", "truncated_poisson_moments",
-    "edgeworth_sum_density", "SimultaneousCI", "simultaneous_intervals",
+    *_ORACLE_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,17 @@
-"""Command-line front end: score, verify and prepare subcommands."""
+"""Command-line front end: score, verify and prepare subcommands.
+
+A `sono score` process loads only the scoring path: the audit suites, the UCI
+recipes and the SVG writer are imported by the subcommand or output format
+that uses them. Commands run with the cyclic garbage collector off (scoring
+allocates no reference cycles), and the interpreter's final collection skips
+the objects alive at exit.
+"""
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import json
 import os
 import sys
@@ -16,9 +25,6 @@ from .data import IngestionOptions, empirical_model, read_csv, user_model
 from .engine import run_analysis
 from .errors import (CISearchFailure, DomainError, EmptyDatasetError,
                      IngestionError, SonoError, TableExplosion)
-from .plots import score_depth_scatter_svg
-from .prepare import RECIPES, prepare_dataset
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -74,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run only the named suites (repeatable)")
 
     pp = sub.add_parser("prepare", help="apply a documented UCI cleaning recipe")
-    pp.add_argument("dataset", nargs="?", help=f"one of: {', '.join(sorted(RECIPES))}")
+    pp.add_argument("dataset", nargs="?", help="recipe name, as listed by --list")
     pp.add_argument("--raw", help="directory holding the raw UCI files")
     pp.add_argument("--out", help="cleaned CSV output path")
     pp.add_argument("--list", action="store_true", help="list recipes and URLs")
@@ -188,6 +194,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             with open(os.path.join(cfg.out, "run.json"), "w") as fh:
                 json.dump(run_doc, fh, indent=2)
         if "svg" in cfg.format:
+            from .plots import score_depth_scatter_svg
             score_depth_scatter_svg(
                 report.depths, report.scores,
                 os.path.join(cfg.out, "score_vs_depth.svg"))
@@ -198,6 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verify
     status, text = run_verify(n_datasets=args.datasets, seed=args.seed,
                               p_max=args.p_max,
                               suites=tuple(args.suite) if args.suite else None)
@@ -206,6 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
+    from .prepare import RECIPES, prepare_dataset
     if args.list or not args.dataset:
         for name in sorted(RECIPES):
             recipe = RECIPES[name]
@@ -220,7 +229,26 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_exit_freeze_registered = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic collector off, then restore the
+    caller's collector state."""
+    global _exit_freeze_registered
+    if not _exit_freeze_registered:
+        atexit.register(gc.freeze)
+        _exit_freeze_registered = True
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "score":

@@ -313,8 +313,10 @@ class ThresholdProvider:
         try:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self._spill_path),
                                        prefix=".thresholds-", suffix=".tmp")
+            # json.dumps encodes in C; json.dump's Python encoder leaves
+            # reference cycles, which a command-line run keeps until exit.
             with os.fdopen(fd, "w") as fh:
-                json.dump(self._spilled, fh)
+                fh.write(json.dumps(self._spilled))
             os.replace(tmp, self._spill_path)
             self._unsaved = False
         except OSError as exc:

@@ -15,7 +15,8 @@ from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
-                     random_dataset, simultaneous_intervals, sweep_find_c, walker)
+                     random_dataset, reference_maxlen, simultaneous_intervals,
+                     sweep_find_c, walker)
 from .simci import (CellSpec, _binomial_bounds, coverage_probability, find_c,
                     truncation_bounds)
 from .thresholds import ThresholdProvider
@@ -223,8 +224,9 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
                              config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     """Fast path vs nested-loop walker on seeded random datasets.
 
-    The walker decides maxlen by its definition (oracle.reference_maxlen). A
-    dataset's four runs share one alpha and so one ThresholdProvider.
+    maxlen is decided by its definition (oracle.reference_maxlen) once per
+    dataset and given to the walker. A dataset's four runs share one alpha and
+    so one ThresholdProvider.
     """
     rng = np.random.default_rng(seed)
     grid = list(itertools.product(("infrequent", "frequent"), (True, False)))
@@ -236,15 +238,17 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
         alpha = float(rng.choice((0.05, 0.1)))
         r = float(rng.choice((1.0, 2.0)))
         provider = ThresholdProvider(model, ds.n, alpha)
+        maxlen = reference_maxlen(model, ds.n, alpha).maxlen
         for mode, prune in grid:
             runs += 1
             cfg = RunConfig(mode=mode, alpha=alpha, r=r, prune=prune)
             report, info, flags = run_analysis(ds, model, cfg, provider)
-            ref = walker(ds, model, alpha, r, mode=mode, prune=prune, config=config)
-            if info.maxlen != ref.maxlen:
+            if info.maxlen != maxlen:
                 failures.append(f"ds{i} {mode} prune={prune}: maxlen "
-                                f"{info.maxlen} != {ref.maxlen}")
+                                f"{info.maxlen} != {maxlen}")
                 continue
+            ref = walker(ds, model, alpha, r, mode=mode, prune=prune,
+                         max_len=maxlen, config=config)
             if _flag_key_sets(flags.by_row()) != _flag_key_sets(ref.flag_sets):
                 failures.append(f"ds{i} {mode} prune={prune}: flag sets differ")
                 continue

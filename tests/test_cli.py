@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -37,6 +38,44 @@ except SystemExit as exc:
     status = exc.code
 assert "scipy" not in sys.modules, "scipy was imported"
 sys.exit(status)
+"""
+
+# Runs `sono` with the given arguments (or only imports it, given none), then
+# prints the sono and xml modules loaded as the last line of standard output.
+RUN_AND_LIST_MODULES = """
+import sys
+from sono.cli import main
+status = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted(m for m in sys.modules if m.startswith(("sono.", "xml."))))
+sys.exit(status)
+"""
+
+# Modules that a scoring process never needs: the audit suites, the UCI
+# recipes, and the SVG writer with its XML library.
+NOT_FOR_SCORING = {"sono.oracle", "sono.verify", "sono.prepare", "sono.plots",
+                   "xml.etree"}
+
+# Calls main() with the collector on and off, checking its state during the
+# command and after main() returns or exits, and which exit hooks it registers.
+GC_POLICY = """
+import atexit, gc
+import sono.cli as cli
+
+hooks, during = [], []
+atexit.register = hooks.append
+run_prepare = cli.cmd_prepare
+cli.cmd_prepare = lambda args: during.append(gc.isenabled()) or run_prepare(args)
+for enabled in (True, False, True, False):
+    (gc.enable if enabled else gc.disable)()
+    assert cli.main(["prepare", "--list"]) == 0
+    assert gc.isenabled() is enabled
+    try:
+        cli.main(["--version"])
+    except SystemExit:
+        pass
+    assert gc.isenabled() is enabled
+assert during == [False] * 4, during
+print(len(hooks), hooks[0] is gc.freeze)
 """
 
 
@@ -458,6 +497,83 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         if argv:
             assert "sono" in proc.stdout
+
+    @staticmethod
+    def run_listing_modules(argv):
+        proc = run_python(RUN_AND_LIST_MODULES, *argv)
+        return proc, set((proc.stdout.splitlines() or [""])[-1].split())
+
+    @pytest.mark.parametrize("command", ["import", "score"])
+    def test_scoring_loads_no_audit_module(self, command, sample_csv, tmp_path):
+        argv = ([] if command == "import"
+                else ["score", "--input", sample_csv, "--out", str(tmp_path)])
+        proc, loaded = self.run_listing_modules(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "sono.engine" in loaded
+        assert not loaded & NOT_FOR_SCORING
+
+    @pytest.mark.parametrize("argv, module", [
+        (["prepare", "--list"], "sono.prepare"),
+        (["verify", "--suite", "coverage"], "sono.verify"),
+        (["score", "--format", "svg"], "sono.plots"),
+    ], ids=["prepare", "verify", "svg"])
+    def test_lazily_loaded_commands_run(self, argv, module, sample_csv, tmp_path):
+        if argv[0] == "score":
+            argv = [*argv, "--input", sample_csv, "--out", str(tmp_path)]
+        proc, loaded = self.run_listing_modules(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert module in loaded
+        if argv[0] == "prepare":
+            assert "thyroid: files" in proc.stdout
+        elif argv[0] == "verify":
+            assert "verification PASSED" in proc.stdout
+        else:
+            assert ET.parse(tmp_path / "score_vs_depth.svg").getroot().tag.endswith("svg")
+
+    def test_oracle_names_resolve_on_access(self):
+        code = ("import sys, sono\n"
+                "assert 'sono.oracle' not in sys.modules\n"
+                "from sono import walker, check_propositions, OracleConfig\n"
+                "import sono.oracle as oracle\n"
+                "assert (walker, check_propositions, OracleConfig) == "
+                "(oracle.walker, oracle.check_propositions, oracle.OracleConfig)\n"
+                "assert all(getattr(sono, name) is not None for name in sono.__all__)\n"
+                "assert not hasattr(sono, 'no_such_name')\n"
+                "exec('from sono import *')\n")
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_main_restores_the_collector_and_registers_one_exit_freeze(self):
+        proc = run_python(GC_POLICY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1 True"
+
+
+@pytest.mark.parametrize("mode", ["infrequent", "frequent"])
+@pytest.mark.parametrize("prune", [True, False], ids=["prune", "no-prune"])
+def test_scoring_allocates_no_reference_cycles(mode, prune, tmp_path, monkeypatch):
+    """The command line runs with the cyclic collector off, which is sound
+    only while a run leaves no garbage cycles: a run that made them per subset
+    would grow without bound on long runs."""
+    # The first use of SciPy imports it, which leaves cycles once per process.
+    import scipy.special  # noqa: F401
+    monkeypatch.setenv("SONO_CACHE_DIR", str(tmp_path))
+    rng = np.random.default_rng(20240901)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(3):
+            ds = sono.random_dataset(rng, p_max=7)
+            model = sono.empirical_model(ds)
+            cfg = sono.RunConfig(mode=mode, prune=prune)
+            for provider in ("fresh", "spilled"):
+                gc.collect()
+                sono.run_analysis(ds, model, cfg)
+                assert gc.collect() == 0, f"ds{i} {provider} provider"
+                assert len(list(tmp_path.glob("thresholds-*.json"))) == i + 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestVerifyCommand:
