@@ -15,6 +15,7 @@ import gc
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -116,7 +117,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         delimiter=cfg.delimiter, header=cfg.header,
         missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
         level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
+    t_start = time.perf_counter()
     ds = read_csv(cfg.input, opts)
+    t_read = time.perf_counter()
     if ds.dropped_rows:
         print(f"dropped {ds.dropped_rows} rows with missing values", file=sys.stderr)
     if cfg.probs:
@@ -145,6 +148,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             print("empty probability file; using the empirical model", file=sys.stderr)
     else:
         model = empirical_model(ds)
+    t_model = time.perf_counter()
 
     report, info, flags = run_analysis(ds, model, cfg)
     print(f"n={ds.n} p={ds.p} maxlen={info.maxlen} (rule {info.maxlen_rule}) "
@@ -153,12 +157,22 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     try:
         os.makedirs(cfg.out, exist_ok=True)
+        t_write = time.perf_counter()
         if "csv" in cfg.format:
             _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
                             np.column_stack([report.scores, report.depths]), flags.group)
             _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
                             ds.variable_names, report.contributions, flags.group)
+        if "svg" in cfg.format:
+            from .plots import score_depth_scatter_svg
+            score_depth_scatter_svg(
+                report.depths, report.scores,
+                os.path.join(cfg.out, "score_vs_depth.svg"))
         if "json" in cfg.format:
+            # Timings go under "results", next to runtime_s, so every block
+            # but "config" and "results" is the same on each run of an input.
+            timings = {"read_s": t_read - t_start, "model_s": t_model - t_read,
+                       **info.timings, "write_s": time.perf_counter() - t_write}
             run_doc = {
                 "config": cfg.to_flat_dict(),
                 "dataset": {
@@ -189,15 +203,11 @@ def cmd_score(args: argparse.Namespace) -> int:
                     "nonzero_scores": int((report.scores > 0).sum()),
                     "max_score": float(report.scores.max()),
                     "runtime_s": info.runtime_s,
+                    "timings": timings,
                 },
             }
             with open(os.path.join(cfg.out, "run.json"), "w") as fh:
                 json.dump(run_doc, fh, indent=2)
-        if "svg" in cfg.format:
-            from .plots import score_depth_scatter_svg
-            score_depth_scatter_svg(
-                report.depths, report.scores,
-                os.path.join(cfg.out, "score_vs_depth.svg"))
     except OSError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

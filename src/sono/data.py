@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,17 +40,49 @@ class IngestionOptions:
             raise IngestionError(f"unknown level order {self.level_order!r}")
 
 
+class RowGroups(NamedTuple):
+    """The identical rows of a code matrix, numbered by first appearance."""
+
+    rows: np.ndarray  # (distinct, p) int32: each distinct row once
+    group: np.ndarray  # (n,) intp: each row's distinct-row index
+    weight: np.ndarray  # (distinct,) int64: each distinct row's multiplicity
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal keys, numbering the groups by first appearance: the index
+    of each group's first key, in that order, and each key's group."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+def _group_rows(codes: np.ndarray) -> RowGroups:
+    """Group the rows of a C-contiguous code matrix by their bytes, one opaque
+    key per row, which sorts faster than rows."""
+    first, group = _first_appearance(
+        codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel())
+    return RowGroups(codes[first], group, np.bincount(group))
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """n observations of p nominal variables, level-coded 1..level_counts[i]."""
+    """n observations of p nominal variables, level-coded 1..level_counts[i].
+
+    `row_groups` groups the identical rows. `load_dataset` and `read_csv`
+    pass the grouping they find while encoding as `grouping`; otherwise it
+    is computed from the codes on first use.
+    """
 
     codes: np.ndarray  # (n, p) int32, 1-based
     level_counts: tuple[int, ...]
     variable_names: tuple[str, ...]
     level_labels: tuple[tuple[str, ...], ...]
     dropped_rows: int = 0
+    grouping: InitVar[RowGroups | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, grouping):
         codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int32))
         object.__setattr__(self, "codes", codes)
         n, p = codes.shape if codes.ndim == 2 else (0, 0)
@@ -68,6 +101,19 @@ class Dataset:
                     f"codes of variable {self.variable_names[i]} outside 1..{l}"
                 )
         codes.setflags(write=False)
+        if grouping is not None:
+            rows, group, weight = grouping
+            if not (group.shape == (n,) and rows.shape == (weight.size, p)
+                    and np.array_equal(np.bincount(group, minlength=weight.size), weight)
+                    and all(np.array_equal(rows[:, j][group], codes[:, j])
+                            for j in range(p))):
+                raise IngestionError("row grouping does not match the codes")
+            self.__dict__["row_groups"] = grouping
+
+    @cached_property
+    def row_groups(self) -> RowGroups:
+        """The distinct rows, numbered by first appearance, with multiplicities."""
+        return _group_rows(self.codes)
 
     @property
     def n(self) -> int:
@@ -93,7 +139,8 @@ class Dataset:
             labels.append(merged)
             counts.append(len(merged))
         return replace(
-            self, level_counts=tuple(counts), level_labels=tuple(labels)
+            self, level_counts=tuple(counts), level_labels=tuple(labels),
+            grouping=self.row_groups,
         )
 
 
@@ -182,7 +229,13 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     index: dict[tuple, int] = {}
     group = np.array([index.setdefault(tuple(r), len(index)) for r in body],
                      dtype=np.intp)
-    distinct = list(index)
+    return _encode(list(index), group, names, opts)
+
+
+def _encode(distinct: list[tuple], group: np.ndarray, names: list[str] | None,
+            opts: IngestionOptions) -> Dataset:
+    """Encode body rows given once each: `distinct` holds the distinct rows in
+    first-appearance order and row i of the body is distinct[group[i]]."""
     width = len(distinct[0]) if distinct else (len(names) if names else 0)
     if width == 0:
         raise EmptyDatasetError("empty input table")
@@ -202,12 +255,16 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     if not keep:
         raise EmptyDatasetError("all columns dropped")
     names = [names[j] for j in keep]
+    if len(keep) < width:  # rows that differ only in dropped columns become one
+        index: dict[tuple, int] = {}
+        merged = np.array([index.setdefault(tuple(r[j] for j in keep), len(index))
+                           for r in distinct], dtype=np.intp)
+        distinct, group = list(index), merged[group]
 
     markers = set(opts.missing_markers)
-    vals = [[r[j] for j in keep] for r in distinct]
     kept = np.array([opts.missing_policy != "drop" or not any(v in markers for v in r)
-                     for r in vals], dtype=bool)
-    cleaned = [r for r, k in zip(vals, kept) if k]
+                     for r in distinct], dtype=bool)
+    cleaned = [r for r, k in zip(distinct, kept) if k]
     if not cleaned:
         raise EmptyDatasetError("no rows left after missing-value cleaning")
 
@@ -226,24 +283,52 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     distinct_codes = np.array([[maps[j][v] for j, v in enumerate(r)] for r in cleaned],
                               dtype=np.int32)
     row_kept = kept[group]
-    codes = distinct_codes[(np.cumsum(kept) - 1)[group[row_kept]]]
-    dropped = int(row_kept.size - np.count_nonzero(row_kept))
+    group = (np.cumsum(kept) - 1)[group[row_kept]]
     return Dataset(
-        codes=codes,
+        codes=distinct_codes[group],
         level_counts=tuple(len(v) for v in vocab),
         variable_names=tuple(names),
         level_labels=tuple(tuple(v) for v in vocab),
-        dropped_rows=dropped,
+        dropped_rows=int(row_kept.size - group.size),
+        grouping=RowGroups(distinct_codes, group,
+                           np.bincount(group, minlength=len(cleaned))),
     )
 
 
 def read_csv(path, options: IngestionOptions | None = None) -> Dataset:
-    """Read a delimited UTF-8 text file and encode it."""
+    """Read a delimited UTF-8 text file and encode it; blank lines are skipped.
+
+    Each distinct line is parsed once, and lines that parse to the same
+    record (one record ended by LF, CRLF or CR) are one row group. A record
+    can span lines only through a quoted field, so a file with the quote
+    character in any line is parsed whole instead.
+    """
     opts = options or IngestionOptions()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=opts.delimiter))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
-    return load_dataset(rows, opts)
+        lines: dict[str, int] = {}
+        line_of_row = np.array([lines.setdefault(line, len(lines)) for line in fh],
+                               dtype=np.intp)
+        if any('"' in line for line in lines):
+            del lines, line_of_row
+            fh.seek(0)
+            return load_dataset([r for r in csv.reader(fh, delimiter=opts.delimiter) if r],
+                                opts)
+    records: dict[tuple, int] = {}
+    record_of_line = np.array(
+        [records.setdefault(tuple(r), len(records)) if r else -1
+         for r in csv.reader(lines, delimiter=opts.delimiter)], dtype=np.intp)
+    del lines
+    rows = record_of_line[line_of_row]
+    rows = rows[rows >= 0]  # blank lines parse to no record
+    if not rows.size:
+        raise EmptyDatasetError("empty input table")
+    distinct = list(records)
+    names = None
+    if opts.header:
+        names = list(distinct[rows[0]])
+        rows = rows[1:]
+    first, group = _first_appearance(rows)
+    return _encode([distinct[k] for k in rows[first].tolist()], group, names, opts)
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:

@@ -25,6 +25,9 @@ class RunInfo:
     c_by_size: dict[int, dict[str, float]]
     saturated_tables: int
     runtime_s: float
+    # wall seconds of the run's phases: "maxlen_s" (provider set-up and the
+    # maxlen rule), "search_s" (lattice search and its thresholds), "scoring_s"
+    timings: dict[str, float]
 
 
 def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
@@ -54,9 +57,12 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
                                   violating_subset=None, rule="manual")
     else:
         decision = provider.maxlen(cfg.maxlen_rule)
+    t_maxlen = time.perf_counter()
     search = search_infrequent if cfg.mode == "infrequent" else search_frequent
     flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
+    t_search = time.perf_counter()
     report = build_report(flags, cfg.r, cfg.mode, decision.maxlen, ds.p)
+    t_scoring = time.perf_counter()
     provider.flush_spill()
     info = RunInfo(
         maxlen=decision.maxlen,
@@ -66,5 +72,7 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
         c_by_size=provider.c_summary(),
         saturated_tables=provider.saturated_tables(),
         runtime_s=time.perf_counter() - t0,
+        timings={"maxlen_s": t_maxlen - t0, "search_s": t_search - t_maxlen,
+                 "scoring_s": t_scoring - t_search},
     )
     return report, info, flags

@@ -7,12 +7,13 @@ on, every subset of a flagged itemset is marked flagged without testing and
 still recorded with its true support and threshold.
 
 A row's flags depend only on its levels, so the search runs over the
-distinct rows of the data, each weighted by how often it occurs: a cell's
-support is the weighted count of the distinct rows that hold it. Pruning
-state is kept per (subset, distinct row) as boolean masks: bottom-up, whether
-the row's cell contains a flagged itemset; top-down, whether it is flagged.
-A row's cell is its projection, so the masks propagate level by level with
-ORs over neighbouring subsets. Both searches return a `Flags` table.
+distinct rows of the data (`Dataset.row_groups`), each weighted by how often
+it occurs: a cell's support is the weighted count of the distinct rows that
+hold it. Pruning state is kept per (subset, distinct row) as boolean masks:
+bottom-up, whether the row's cell contains a flagged itemset; top-down,
+whether it is flagged. A row's cell is its projection, so the masks
+propagate level by level with ORs over neighbouring subsets. Both searches
+return a `Flags` table.
 
 A subset's observed cells are grouped by `subset_codes`, an integer key that
 only this module knows; each cell's levels, which price it and name its
@@ -91,16 +92,6 @@ class Flags:
         return [list(out[d]) for d in self.group.tolist()]
 
 
-def _distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a C-contiguous code matrix, each row's
-    distinct-row index and each distinct row's multiplicity. Rows are grouped
-    by their bytes, one opaque key per row, which sorts faster than rows."""
-    keys = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
-    _, first, group, weight = np.unique(keys, return_index=True, return_inverse=True,
-                                        return_counts=True)
-    return codes[first], group, weight
-
-
 def subset_codes(codes: np.ndarray, level_counts: Sequence[int],
                  subset: Sequence[int]) -> np.ndarray:
     """Every row's cell over `subset` as one integer, a grouping key that is
@@ -146,7 +137,7 @@ class _Search:
 
     def __init__(self, ds: Dataset, provider: ThresholdProvider, mode: str):
         self.provider, self.mode, self.level_counts = provider, mode, ds.level_counts
-        self.codes, self.group, self.weight = _distinct_rows(ds.codes)
+        self.codes, self.group, self.weight = ds.row_groups
         self.stats = SearchStats()
         self.records: list[FlagRecord] = []
         self.rows: list[np.ndarray] = []

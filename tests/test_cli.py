@@ -168,6 +168,20 @@ class TestScoreCommand:
         assert "c_by_size" in doc["thresholds"]
         assert "saturated_tables" in doc["diagnostics"]
 
+    def test_run_json_phase_timings(self, sample_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0
+        doc = json.loads((out / "run.json").read_text())
+        # per-run values stay under "results"; the other blocks keep their shape
+        assert set(doc) == {"config", "dataset", "maxlen", "thresholds",
+                            "instrumentation", "diagnostics", "results"}
+        timings = doc["results"]["timings"]
+        assert list(timings) == ["read_s", "model_s", "maxlen_s", "search_s",
+                                 "scoring_s", "write_s"]
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings[k] for k in ("maxlen_s", "search_s", "scoring_s")) \
+            <= doc["results"]["runtime_s"]
+
     def test_rerun_from_run_json_is_bit_identical(self, sample_csv, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["score", "--input", sample_csv, "--out", str(out1)]) == 0

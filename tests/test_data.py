@@ -1,4 +1,8 @@
+import csv
 import dataclasses
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 
 from sono import (DomainError, EmptyDatasetError, IngestionError,
                   IngestionOptions, Itemset, ProbabilityModel, cell_probability,
-                  empirical_model, load_dataset, user_model)
+                  empirical_model, load_dataset, read_csv, user_model)
+from sono.data import RowGroups, _group_rows
 
 from conftest import make_dataset
 
@@ -295,3 +300,166 @@ class TestIngestionOfRepeatedRows:
         with pytest.raises(IngestionError, match=f"row {idx} has") as got:
             load_dataset(rows, IngestionOptions())
         assert str(got.value) == str(want.value)
+
+
+def outcome(load, *args):
+    """A loader's Dataset fields and row grouping, or its error."""
+    try:
+        ds = load(*args)
+    except (IngestionError, EmptyDatasetError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (ds.codes.tolist(), ds.level_counts, ds.variable_names, ds.level_labels,
+            ds.dropped_rows, [a.tolist() for a in ds.row_groups])
+
+
+def read_rows(path, opts):
+    """The whole-file reading: every record parsed, blank lines skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh, delimiter=opts.delimiter) if r]
+    return load_dataset(rows, opts)
+
+
+def write_text(text):
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def assert_reads_like_whole_file(text, opts):
+    path = write_text(text)
+    try:
+        assert outcome(read_csv, path, opts) == outcome(read_rows, path, opts)
+    finally:
+        os.remove(path)
+
+
+PLAIN_FIELDS = ["b", "a", "?", "", "c", "A", "x y"]
+# fields csv.writer quotes: they hold the delimiter, a newline or the quote
+QUOTED_FIELDS = ["a,b", "two\nlines", "cr\rlf", 'say "hi"']
+
+
+@st.composite
+def csv_texts(draw):
+    """A file of records drawn from a few patterns, so that lines repeat:
+    each record ends in LF, CRLF or CR, blank lines fall between records,
+    the header may recur in the body, a record may be ragged and a field may
+    need quotes."""
+    quoted = draw(st.booleans())
+    field = st.sampled_from(PLAIN_FIELDS + (QUOTED_FIELDS if quoted else []))
+    patterns = draw(st.lists(st.lists(field, min_size=3, max_size=3),
+                             min_size=1, max_size=4))
+    patterns.append(["V1", "V2", "V3"])
+    if draw(st.integers(0, 4)) == 0:
+        patterns.append(draw(st.lists(field, min_size=2, max_size=4)))  # maybe ragged
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=0, max_size=30))
+    out = io.StringIO()
+    for record in [["V1", "V2", "V3"]] + [patterns[k] for k in picks]:
+        out.write(draw(st.sampled_from(["", "", "", "\n", "\r\n"])))  # blank lines
+        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   ).writerow(record)
+    return out.getvalue()
+
+
+class TestReadCsv:
+    """read_csv parses each distinct line once; it must read a file exactly
+    as load_dataset reads the file's records, blank lines skipped."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts(),
+           header=st.booleans(),
+           policy=st.sampled_from(["drop", "level"]),
+           order=st.sampled_from(["first", "lexicographic"]),
+           drop_cols=st.sampled_from([(), ("V2",), ("V1", "V3")]))
+    def test_matches_whole_file_reading(self, text, header, policy, order, drop_cols):
+        opts = IngestionOptions(header=header, missing_policy=policy, level_order=order,
+                                drop_cols=drop_cols)
+        assert_reads_like_whole_file(text, opts)
+
+    def test_line_ending_variants_are_one_row_group(self):
+        path = write_text("A,B\na,b\r\nc,d\na,b\ra,b\n\nc,d")
+        try:
+            ds = read_csv(path)
+        finally:
+            os.remove(path)
+        assert ds.codes.tolist() == [[1, 1], [2, 2], [1, 1], [1, 1], [2, 2]]
+        assert ds.row_groups.group.tolist() == [0, 1, 0, 0, 1]
+        assert ds.row_groups.weight.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("text", [
+        'A,B\n"x\ny",b\nc,d\n"x\ny",b\n',   # a record spanning two lines
+        'A,B\n"a",b\na,b\n',                  # quoted and bare, one value
+        'A,B\nx,"1,2"\nx,1\n',
+    ])
+    def test_quoted_files_are_parsed_whole(self, text):
+        assert_reads_like_whole_file(text, IngestionOptions())
+
+    @pytest.mark.parametrize("text, idx", [
+        ("A,B\na,b\na,b\n\nc\na,b\n", 2),
+        ("A,B\r\na,b\r\na,b\na,b,c\r\nd\n", 2),
+    ])
+    def test_ragged_row_names_its_index(self, text, idx):
+        assert_reads_like_whole_file(text, IngestionOptions())
+        path = write_text(text)
+        try:
+            with pytest.raises(IngestionError, match=f"ragged table: row {idx} has"):
+                read_csv(path)
+        finally:
+            os.remove(path)
+
+    def test_nul_byte_reads_alike(self):
+        assert_reads_like_whole_file("A,B\na\x00,b\na,b\na\x00,b\n", IngestionOptions())
+
+    def test_oversized_field_raises_the_same_csv_error(self):
+        text = "A,B\n" + "x" * (csv.field_size_limit() + 1) + ",b\n"
+        path = write_text(text)
+        try:
+            with pytest.raises(csv.Error) as got:
+                read_csv(path)
+            with pytest.raises(csv.Error) as want:
+                read_rows(path, IngestionOptions())
+        finally:
+            os.remove(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text", ["", "\n\r\n", "A,B\n", "A,B\n\n"])
+    def test_empty_files(self, text):
+        assert_reads_like_whole_file(text, IngestionOptions())
+        assert_reads_like_whole_file(text, IngestionOptions(header=False))
+
+
+class TestRowGroups:
+    def test_groups_number_rows_by_first_appearance(self):
+        ds = make_dataset([[2, 1], [1, 1], [2, 1], [1, 2], [1, 1]])
+        rows, group, weight = ds.row_groups
+        assert rows.tolist() == [[2, 1], [1, 1], [1, 2]]
+        assert group.tolist() == [0, 1, 0, 2, 1]
+        assert weight.tolist() == [2, 2, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("ab?"), min_size=3, max_size=3),
+                    min_size=1, max_size=30),
+           st.sampled_from([(), ("V2",)]), st.sampled_from(["drop", "level"]))
+    def test_loader_grouping_is_the_codes_grouping(self, body, drop_cols, policy):
+        # rows that differ only in a dropped column, or in nothing, are one group
+        opts = IngestionOptions(header=False, drop_cols=drop_cols, missing_policy=policy)
+        try:
+            ds = load_dataset(body, opts)
+        except EmptyDatasetError:
+            return
+        want = _group_rows(ds.codes)
+        assert all(np.array_equal(a, b) for a, b in zip(ds.row_groups, want))
+
+    def test_replaced_codes_are_regrouped(self):
+        ds = load_dataset([["a"], ["b"], ["a"]], IngestionOptions(header=False))
+        assert ds.row_groups.weight.tolist() == [2, 1]
+        moved = dataclasses.replace(ds, codes=np.array([[2], [2], [1]]))
+        assert moved.row_groups.group.tolist() == [0, 0, 1]
+        extended = ds.with_extended_levels([("c",)])
+        assert extended.row_groups is ds.row_groups
+
+    def test_grouping_must_match_the_codes(self, toy_table):
+        wrong = RowGroups(np.array([[1, 1]], dtype=np.int32), np.zeros(3, dtype=np.intp),
+                          np.array([3]))
+        with pytest.raises(IngestionError, match="row grouping"):
+            dataclasses.replace(toy_table, grouping=wrong)

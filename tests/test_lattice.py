@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sono import (IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
                   load_dataset, random_dataset, run_analysis, search_frequent,
                   search_infrequent)
-from sono.lattice import _distinct_rows, _observed_cells
+from sono.lattice import _observed_cells
 
 from conftest import StubProvider, make_dataset
 
@@ -33,7 +33,7 @@ def support(ds, subset):
 
 def search_support(ds, subset):
     """The observed cells as the search groups them: {levels: supp}, in order."""
-    codes, group, weight = _distinct_rows(ds.codes)
+    codes, group, weight = ds.row_groups
     assert np.array_equal(codes[group], ds.codes)
     assert weight.tolist() == np.bincount(group).tolist()
     levels, inv, counts = _observed_cells(codes, weight, ds.level_counts, tuple(subset))
@@ -199,6 +199,23 @@ class TestSearchSemantics:
             _, _, flags_off = run_analysis(ds, model, RunConfig(prune=False))
             for on, off in zip(flag_keys(flags_on), flag_keys(flags_off)):
                 assert on <= off
+
+    def test_pruning_only_removes_flags_on_shared_thresholds(self):
+        # Metamorphic: with one provider both searches read the same tables
+        # and maxlen, so pruning can only drop an observation's flags.
+        with_flags = pruned_away = 0
+        for seed in range(60):
+            ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=5)
+            model = empirical_model(ds)
+            provider = ThresholdProvider(model, ds.n, 0.05)
+            _, _, pruned = run_analysis(ds, model, RunConfig(prune=True), provider)
+            _, _, full = run_analysis(ds, model, RunConfig(prune=False), provider)
+            for on, off in zip(flag_keys(pruned), flag_keys(full)):
+                assert on <= off
+            with_flags += bool(pruned.records)
+            pruned_away += len(pruned.records) < len(full.records)
+        # the inclusion is tested on flagged rows, and is strict on some
+        assert with_flags >= 10 and pruned_away >= 1
 
     def test_apriori_monotonicity_of_supports(self):
         rng = np.random.default_rng(41)
