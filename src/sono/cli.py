@@ -163,14 +163,10 @@ def cmd_score(args: argparse.Namespace) -> int:
                             np.column_stack([report.scores, report.depths]), flags.group)
             _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
                             ds.variable_names, report.contributions, flags.group)
-        if "svg" in cfg.format:
-            from .plots import score_depth_scatter_svg
-            score_depth_scatter_svg(
-                report.depths, report.scores,
-                os.path.join(cfg.out, "score_vs_depth.svg"))
         if "json" in cfg.format:
             # Timings go under "results", next to runtime_s, so every block
             # but "config" and "results" is the same on each run of an input.
+            # write_s covers the CSV files, written before run.json and the SVG.
             timings = {"read_s": t_read - t_start, "model_s": t_model - t_read,
                        **info.timings, "write_s": time.perf_counter() - t_write}
             run_doc = {
@@ -208,6 +204,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             }
             with open(os.path.join(cfg.out, "run.json"), "w") as fh:
                 json.dump(run_doc, fh, indent=2)
+        if "svg" in cfg.format:
+            from .plots import score_depth_scatter_svg
+            score_depth_scatter_svg(
+                report.depths, report.scores,
+                os.path.join(cfg.out, "score_vs_depth.svg"))
     except OSError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

@@ -10,10 +10,11 @@ full grid of a table.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,22 +49,17 @@ class RowGroups(NamedTuple):
     weight: np.ndarray  # (distinct,) int64: each distinct row's multiplicity
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal keys, numbering the groups by first appearance: the index
-    of each group's first key, in that order, and each key's group."""
+def _group_rows(codes: np.ndarray) -> RowGroups:
+    """Group the rows of a C-contiguous code matrix by their bytes, one opaque
+    key per row, which sorts faster than rows; groups are numbered by first
+    appearance."""
+    keys = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
-
-
-def _group_rows(codes: np.ndarray) -> RowGroups:
-    """Group the rows of a C-contiguous code matrix by their bytes, one opaque
-    key per row, which sorts faster than rows."""
-    first, group = _first_appearance(
-        codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel())
-    return RowGroups(codes[first], group, np.bincount(group))
+    group = rank[inverse]
+    return RowGroups(codes[first[order]], group, np.bincount(group))
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,8 @@ class Dataset:
     """n observations of p nominal variables, level-coded 1..level_counts[i].
 
     `row_groups` groups the identical rows. `load_dataset` and `read_csv`
-    pass the grouping they find while encoding as `grouping`; otherwise it
-    is computed from the codes on first use.
+    store the grouping they find while encoding; otherwise it is computed
+    from the codes on first use.
     """
 
     codes: np.ndarray  # (n, p) int32, 1-based
@@ -80,9 +76,8 @@ class Dataset:
     variable_names: tuple[str, ...]
     level_labels: tuple[tuple[str, ...], ...]
     dropped_rows: int = 0
-    grouping: InitVar[RowGroups | None] = None
 
-    def __post_init__(self, grouping):
+    def __post_init__(self):
         codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int32))
         object.__setattr__(self, "codes", codes)
         n, p = codes.shape if codes.ndim == 2 else (0, 0)
@@ -101,14 +96,6 @@ class Dataset:
                     f"codes of variable {self.variable_names[i]} outside 1..{l}"
                 )
         codes.setflags(write=False)
-        if grouping is not None:
-            rows, group, weight = grouping
-            if not (group.shape == (n,) and rows.shape == (weight.size, p)
-                    and np.array_equal(np.bincount(group, minlength=weight.size), weight)
-                    and all(np.array_equal(rows[:, j][group], codes[:, j])
-                            for j in range(p))):
-                raise IngestionError("row grouping does not match the codes")
-            self.__dict__["row_groups"] = grouping
 
     @cached_property
     def row_groups(self) -> RowGroups:
@@ -138,10 +125,10 @@ class Dataset:
                 raise DomainError(f"duplicate level label for {self.variable_names[i]}")
             labels.append(merged)
             counts.append(len(merged))
-        return replace(
-            self, level_counts=tuple(counts), level_labels=tuple(labels),
-            grouping=self.row_groups,
-        )
+        out = replace(self, level_counts=tuple(counts), level_labels=tuple(labels))
+        if "row_groups" in self.__dict__:  # the codes are the same
+            out.__dict__["row_groups"] = self.row_groups
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,7 +191,7 @@ class ProbabilityModel:
         return len(self.pi)
 
 
-def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None = None,
+def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None = None,
                  variable_names: Sequence[str] | None = None) -> Dataset:
     """Encode a rectangular table of strings into a Dataset.
 
@@ -213,29 +200,25 @@ def load_dataset(rows: Sequence[Sequence[str]], options: IngestionOptions | None
     Raw strings are matched exactly (no case or whitespace normalization).
     Every name in options.drop_cols must name a column.
 
-    Identical rows are checked, cleaned and encoded once: the distinct rows,
-    in first-appearance order, meet every level in the order the rows do.
+    `rows` is read once, as a stream, and only its distinct rows are kept:
+    they are checked, cleaned and encoded once each, in first-appearance
+    order, so they meet every level in the order the rows do. The grouping
+    becomes the Dataset's `row_groups`.
     """
     opts = options or IngestionOptions()
-    rows = list(rows)
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise EmptyDatasetError("empty input table")
     if opts.header:
-        names = [str(c) for c in rows[0]]
-        body = rows[1:]
+        names = [str(c) for c in first]
     else:
         names = list(variable_names) if variable_names else None
-        body = rows
+        rows = itertools.chain([first], rows)
     index: dict[tuple, int] = {}
-    group = np.array([index.setdefault(tuple(r), len(index)) for r in body],
-                     dtype=np.intp)
-    return _encode(list(index), group, names, opts)
-
-
-def _encode(distinct: list[tuple], group: np.ndarray, names: list[str] | None,
-            opts: IngestionOptions) -> Dataset:
-    """Encode body rows given once each: `distinct` holds the distinct rows in
-    first-appearance order and row i of the body is distinct[group[i]]."""
+    group = np.fromiter((index.setdefault(tuple(r), len(index)) for r in rows),
+                        dtype=np.intp)
+    distinct = list(index)
     width = len(distinct[0]) if distinct else (len(names) if names else 0)
     if width == 0:
         raise EmptyDatasetError("empty input table")
@@ -256,7 +239,7 @@ def _encode(distinct: list[tuple], group: np.ndarray, names: list[str] | None,
         raise EmptyDatasetError("all columns dropped")
     names = [names[j] for j in keep]
     if len(keep) < width:  # rows that differ only in dropped columns become one
-        index: dict[tuple, int] = {}
+        index = {}
         merged = np.array([index.setdefault(tuple(r[j] for j in keep), len(index))
                            for r in distinct], dtype=np.intp)
         distinct, group = list(index), merged[group]
@@ -284,51 +267,28 @@ def _encode(distinct: list[tuple], group: np.ndarray, names: list[str] | None,
                               dtype=np.int32)
     row_kept = kept[group]
     group = (np.cumsum(kept) - 1)[group[row_kept]]
-    return Dataset(
+    ds = Dataset(
         codes=distinct_codes[group],
         level_counts=tuple(len(v) for v in vocab),
         variable_names=tuple(names),
         level_labels=tuple(tuple(v) for v in vocab),
         dropped_rows=int(row_kept.size - group.size),
-        grouping=RowGroups(distinct_codes, group,
-                           np.bincount(group, minlength=len(cleaned))),
     )
+    ds.__dict__["row_groups"] = RowGroups(distinct_codes, group,
+                                          np.bincount(group, minlength=len(cleaned)))
+    return ds
 
 
 def read_csv(path, options: IngestionOptions | None = None) -> Dataset:
     """Read a delimited UTF-8 text file and encode it; blank lines are skipped.
 
-    Each distinct line is parsed once, and lines that parse to the same
-    record (one record ended by LF, CRLF or CR) are one row group. A record
-    can span lines only through a quoted field, so a file with the quote
-    character in any line is parsed whole instead.
+    The records stream into `load_dataset`, which keeps each distinct one
+    once; a record ended by LF, CRLF or CR is the same record.
     """
     opts = options or IngestionOptions()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines: dict[str, int] = {}
-        line_of_row = np.array([lines.setdefault(line, len(lines)) for line in fh],
-                               dtype=np.intp)
-        if any('"' in line for line in lines):
-            del lines, line_of_row
-            fh.seek(0)
-            return load_dataset([r for r in csv.reader(fh, delimiter=opts.delimiter) if r],
-                                opts)
-    records: dict[tuple, int] = {}
-    record_of_line = np.array(
-        [records.setdefault(tuple(r), len(records)) if r else -1
-         for r in csv.reader(lines, delimiter=opts.delimiter)], dtype=np.intp)
-    del lines
-    rows = record_of_line[line_of_row]
-    rows = rows[rows >= 0]  # blank lines parse to no record
-    if not rows.size:
-        raise EmptyDatasetError("empty input table")
-    distinct = list(records)
-    names = None
-    if opts.header:
-        names = list(distinct[rows[0]])
-        rows = rows[1:]
-    first, group = _first_appearance(rows)
-    return _encode([distinct[k] for k in rows[first].tolist()], group, names, opts)
+        return load_dataset((r for r in csv.reader(fh, delimiter=opts.delimiter) if r),
+                            opts)
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sono import (DomainError, EmptyDatasetError, IngestionError,
                   IngestionOptions, Itemset, ProbabilityModel, cell_probability,
                   empirical_model, load_dataset, read_csv, user_model)
-from sono.data import RowGroups, _group_rows
+from sono.data import _group_rows
 
 from conftest import make_dataset
 
@@ -362,8 +362,9 @@ def csv_texts(draw):
 
 
 class TestReadCsv:
-    """read_csv parses each distinct line once; it must read a file exactly
-    as load_dataset reads the file's records, blank lines skipped."""
+    """read_csv streams records and keeps each distinct one once; it must read
+    a file exactly as load_dataset reads the list of its records, blank lines
+    skipped."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts(),
@@ -391,7 +392,7 @@ class TestReadCsv:
         'A,B\n"a",b\na,b\n',                  # quoted and bare, one value
         'A,B\nx,"1,2"\nx,1\n',
     ])
-    def test_quoted_files_are_parsed_whole(self, text):
+    def test_quoted_records(self, text):
         assert_reads_like_whole_file(text, IngestionOptions())
 
     @pytest.mark.parametrize("text, idx", [
@@ -457,9 +458,3 @@ class TestRowGroups:
         assert moved.row_groups.group.tolist() == [0, 0, 1]
         extended = ds.with_extended_levels([("c",)])
         assert extended.row_groups is ds.row_groups
-
-    def test_grouping_must_match_the_codes(self, toy_table):
-        wrong = RowGroups(np.array([[1, 1]], dtype=np.int32), np.zeros(3, dtype=np.intp),
-                          np.array([3]))
-        with pytest.raises(IngestionError, match="row grouping"):
-            dataclasses.replace(toy_table, grouping=wrong)

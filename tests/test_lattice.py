@@ -191,16 +191,6 @@ class TestSearchSemantics:
                         assert not a.contains(b)
 
     def test_prune_subset_of_no_prune(self):
-        rng = np.random.default_rng(37)
-        for _ in range(5):
-            ds = random_dataset(rng, n_max=80, p_max=5)
-            model = empirical_model(ds)
-            _, _, flags_on = run_analysis(ds, model, RunConfig(prune=True))
-            _, _, flags_off = run_analysis(ds, model, RunConfig(prune=False))
-            for on, off in zip(flag_keys(flags_on), flag_keys(flags_off)):
-                assert on <= off
-
-    def test_pruning_only_removes_flags_on_shared_thresholds(self):
         # Metamorphic: with one provider both searches read the same tables
         # and maxlen, so pruning can only drop an observation's flags.
         with_flags = pruned_away = 0
@@ -208,12 +198,12 @@ class TestSearchSemantics:
             ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=5)
             model = empirical_model(ds)
             provider = ThresholdProvider(model, ds.n, 0.05)
-            _, _, pruned = run_analysis(ds, model, RunConfig(prune=True), provider)
-            _, _, full = run_analysis(ds, model, RunConfig(prune=False), provider)
-            for on, off in zip(flag_keys(pruned), flag_keys(full)):
+            _, _, flags_on = run_analysis(ds, model, RunConfig(prune=True), provider)
+            _, _, flags_off = run_analysis(ds, model, RunConfig(prune=False), provider)
+            for on, off in zip(flag_keys(flags_on), flag_keys(flags_off)):
                 assert on <= off
-            with_flags += bool(pruned.records)
-            pruned_away += len(pruned.records) < len(full.records)
+            with_flags += bool(flags_on.records)
+            pruned_away += len(flags_on.records) < len(flags_off.records)
         # the inclusion is tested on flagged rows, and is strict on some
         assert with_flags >= 10 and pruned_away >= 1
 
