@@ -118,7 +118,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
         level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
     t_start = time.perf_counter()
-    ds = read_csv(cfg.input, opts)
+    try:
+        ds = read_csv(cfg.input, opts)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read input file: {exc}") from exc
     t_read = time.perf_counter()
     if ds.dropped_rows:
         print(f"dropped {ds.dropped_rows} rows with missing values", file=sys.stderr)

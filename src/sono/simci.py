@@ -23,8 +23,9 @@ and bisection; the literal sweep lives on in sono.oracle as the reference.
 Each cell count is marginally binomial, so the one-cell binomial coverages on
 the same truncation bounds (_binomial_bounds) bracket the exact nu without a
 convolution: from below by Bonferroni, from above by the least-covered cell.
-Their product seeds find_c's gallop, and the bracket settles most of the
-maxlen rule's single nu(t+1) questions (sono.thresholds) with no nu at all.
+find_c searches down from the first c whose Bonferroni bound exceeds the
+level, and the bracket settles most of the maxlen rule's single nu(t+1)
+questions (sono.thresholds) with no nu at all.
 
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
@@ -393,18 +394,6 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return hi
 
 
-def _exact_prefix_end(spec: CellSpec, method: str) -> int:
-    """Largest c in [0, n] up to which `method` computes nu exactly; 0 if none."""
-    def inexact(c: int) -> bool:
-        return not _computes_exactly(method, *truncation_bounds(spec, c)[1:])
-
-    if not inexact(spec.n):
-        return spec.n
-    if inexact(0):
-        return 0
-    return _bisect(inexact, 0, spec.n) - 1
-
-
 def _binomial_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, float, float]:
     """One-cell binomial coverages at half-width c and the bounds they put on nu(c).
 
@@ -423,19 +412,17 @@ def _binomial_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, float, float]:
     return cover, 1.0 - float(np.sum(1.0 - cover)), float(cover.min())
 
 
-def _seed_c(spec: CellSpec, level: float) -> int:
-    """Smallest c in [1, n] whose product of one-cell binomial coverages exceeds level.
+def _bonferroni_start(spec: CellSpec, level: float) -> int:
+    """Smallest c in [1, n] whose Bonferroni bound on nu exceeds level.
 
-    The coverages come from _binomial_bounds; their product treats the cells
-    as independent. On multinomial tables it sits at or a little below nu(c),
-    so the result is usually the first c with nu(c) > level or one or two
-    above it. The product is never below the Bonferroni bound, and by
-    Hoeffding each cell's tail is at most 2 exp(-2 c^2 / n), so the product
+    The bound comes from _binomial_bounds and never exceeds exact nu, so where
+    nu(c) is exact the first c with nu(c) > level lies at or below the result.
+    By Hoeffding each cell's tail is at most 2 exp(-2 c^2 / n), so the bound
     exceeds the level at the c_h below and the bisection starts from
     [0, min(c_h, n)] rather than [0, n] (at c = n every coverage is 1).
     """
     def above(c: int) -> bool:
-        return float(np.prod(_binomial_bounds(spec, c)[0])) > level
+        return _binomial_bounds(spec, c)[1] > level
 
     c_h = math.ceil(math.sqrt(spec.n * math.log(2.0 * spec.k / (1.0 - level)) / 2.0)) + 1
     return _bisect(above, 0, min(c_h, spec.n))
@@ -445,44 +432,33 @@ def _first_above(spec: CellSpec, level: float, method: str,
                  nu: dict[int, float]) -> tuple[bool, int]:
     """First j >= 1 with nu(j) > level among the c that `method` computes exactly.
 
-    Returns (True, j), or (False, c_e) when nu(c_e) <= level at the end c_e of
-    the exact prefix. nu holds nu(0) <= level on entry and every value evaluated
-    on return, nu(j - 1) and nu(j) or nu(c_e) among them. The search gallops
-    from _seed_c (the independence product of the one-cell coverages, no nu
-    evaluated) towards the crossing and then bisects, so it needs nu to be
-    nondecreasing on the prefix, which the exact convolution is. The end of
-    the prefix is looked up only when the seed lies beyond it or below the
-    crossing.
+    Returns (True, j), or (False, j) when nu(j) <= level where the search
+    ends: at the end of the exact prefix, or at the Bonferroni start if float
+    error put it below the crossing. nu holds nu(0) <= level on entry and
+    every value evaluated on return, nu(j - 1) and nu(j) among them. The
+    search gallops down from _bonferroni_start, or from the end of the exact
+    prefix if the start lies beyond it, and bisects: exact nu is
+    nondecreasing on the prefix.
     """
     def above(c: int) -> bool:
         if c not in nu:
             nu[c] = coverage_probability(spec, c, method)
         return nu[c] > level
 
-    hi = _seed_c(spec, level)
-    c_e = None
-    if not _computes_exactly(method, *truncation_bounds(spec, hi)[1:]):
-        c_e = hi = _exact_prefix_end(spec, method)
-        if c_e == 0:
-            return False, 0
-    step = 1
-    if above(hi):
-        lo = hi - 1
-        while above(lo):  # nu(0) <= level ends this
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        if c_e is None:
-            c_e = _exact_prefix_end(spec, method)
-        lo = hi
-        while True:
-            if lo == c_e:
-                return False, c_e
-            hi = min(lo + step, c_e)
-            if above(hi):
-                break
-            lo, step = hi, 2 * step
-    return True, _bisect(above, lo, hi)
+    def inexact(c: int) -> bool:
+        return not _computes_exactly(method, *truncation_bounds(spec, c)[1:])
+
+    hi = _bonferroni_start(spec, level)
+    if inexact(hi):
+        hi = _bisect(inexact, 0, hi) - 1  # at c = 0 every width is 0 or 1: exact
+        if not above(hi):
+            return False, hi
+    lo, step = hi - 1, 1
+    while above(lo):  # nu(0) <= level ends this
+        hi, step = lo, 2 * step
+        lo = max(hi - step, 0)
+    j = _bisect(above, lo, hi)
+    return above(j), j
 
 
 def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, float]:
@@ -495,10 +471,11 @@ def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, flo
     If nu(0) already reaches the level, (0, 0.0) is returned.
 
     The values of c where nu comes from the exact convolution form a prefix
-    [0, c_e] (see _exact_prefix_end). Exact nu is nondecreasing, so there the
-    first j is found by galloping and bisection in O(log n) evaluations and
-    the clamp changes nothing. Only if nu(c_e) is still below the level does
-    the literal sweep run, from c_e on.
+    [0, c_e] (see _computes_exactly). Exact nu is nondecreasing, so there the
+    first j is found by galloping down from the Bonferroni start and
+    bisecting, in O(log n) evaluations, and the clamp changes nothing. Only
+    if nu is still below the level where that search ends does the literal
+    sweep run, from there on.
     """
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must be in (0, 1)")

@@ -17,8 +17,8 @@ from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
                      random_dataset, reference_maxlen, simultaneous_intervals,
                      sweep_find_c, walker)
-from .simci import (CellSpec, _binomial_bounds, coverage_probability, find_c,
-                    truncation_bounds)
+from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _computes_exactly,
+                    coverage_probability, find_c, truncation_bounds)
 from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
@@ -56,7 +56,10 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     on the battery and on flare-shaped tables where auto's find_c crosses
     into Edgeworth. The fast path's own exact nu (product tree) must match
     the oracle's cell-by-cell convolution within 1e-12, and find_c must
-    return the literal clamped sweep's c, with gamma within 1e-9. Exact nu
+    return the literal clamped sweep's c, with gamma within 1e-9, and wherever
+    nu is exact at find_c's Bonferroni start, the start must bound c + 1 (the
+    sweep check alone would not see a broken bound: find_c would fall back to
+    the sweep, still right but slower). Exact nu
     must lie within its one-cell binomial bracket (_binomial_bounds, which
     settles the maxlen rule without nu) within 1e-12; how often the Edgeworth
     kernel leaves that bracket is reported, as the rule never uses it there.
@@ -103,12 +106,20 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     worst_c = 0
     sweep_misses = []
     worst_gamma = 0.0
+    starts = []  # (exact at the start, c + 1 <= start) per find_c call
+
+    def searched(spec, level, method):
+        c, start = find_c(spec, level, method), _bonferroni_start(spec, level)
+        starts.append((_computes_exactly(method, *truncation_bounds(spec, start)[1:]),
+                       c[0] + 1 <= start))
+        return c
+
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for level in (0.90, 0.95):
             found = {}
             for method in ("exact", "auto"):
-                found[method] = find_c(spec, level, method)
+                found[method] = searched(spec, level, method)
                 c_ref, gamma_ref = sweep_find_c(spec, level, method)
                 if found[method][0] != c_ref:
                     sweep_misses.append(f"k={k} n={n} {shape} {level} {method}")
@@ -117,16 +128,19 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     crossing = ((7, 6, 4, 2), (6, 4, 3, 3), (7, 6, 4, 3))
     for levels in crossing:
         spec = kronecker_spec(levels, 1389, seed=3)
-        worst_c = max(worst_c, abs(find_c(spec, 0.9, "auto")[0]
-                                   - find_c(spec, 0.9, "exact")[0]))
+        worst_c = max(worst_c, abs(searched(spec, 0.9, "auto")[0]
+                                   - searched(spec, 0.9, "exact")[0]))
     checks.append(("c agreement", worst_c <= 1,
                    f"max |c_auto - c_exact| = {worst_c} over the battery and "
                    f"{len(crossing)} tables crossing into Edgeworth (tol 1)"))
+    start_misses = sum(exact and not bounds for exact, bounds in starts)
     checks.append(("find_c against the literal sweep",
-                   not sweep_misses and worst_gamma <= 1e-9,
+                   not sweep_misses and worst_gamma <= 1e-9 and not start_misses,
                    f"{len(sweep_misses)} c mismatches"
                    + (f" ({', '.join(sweep_misses[:3])})" if sweep_misses else "")
-                   + f"; max |gamma - gamma_sweep| = {worst_gamma:.2e} (tol 1e-9)"))
+                   + f"; max |gamma - gamma_sweep| = {worst_gamma:.2e} (tol 1e-9); "
+                   f"Bonferroni start below c + 1 at {start_misses} of "
+                   f"{sum(exact for exact, _ in starts)} exact-path starts"))
     return checks
 
 

@@ -208,6 +208,19 @@ class TestScoreCommand:
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("kind", ["latin-1", "long field", "directory"])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "in.csv"
+        if kind == "latin-1":
+            path.write_bytes("A,B\ncaf\u00e9,x\ntea,y\n".encode("latin-1"))
+        elif kind == "long field":
+            path.write_text("A,B\n" + "x" * (csv.field_size_limit() + 1) + ",y\n")
+        else:
+            path.mkdir()
+        assert main(["score", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ingestion error: cannot read input file")
+
     def test_no_input_given(self):
         assert main(["score"]) == 2
 

@@ -10,8 +10,9 @@ from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
                   coverage_probability, edgeworth_sum_density, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
 from sono.oracle import sweep_find_c
-from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _coverage_edgeworth,
-                        _exact_prefix_end, truncation_bounds)
+import sono.simci
+from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
+                        _coverage_edgeworth, truncation_bounds)
 from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
 
 
@@ -296,8 +297,26 @@ class TestFastExactCoverage:
             c_ref, gamma_ref = sweep_find_c(spec, 0.9, method)
             assert c == c_ref
             assert gamma == pytest.approx(gamma_ref, abs=1e-9)
-        crosses = _exact_prefix_end(spec, "auto") <= find_c(spec, 0.9, "auto")[0]
+        c = find_c(spec, 0.9, "auto")[0]
+        crosses = not _computes_exactly("auto", *truncation_bounds(spec, c + 1)[1:])
         assert crosses == (levels != (7, 6, 4))
+
+    @pytest.mark.parametrize("below_crossing", [False, True])
+    def test_find_c_from_a_start_below_the_crossing(self, monkeypatch, below_crossing):
+        # The Bonferroni start never lies below the crossing c + 1 where nu is
+        # exact; a start that does (1, or c) takes the fallback sweep, which
+        # must return the same (c, gamma) to the bit.
+        specs = [battery_spec(*args) for args in NU_BATTERY]
+        specs.append(kronecker_spec((7, 6, 4, 2), 1389, 3))
+        for spec in specs:
+            for level in (0.9, 0.95):
+                for method in ("auto", "exact"):
+                    c, gamma = find_c(spec, level, method)
+                    start = max(c, 1) if below_crossing else 1
+                    with monkeypatch.context() as m:
+                        m.setattr(sono.simci, "_bonferroni_start", lambda *_: start)
+                        got = find_c(spec, level, method)
+                    assert (got[0], got[1].hex()) == (c, gamma.hex()), (spec, level, method)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 60), st.integers(5, 400), st.integers(0, 2 ** 32 - 1),
