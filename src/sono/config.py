@@ -43,8 +43,9 @@ class RunConfig:
     def validate(self, p: int | None = None) -> None:
         if self.mode not in ("infrequent", "frequent"):
             raise DomainError(f"mode must be infrequent or frequent, got {self.mode!r}")
-        if not (0.0 < self.alpha <= 0.5):
-            raise DomainError("alpha must be in (0, 0.5]")
+        if not 0.0 < 1.0 - 2.0 * self.alpha < 1.0:  # NaN fails too
+            raise DomainError(f"alpha must leave a confidence level 1 - 2*alpha in (0, 1), "
+                              f"got alpha {self.alpha!r}")
         if not self.r > 0:  # NaN fails too
             raise DomainError("r must be > 0")
         if self.max_len is not None:

@@ -1,19 +1,21 @@
-"""Support counting and pruned traversal of the itemset lattice.
+"""Support counting and a pruned, level-wise walk of the itemset lattice.
 
-Infrequent mode walks lengths 1..maxlen bottom-up and, with pruning on, never
-tests a cell that contains an already-flagged itemset (supersets of flagged
-itemsets are dropped). Frequent mode walks maxlen..1 top-down; with pruning
-on, every subset of a flagged itemset is marked flagged without testing and
-still recorded with its true support and threshold.
+Both searches are one walk (`_walk`) over the subsets of the variables, one
+size at a time: infrequent mode goes up from size 1 and, with pruning on,
+never tests a cell that contains an already-flagged itemset; frequent mode
+goes down from maxlen and, with pruning on, marks every subset of a flagged
+itemset flagged without testing it, still recorded with its true support
+and threshold.
 
-A row's flags depend only on its levels, so the search runs over the
-distinct rows of the data (`Dataset.row_groups`), each weighted by how often
-it occurs: a cell's support is the weighted count of the distinct rows that
-hold it. Pruning state is kept per (subset, distinct row) as boolean masks:
-bottom-up, whether the row's cell contains a flagged itemset; top-down,
-whether it is flagged. A row's cell is its projection, so the masks
-propagate level by level with ORs over neighbouring subsets. Both searches
-return a `Flags` table.
+A row's flags depend only on its levels, so the walk runs over the distinct
+rows of the data (`Dataset.row_groups`), each weighted by how often it
+occurs: a cell's support is the weighted count of the distinct rows that
+hold it. The one kept state is a boolean mask per (subset, distinct row) of
+the previous size, keyed by the subset's variable bitmask: the rows whose
+cell is decided (in infrequent mode it contains a flagged itemset, in
+frequent mode it lies under one) or flagged. A row's cell is its
+projection, so a subset's decided rows are the OR of the masks of its
+neighbours one variable away. Both searches return a `Flags` table.
 
 A subset's observed cells are grouped by `subset_codes`, an integer key that
 only this module knows; each cell's levels, which price it and name its
@@ -116,103 +118,85 @@ def _observed_cells(codes: np.ndarray, weight: np.ndarray, level_counts: Sequenc
     return codes[rep[:, None], subset], inv, supports
 
 
-def _neighbour_mask(masks: dict[tuple[int, ...], np.ndarray], subset: tuple[int, ...],
-                    p: int, n: int, up: bool) -> np.ndarray:
-    """OR of the row masks of the drop-one subsets of `subset` (or, with `up`,
-    of its add-one supersets); neighbours without a mask add nothing."""
-    if up:
-        near = (tuple(sorted(subset + (j,))) for j in range(p) if j not in subset)
-    else:
-        near = (subset[:d] + subset[d + 1:] for d in range(len(subset)))
-    out = np.zeros(n, dtype=bool)
-    for other in near:
-        mask = masks.get(other)
-        if mask is not None:
-            out |= mask
-    return out
+def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
+          mode: str) -> tuple[Flags, SearchStats]:
+    """Visit sizes 1..maxlen in infrequent mode, maxlen..1 in frequent mode.
 
+    With pruning on, a visited subset keeps its decided rows and the rows of
+    its flagged cells. Infrequent mode alone skips a subset whose rows are
+    all decided (keeping them all) and stops at a size where it visited
+    nothing: every larger subset is then all decided too.
+    """
+    codes, group, weight = ds.row_groups
+    rows, p = codes.shape
+    top = min(maxlen, p)
+    infrequent = mode == "infrequent"
+    stats = SearchStats()
+    records: list[FlagRecord] = []
+    flag_rows: list[np.ndarray] = []
+    flag_cells: list[np.ndarray] = []
+    prev: dict[int, np.ndarray] = {}  # kept rows per variable bitmask, one size
+    for size in range(1, top + 1) if infrequent else range(top, 0, -1):
+        cur: dict[int, np.ndarray] = {}
+        visited = False
+        for subset in itertools.combinations(range(p), size):
+            bits = sum(1 << j for j in subset)
+            near = np.zeros(rows, dtype=bool)
+            for j in range(p):
+                kept = prev.get(bits ^ (1 << j))
+                if kept is not None:
+                    near |= kept
+            if infrequent and near.all():
+                stats.subsets_skipped += 1
+                cur[bits] = near
+                continue
+            visited = True
+            levels, inv, counts = _observed_cells(codes, weight, ds.level_counts, subset)
+            stats.subsets_materialized += 1
+            stats.deepest_level_tested = max(stats.deepest_level_tested, size)
+            decided = np.zeros(counts.size, dtype=bool)
+            decided[inv[near]] = True
+            n_decided = int(decided.sum())
+            stats.cells_pruned += n_decided
+            stats.cells_tested += counts.size - n_decided
+            sigma = provider.get(subset).sigma(levels, mode)
+            if infrequent:
+                flagged = ~decided & (counts.astype(float) <= sigma)
+            else:
+                flagged = decided | (counts.astype(float) >= sigma)
+            pos = np.flatnonzero(flagged)
+            stats.cells_flagged += pos.size
+            hit = flagged[inv]
+            if pos.size:
+                cell_id = np.cumsum(flagged) - 1 + len(records)
+                for k, cell in zip(pos.tolist(), levels[pos].tolist()):
+                    records.append(FlagRecord(
+                        itemset=Itemset(tuple(zip(subset, cell))),
+                        supp=int(counts[k]),
+                        sigma=float(sigma[k]),
+                    ))
+                hit_rows = np.flatnonzero(hit)
+                flag_rows.append(hit_rows)
+                flag_cells.append(cell_id[inv[hit_rows]])
+            if prune:
+                cur[bits] = near | hit
+        if not visited:
+            break
+        prev = cur
 
-class _Search:
-    """One search's counters and the flagged cells and incidences found so far."""
-
-    def __init__(self, ds: Dataset, provider: ThresholdProvider, mode: str):
-        self.provider, self.mode, self.level_counts = provider, mode, ds.level_counts
-        self.codes, self.group, self.weight = ds.row_groups
-        self.stats = SearchStats()
-        self.records: list[FlagRecord] = []
-        self.rows: list[np.ndarray] = []
-        self.cells: list[np.ndarray] = []
-
-    def visit(self, subset: tuple[int, ...], near: np.ndarray) -> np.ndarray:
-        """Materialize one subset's observed cells, flag them and record the flags.
-
-        A cell holding a row of `near` is decided without a test: pruned in
-        infrequent mode (it contains a flagged itemset), flagged in frequent
-        mode (it lies under one). Returns the distinct-row mask of the
-        flagged cells.
-        """
-        stats = self.stats
-        levels, inv, counts = _observed_cells(self.codes, self.weight, self.level_counts,
-                                              subset)
-        stats.subsets_materialized += 1
-        stats.deepest_level_tested = max(stats.deepest_level_tested, len(subset))
-        decided = np.zeros(counts.size, dtype=bool)
-        decided[inv[near]] = True
-        n_decided = int(decided.sum())
-        stats.cells_pruned += n_decided
-        stats.cells_tested += counts.size - n_decided
-        sigma = self.provider.get(subset).sigma(levels, self.mode)
-        if self.mode == "infrequent":
-            flagged = ~decided & (counts.astype(float) <= sigma)
-        else:
-            flagged = decided | (counts.astype(float) >= sigma)
-        pos = np.flatnonzero(flagged)
-        stats.cells_flagged += pos.size
-        hit = flagged[inv]
-        if pos.size:
-            cell_id = np.cumsum(flagged) - 1 + len(self.records)
-            for k, cell in zip(pos.tolist(), levels[pos].tolist()):
-                self.records.append(FlagRecord(
-                    itemset=Itemset(tuple(zip(subset, cell))),
-                    supp=int(counts[k]),
-                    sigma=float(sigma[k]),
-                ))
-            rows = np.flatnonzero(hit)
-            self.rows.append(rows)
-            self.cells.append(cell_id[inv[rows]])
-        return hit
-
-    def result(self) -> tuple[Flags, SearchStats]:
-        def cat(parts: list[np.ndarray]) -> np.ndarray:
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        flags = Flags(tuple(self.records), cat(self.rows), cat(self.cells), self.group)
-        return flags, self.stats
+    def cat(parts: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    return Flags(tuple(records), cat(flag_rows), cat(flag_cells), group), stats
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
                       prune: bool = True) -> tuple[Flags, SearchStats]:
-    """Bottom-up search for cells with supp <= sigma."""
-    search = _Search(ds, provider, "infrequent")
-    rows, p = search.codes.shape
-    dead_prev: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, min(maxlen, p) + 1):
-        dead_cur: dict[tuple[int, ...], np.ndarray] = {}
-        live = []
-        for subset in itertools.combinations(range(p), size):
-            dead = _neighbour_mask(dead_prev, subset, p, rows, up=False)
-            if dead.all():
-                search.stats.subsets_skipped += 1
-                dead_cur[subset] = dead
-            else:
-                live.append((subset, dead))
-        if not live:
-            break  # nothing alive at this size; supersets are dead too
-        for subset, dead in live:
-            hit = search.visit(subset, dead)
-            if prune:
-                dead_cur[subset] = dead | hit
-        dead_prev = dead_cur
-    return search.result()
+    """Bottom-up search for cells with supp <= sigma.
+
+    With pruning on, a cell that contains a flagged itemset is not tested
+    (supersets of flagged itemsets are dropped).
+    """
+    return _walk(ds, provider, maxlen, prune, "infrequent")
 
 
 def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
@@ -224,15 +208,4 @@ def search_frequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,
     cell is implied when one of its rows lies in a flagged cell, tested or
     implied, of a direct superset.
     """
-    search = _Search(ds, provider, "frequent")
-    rows, p = search.codes.shape
-    hit_prev: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(min(maxlen, p), 0, -1):
-        hit_cur: dict[tuple[int, ...], np.ndarray] = {}
-        for subset in itertools.combinations(range(p), size):
-            implied = _neighbour_mask(hit_prev, subset, p, rows, up=True)
-            hit = search.visit(subset, implied)
-            if prune:
-                hit_cur[subset] = hit
-        hit_prev = hit_cur
-    return search.result()
+    return _walk(ds, provider, maxlen, prune, "frequent")

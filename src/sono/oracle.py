@@ -41,7 +41,6 @@ class OracleConfig:
     walker_max_p: int = 8
     enum_state_cap: float = 1e6
     conv_work_cap: float = 1e7
-    seed: int = 20240901
     nu_tol: float = 2e-3
     score_rtol: float = 1e-9
 

@@ -394,14 +394,14 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return hi
 
 
-def _binomial_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, float, float]:
-    """One-cell binomial coverages at half-width c and the bounds they put on nu(c).
+def _binomial_bounds(spec: CellSpec, c: int) -> tuple[float, float]:
+    """The bounds that one-cell binomial coverages at half-width c put on nu(c).
 
     Each cell count is Binomial(n, p_i), so cover_i = P(a_i <= X_i <= b_i) on
     the snapped truncation bounds that nu itself uses. nu(c) is the
     probability that every cell is covered, so it lies between the Bonferroni
     bound 1 - sum_i (1 - cover_i) and min_i cover_i. Both bound the exact nu,
-    not its Edgeworth approximation. Returns (cover, lower, upper).
+    not its Edgeworth approximation. Returns (lower, upper).
     """
     from scipy.special import bdtr
 
@@ -409,7 +409,7 @@ def _binomial_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, float, float]:
     p = spec.probs
     low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
     cover = bdtr(b, spec.n, p) - low
-    return cover, 1.0 - float(np.sum(1.0 - cover)), float(cover.min())
+    return 1.0 - float(np.sum(1.0 - cover)), float(cover.min())
 
 
 def _bonferroni_start(spec: CellSpec, level: float) -> int:
@@ -422,7 +422,7 @@ def _bonferroni_start(spec: CellSpec, level: float) -> int:
     [0, min(c_h, n)] rather than [0, n] (at c = n every coverage is 1).
     """
     def above(c: int) -> bool:
-        return _binomial_bounds(spec, c)[1] > level
+        return _binomial_bounds(spec, c)[0] > level
 
     c_h = math.ceil(math.sqrt(spec.n * math.log(2.0 * spec.k / (1.0 - level)) / 2.0)) + 1
     return _bisect(above, 0, min(c_h, spec.n))

@@ -152,7 +152,7 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     spec = _cell_spec(model, n, subset, max_cells)
     exact = _computes_exactly(method, *truncation_bounds(spec, t + 1)[1:])
     if exact:
-        _, lower, upper = _binomial_bounds(spec, t + 1)
+        lower, upper = _binomial_bounds(spec, t + 1)
         if lower > level + _BOUND_MARGIN:
             return True
         if upper < level - _BOUND_MARGIN:
@@ -194,12 +194,13 @@ def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
 _DECISION_PREFIX = "maxlen:"
 
 
-def _valid_spill_entry(key: str, value, p: int) -> bool:
-    """A spilled (c, gamma) pair: an integer c >= 0 and a finite gamma. A
-    spilled maxlen decision, [maxlen, violating_subset]: an integer maxlen in
-    [1, p] and a violating subset that determine_maxlen can return with it,
-    None only at maxlen p, else strictly increasing column indices, maxlen + 1
-    of them (or one, when size 1 already fails)."""
+def _valid_spill_entry(key: str, value, p: int, n: int) -> bool:
+    """A spilled (c, gamma) pair that find_c can return: an integer c in
+    [0, n) and a gamma in [0, 1]. A spilled maxlen decision, [maxlen,
+    violating_subset]: an integer maxlen in [1, p] and a violating subset
+    that determine_maxlen can return with it, None only at maxlen p, else
+    strictly increasing column indices, maxlen + 1 of them (or one, when size
+    1 already fails)."""
     if not isinstance(value, list) or len(value) != 2:
         return False
     if key.startswith(_DECISION_PREFIX):
@@ -213,8 +214,7 @@ def _valid_spill_entry(key: str, value, p: int) -> bool:
                 and all(type(j) is int and 0 <= j < p for j in subset)
                 and all(a < b for a, b in zip(subset, subset[1:])))
     c, gamma = value
-    return (type(c) is int and c >= 0 and type(gamma) in (int, float)
-            and math.isfinite(gamma))
+    return type(c) is int and 0 <= c < n and type(gamma) in (int, float) and 0 <= gamma <= 1
 
 
 class ThresholdProvider:
@@ -260,7 +260,7 @@ class ThresholdProvider:
             self._unsaved = True
             return {}
         bad = {key: value for key, value in spilled.items()
-               if not _valid_spill_entry(key, value, self.model.p)}
+               if not _valid_spill_entry(key, value, self.model.p, self.n)}
         if bad:
             key = next(iter(bad))
             log.warning("ignoring threshold cache %s: %d malformed entries (first: %r: %r); "

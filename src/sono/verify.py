@@ -77,7 +77,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
         spec = battery_spec(k, n, shape)
         for c in range(0, n + 1):
             exact = exact_nu(spec, c, config)
-            _, lower, upper = _binomial_bounds(spec, c)
+            lower, upper = _binomial_bounds(spec, c)
             if not lower - 1e-12 <= exact <= upper + 1e-12:
                 bracket_misses.append(f"k={k} n={n} {shape} c={c}")
             dev = abs(coverage_probability(spec, c, "auto") - exact)

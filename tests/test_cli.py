@@ -340,12 +340,17 @@ class TestScoreCommand:
         assert f"ingestion error: config file option {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
-    @pytest.mark.parametrize("option, message", [("--r", "r must be > 0"),
-                                                 ("--max-cells", "max-cells must be a number")])
-    def test_nan_option_rejected(self, sample_csv, tmp_path, capsys, option, message):
+    @pytest.mark.parametrize("option, value, message", [
+        ("--r", "nan", "r must be > 0"),
+        ("--max-cells", "nan", "max-cells must be a number"),
+        # alphas that leave no confidence level 1 - 2*alpha in (0, 1) used to
+        # pass validation and fail inside find_c
+        ("--alpha", "0.5", "alpha must leave a confidence level"),
+        ("--alpha", "1e-300", "alpha must leave a confidence level")])
+    def test_nan_option_rejected(self, sample_csv, tmp_path, capsys, option, value, message):
         # a NaN r used to write NaN scores and exit 0
         out = tmp_path / "out"
-        assert main(["score", "--input", sample_csv, "--out", str(out), option, "nan"]) == 1
+        assert main(["score", "--input", sample_csv, "--out", str(out), option, value]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 

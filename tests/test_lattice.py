@@ -177,6 +177,15 @@ class TestSearchSemantics:
         flags, stats = search_infrequent(ds, provider, maxlen=2, prune=True)
         assert stats.subsets_materialized == 2  # the two singletons only
         assert stats.subsets_skipped == 1
+        # p=3 with every singleton cell of X1 and X2 flagged: the three pairs
+        # are dead, so the search stops there and never reaches the triple
+        ds = make_dataset([[1, 1, 1], [2, 2, 2], [1, 2, 1], [2, 1, 2]])
+        provider = StubProvider(
+            {((j,), (lev,)): 10.0 for j in (0, 1) for lev in (1, 2)},
+            default_sigma=-1.0)
+        flags, stats = search_infrequent(ds, provider, maxlen=3, prune=True)
+        assert stats.subsets_materialized == 3  # the three singletons only
+        assert stats.subsets_skipped == 3
 
     def test_antichain_under_pruning(self):
         rng = np.random.default_rng(31)

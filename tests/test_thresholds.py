@@ -247,7 +247,7 @@ class TestDetermineMaxlen:
         model, level = model_of(probs), 0.9
         t = math.floor(n * min(probs) - SIGMA_FLOOR + 1e-9)
         spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=n)
-        _, lower, upper = _binomial_bounds(spec, t + 1)
+        lower, upper = _binomial_bounds(spec, t + 1)
         assert lower < level + _BOUND_MARGIN and upper > level - _BOUND_MARGIN
         assert _computes_exactly("auto", *truncation_bounds(spec, t + 1)[1:])
         expected = reference_maxlen(model, n, 0.05, "all-cells")
@@ -297,7 +297,10 @@ class TestThresholdProvider:
         assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
 
     @pytest.mark.parametrize("content", ["{not json", "[]", '{"0,1": 5}',
-                                         '{"0,1": ["x", 1]}'])
+                                         '{"0,1": ["x", 1]}',
+                                         # (c, gamma) that find_c cannot return at n = 60
+                                         '{"0,1": [60, 0.5]}', '{"0,1": [3, 1.5]}',
+                                         '{"0,1": [3, -0.1]}'])
     def test_corrupt_spill_file_warns_and_recomputes(self, tmp_path, caplog, content):
         model = model_of([0.5, 0.5], [0.3, 0.7])
         pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
