@@ -167,8 +167,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
                             ds.variable_names, report.contributions, flags.group)
         if "json" in cfg.format:
-            # Timings go under "results", next to runtime_s, so every block
-            # but "config" and "results" is the same on each run of an input.
+            # Timings and table counts go under "results", next to runtime_s,
+            # so every block but "config" and "results" is the same on each run
+            # of an input (a warm run serves from the spill file what a cold
+            # one computed).
             # write_s covers the CSV files, written before run.json and the SVG.
             timings = {"read_s": t_read - t_start, "model_s": t_model - t_read,
                        **info.timings, "write_s": time.perf_counter() - t_write}
@@ -203,6 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                     "max_score": float(report.scores.max()),
                     "runtime_s": info.runtime_s,
                     "timings": timings,
+                    "tables": info.tables,
                 },
             }
             with open(os.path.join(cfg.out, "run.json"), "w") as fh:

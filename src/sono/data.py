@@ -195,7 +195,8 @@ def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None
                  variable_names: Sequence[str] | None = None) -> Dataset:
     """Encode a rectangular table of strings into a Dataset.
 
-    With header=True the first row names the variables. Levels are coded in
+    With header=True the first row names the variables, and a record of
+    another width is reported as ragged. Levels are coded in
     first-appearance order unless options.level_order == "lexicographic".
     Raw strings are matched exactly (no case or whitespace normalization).
     Every name in options.drop_cols must name a column.
@@ -219,7 +220,10 @@ def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None
     group = np.fromiter((index.setdefault(tuple(r), len(index)) for r in rows),
                         dtype=np.intp)
     distinct = list(index)
-    width = len(distinct[0]) if distinct else (len(names) if names else 0)
+    if opts.header:
+        width = len(names)
+    else:
+        width = len(distinct[0]) if distinct else (len(names) if names else 0)
     if width == 0:
         raise EmptyDatasetError("empty input table")
     for d, r in enumerate(distinct):

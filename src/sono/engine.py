@@ -24,6 +24,9 @@ class RunInfo:
     stats: SearchStats
     c_by_size: dict[int, dict[str, float]]
     saturated_tables: int
+    # tables the provider computed and built from its spill file: "computed",
+    # "from_spill"
+    tables: dict[str, int]
     runtime_s: float
     # wall seconds of the run's phases: "maxlen_s" (provider set-up and the
     # maxlen rule), "search_s" (lattice search and its thresholds), "scoring_s"
@@ -37,8 +40,8 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
 
     A provider built for this model and the run's n, alpha, method and
     max_cells may be passed to share thresholds and maxlen decisions between
-    runs; the run's c_by_size and saturated_tables then count every table it
-    holds.
+    runs; the run's c_by_size, saturated_tables and tables then count every
+    table it holds.
     """
     cfg.validate(p=ds.p)
     t0 = time.perf_counter()
@@ -71,6 +74,8 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
         stats=stats,
         c_by_size=provider.c_summary(),
         saturated_tables=provider.saturated_tables(),
+        tables={"computed": provider.tables_computed,
+                "from_spill": provider.tables_from_spill},
         runtime_s=time.perf_counter() - t0,
         timings={"maxlen_s": t_maxlen - t0, "search_s": t_search - t_maxlen,
                  "scoring_s": t_scoring - t_search},

@@ -31,12 +31,22 @@ Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
 and b_i = min(floor(m_i+c), n).
 
-SciPy is imported inside the functions that evaluate nu: importing sono, and
-a run whose thresholds and maxlen all come from the spill file, never load it.
+SciPy is loaded only when nu or a binomial bound is first evaluated: importing
+sono, and a run whose thresholds and maxlen all come from the spill file, never
+load it. Even then the fast path needs only three compiled ufuncs (gammaln,
+pdtr, bdtr), and _ufuncs loads the compiled module that holds them without
+running scipy.special's package init, whose array-API layer imports NumPy
+submodules sono never uses. A later `import scipy.special` gets the same
+ufunc objects; if the direct load fails, _ufuncs imports scipy.special as
+usual. Only the Edgeworth kernel's dominant-cell branch imports the package,
+for logsumexp.
 """
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +105,38 @@ def _snap_int(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - r) <= _SNAP * (1.0 + np.abs(x)), r, x)
 
 
-def poisson_log_pmf(y, lam):
-    from scipy.special import gammaln
+def _ufuncs():
+    """scipy.special's compiled ufunc module, which holds gammaln, pdtr and bdtr.
 
+    The module is imported while an unexecuted module made from
+    scipy.special's own spec stands in for the package, so
+    scipy/special/__init__.py does not run; the stand-in is removed
+    afterwards, and a later `import scipy.special` runs the package init and
+    picks up this same module. Once the module is loaded, by this or by the
+    package, it is returned from sys.modules. If the direct import fails, the
+    package is imported as usual.
+    """
+    ufuncs = sys.modules.get("scipy.special._ufuncs")
+    if ufuncs is not None:
+        return ufuncs
+    if "scipy.special" not in sys.modules:
+        try:
+            spec = importlib.util.find_spec("scipy.special")  # imports scipy itself
+            stand_in = importlib.util.module_from_spec(spec)
+            sys.modules["scipy.special"] = stand_in
+            try:
+                return importlib.import_module("scipy.special._ufuncs")
+            finally:
+                if sys.modules.get("scipy.special") is stand_in:
+                    del sys.modules["scipy.special"]
+        except (ImportError, AttributeError):  # a SciPy whose layout differs
+            pass
+    import scipy.special
+    return scipy.special._ufuncs
+
+
+def poisson_log_pmf(y, lam):
+    gammaln = _ufuncs().gammaln
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     safe = np.where(lam > 0, lam, 1.0)
@@ -111,10 +150,8 @@ def poisson_log_pmf(y, lam):
 
 def _poisson_cdf(k, lam):
     """P(Y <= k) for Y ~ Poisson(lam); k may be negative."""
-    from scipy.special import pdtr
-
     k = np.asarray(k, dtype=float)
-    return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0.0), lam))
+    return np.where(k < 0, 0.0, _ufuncs().pdtr(np.maximum(k, 0.0), lam))
 
 
 def truncation_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,8 +343,6 @@ def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndar
     variance (the regime where the sum is nowhere near normal) are convolved
     exactly and only the remainder is approximated.
     """
-    from scipy.special import logsumexp
-
     cells = _cell_moment_arrays(m, a, b)
     if cells is None:
         return 0.0
@@ -333,6 +368,8 @@ def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndar
     if not top:
         fw = float(_sum_density(mean, var, k3v, k4v, float(spec.n)))
     else:
+        from scipy.special import logsumexp
+
         keep = np.ones(mu2.size, dtype=bool)
         keep[top] = False
         rest = (trivial + float(m1[keep].sum()), trivial + float(mu2[keep].sum()),
@@ -403,8 +440,7 @@ def _binomial_bounds(spec: CellSpec, c: int) -> tuple[float, float]:
     bound 1 - sum_i (1 - cover_i) and min_i cover_i. Both bound the exact nu,
     not its Edgeworth approximation. Returns (lower, upper).
     """
-    from scipy.special import bdtr
-
+    bdtr = _ufuncs().bdtr
     _, a, b = truncation_bounds(spec, c)
     p = spec.probs
     low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)

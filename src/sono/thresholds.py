@@ -219,7 +219,11 @@ def _valid_spill_entry(key: str, value, p: int, n: int) -> bool:
 
 class ThresholdProvider:
     """Caches ThresholdTables per subset and maxlen decisions per rule;
-    optionally spills (c, gamma) and the decisions to one file on disk."""
+    optionally spills (c, gamma) and the decisions to one file on disk.
+
+    `tables_computed` and `tables_from_spill` count the tables that `get`
+    computed and those it built from spilled entries; memory hits count in
+    neither."""
 
     def __init__(self, model: ProbabilityModel, n: int, alpha: float, *,
                  method: str = "auto", max_cells: float = DEFAULT_MAX_CELLS,
@@ -230,6 +234,8 @@ class ThresholdProvider:
         self.method = method
         self.max_cells = max_cells
         self._tables: dict[tuple[int, ...], ThresholdTable] = {}
+        self.tables_computed = 0
+        self.tables_from_spill = 0
         self._spill_path = None
         self._spilled: dict[str, list] = {}
         # Whether the spill file differs from _spilled: entries were added,
@@ -278,11 +284,13 @@ class ThresholdProvider:
             _check_table_cells(self.model, key, self.max_cells)
             c, gamma = self._spilled[spill_key]
             table = _table(self.model, self.n, key, int(c), float(gamma))
+            self.tables_from_spill += 1
         else:
             table = subset_thresholds(self.model, self.n, key, self.alpha,
                                       method=self.method, max_cells=self.max_cells)
             self._spilled[spill_key] = [table.c, table.gamma]
             self._unsaved = True
+            self.tables_computed += 1
         self._tables[key] = table
         return table
 

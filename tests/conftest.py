@@ -1,15 +1,29 @@
-"""Shared fixtures: tiny datasets, a stub threshold provider, UCI data discovery."""
+"""Shared fixtures: tiny datasets, a stub threshold provider, UCI data
+discovery, and fresh interpreters that import this checkout's sono."""
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sono
 from sono import Dataset, Flags, IngestionOptions, load_dataset
 from sono.prepare import RECIPES
 
 UCI_ENV = "SONO_DATA_DIR"
+SONO_PATH = os.path.dirname(os.path.dirname(os.path.abspath(sono.__file__)))
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports sono from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SONO_PATH, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def uci_raw_dir() -> str | None:

@@ -2,9 +2,6 @@ import csv
 import dataclasses
 import gc
 import json
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,19 +10,10 @@ import pytest
 import sono
 import sono.simci
 import sono.thresholds
+from conftest import run_python
 from sono.cli import main
 
 RNG = np.random.default_rng(123)
-SONO_PATH = os.path.dirname(os.path.dirname(os.path.abspath(sono.__file__)))
-
-
-def run_python(code, *args):
-    """Run `code` in a fresh interpreter that imports sono from this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SONO_PATH, *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 # Runs `sono` with the given arguments, then fails if SciPy was imported.
@@ -38,6 +26,29 @@ except SystemExit as exc:
     status = exc.code
 assert "scipy" not in sys.modules, "scipy was imported"
 sys.exit(status)
+"""
+
+# Runs a cold `sono` with the given arguments and checks that every nu was
+# exact and that the run loaded SciPy's compiled ufuncs but not the
+# scipy.special package; then that scipy.special and scipy.stats import and
+# work, the package holding the very ufuncs the run used.
+COLD_SCORE_WITHOUT_SCIPY_SPECIAL = """
+import os, sys
+os.environ.pop("SONO_CACHE_DIR", None)
+import sono.simci as simci
+from sono.cli import main
+edgeworth = []
+run_edgeworth = simci._coverage_edgeworth
+simci._coverage_edgeworth = lambda *a: edgeworth.append(a) or run_edgeworth(*a)
+assert main(sys.argv[1:]) == 0
+assert not edgeworth, "nu left the exact path"
+assert "scipy.special._ufuncs" in sys.modules
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+import scipy.special, scipy.stats
+assert simci._ufuncs() is scipy.special._ufuncs
+assert all(getattr(scipy.special, f) is getattr(simci._ufuncs(), f)
+           for f in ("gammaln", "pdtr", "bdtr"))
+assert scipy.stats.binom.cdf(2, 4, 0.5) == 0.6875
 """
 
 # Runs `sono` with the given arguments (or only imports it, given none), then
@@ -181,6 +192,18 @@ class TestScoreCommand:
         assert all(t >= 0 for t in timings.values())
         assert sum(timings[k] for k in ("maxlen_s", "search_s", "scoring_s")) \
             <= doc["results"]["runtime_s"]
+
+    def test_run_json_table_counts(self, sample_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("SONO_CACHE_DIR", str(tmp_path / "cache"))
+        counts = []
+        for name in ("cold", "warm"):
+            out = tmp_path / name
+            assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0
+            counts.append(json.loads((out / "run.json").read_text())["results"]["tables"])
+        k = counts[0]["computed"]
+        assert k > 0
+        assert counts == [{"computed": k, "from_spill": 0},
+                          {"computed": 0, "from_spill": k}]
 
     def test_rerun_from_run_json_is_bit_identical(self, sample_csv, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -529,6 +552,12 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         if argv:
             assert "sono" in proc.stdout
+
+    def test_cold_score_loads_only_the_ufunc_module(self, sample_csv, tmp_path):
+        proc = run_python(COLD_SCORE_WITHOUT_SCIPY_SPECIAL, "score", "--input",
+                          sample_csv, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "scores.csv").exists()
 
     @staticmethod
     def run_listing_modules(argv):

@@ -224,7 +224,7 @@ def reference_load(rows, opts):
     """load_dataset row by row: every row checked, cleaned and encoded on its
     own, in input order. Returns the Dataset's fields or raises like it."""
     names, body = [str(c) for c in rows[0]], [list(r) for r in rows[1:]]
-    width = len(body[0]) if body else len(names)
+    width = len(names)
     for idx, r in enumerate(body):
         if len(r) != width:
             raise IngestionError(f"ragged table: row {idx} has {len(r)} fields, "
@@ -292,6 +292,7 @@ class TestIngestionOfRepeatedRows:
         ([["a", "b"]] * 3 + [["c", "d"], ["a", "b"], ["x"], ["x"], ["y", "z", "w"]], 5),
         ([["a", "b"], ["a"], ["a", "b"], ["b"], ["a"]], 1),
         ([["a", "b"], ["a", "b"], ["c", "d", "e"], ["a", "b"]], 2),
+        ([["x", "y", "z"], ["x", "y"]], 0),  # the first record is the odd one
     ])
     def test_ragged_row_after_duplicates_names_its_index(self, body, idx):
         rows = [["A", "B"]] + body
@@ -397,13 +398,15 @@ class TestReadCsv:
 
     @pytest.mark.parametrize("text, idx", [
         ("A,B\na,b\na,b\n\nc\na,b\n", 2),
+        ("A,B\nx,y,z\nx,y\n", 0),  # measured against the header, not record 0
         ("A,B\r\na,b\r\na,b\na,b,c\r\nd\n", 2),
     ])
     def test_ragged_row_names_its_index(self, text, idx):
         assert_reads_like_whole_file(text, IngestionOptions())
         path = write_text(text)
         try:
-            with pytest.raises(IngestionError, match=f"ragged table: row {idx} has"):
+            with pytest.raises(IngestionError,
+                               match=f"ragged table: row {idx} has .* expected 2$"):
                 read_csv(path)
         finally:
             os.remove(path)

@@ -11,6 +11,7 @@ from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
                   simultaneous_intervals, truncated_poisson_moments)
 from sono.oracle import sweep_find_c
 import sono.simci
+from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
                         _coverage_edgeworth, truncation_bounds)
 from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
@@ -369,3 +370,66 @@ class TestSimultaneousIntervals:
         ci = simultaneous_intervals(spec, 0.05, "lower-one-sided")
         assert ci.lower.tolist() == [0.0, 0.0]
         assert np.all(ci.upper > ci.lower)
+
+
+# Loads the ufuncs through simci._ufuncs in a fresh process, then checks that
+# scipy.special, imported after it, exports the same objects, whose values on
+# a grid are bit-identical.
+DIRECT_UFUNCS = """
+import sys
+import numpy as np
+from sono.simci import _ufuncs
+u = _ufuncs()
+assert "scipy" in sys.modules and "scipy.special" not in sys.modules
+k = np.arange(-2.0, 60.0, 0.5)
+lam = np.array([0.0, 1e-3, 0.5, 3.0, 17.25, 59.0])
+p = np.array([0.0, 1e-4, 0.05, 0.3, 0.5, 0.99, 1.0])
+grid = {"gammaln": (np.linspace(-3.5, 400.0, 1619),),
+        "pdtr": (k[:, None], lam),
+        "bdtr": (k[:, None], 59, p)}
+values = {f: getattr(u, f)(*args) for f, args in grid.items()}
+import scipy.special
+for f, args in grid.items():
+    public = getattr(scipy.special, f)
+    assert public is getattr(u, f), f
+    assert public(*args).tobytes() == values[f].tobytes(), f
+"""
+
+# Makes the direct import of the ufunc module fail, then checks that
+# simci._ufuncs imported the scipy.special package instead and left the
+# package itself, not a stand-in, in sys.modules.
+FALLBACK_UFUNCS = """
+import importlib, sys
+import_module = importlib.import_module
+
+def refuse(name, *args):
+    if name == "scipy.special._ufuncs":
+        raise ImportError("moved in this SciPy")
+    return import_module(name, *args)
+
+importlib.import_module = refuse
+from sono.simci import _ufuncs
+u = _ufuncs()
+importlib.import_module = import_module
+special = sys.modules["scipy.special"]
+assert "logsumexp" in vars(special), "a stand-in was left in sys.modules"
+import scipy.special
+assert scipy.special is special and u is special._ufuncs
+assert special.gammaln is u.gammaln
+"""
+
+
+class TestUfuncLoader:
+    """simci._ufuncs: scipy.special's compiled ufuncs without the package init."""
+
+    def test_after_the_package_it_returns_the_package_module(self):
+        import scipy.special
+        assert sono.simci._ufuncs() is scipy.special._ufuncs
+
+    def test_direct_load_gives_the_public_ufuncs(self):
+        proc = run_python(DIRECT_UFUNCS)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_failed_direct_load_falls_back_to_the_package(self):
+        proc = run_python(FALLBACK_UFUNCS)
+        assert proc.returncode == 0, proc.stderr
