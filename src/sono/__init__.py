@@ -5,52 +5,50 @@ confidence intervals; a pruned itemset-lattice search flags highly infrequent
 (or frequent) itemsets; flagged itemsets yield per-observation scores,
 outlyingness depths and a variable contribution matrix. A slow reference
 oracle ships alongside the fast path so every result can be audited.
+
+`import sono` is lazy: each public name loads its module on first access, so
+importing the package loads neither NumPy nor any submodule. `sono.cli` can
+thus set its BLAS thread default before NumPy loads, and a scoring process
+never imports the reference oracle, which is for audits.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .config import RunConfig
-from .data import (Dataset, IngestionOptions, Itemset, ProbabilityModel,
-                   cell_probability, empirical_model, load_dataset, read_csv,
-                   user_model)
-from .engine import RunInfo, run_analysis
-from .errors import (CISearchFailure, DegenerateTruncation, DomainError,
-                     EmptyDatasetError, IngestionError, InternalConsistencyError,
-                     OracleRefusal, SonoError, TableExplosion)
-from .lattice import (FlagRecord, Flags, SearchStats, search_frequent,
-                      search_infrequent)
-from .scoring import ScoreReport, build_report, max_score_bound
-from .simci import CellSpec, coverage_probability, find_c
-from .thresholds import (MaxlenDecision, ThresholdProvider, ThresholdTable,
-                         determine_maxlen, subset_thresholds)
+# Public name -> the submodule that defines it, grouped by submodule.
+_LAZY = {name: module for module, names in (
+    ("config", ("RunConfig",)),
+    ("engine", ("RunInfo", "run_analysis")),
+    ("data", ("Dataset", "IngestionOptions", "Itemset", "ProbabilityModel",
+              "cell_probability", "empirical_model", "load_dataset", "read_csv",
+              "user_model")),
+    ("errors", ("SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
+                "DegenerateTruncation", "CISearchFailure", "TableExplosion",
+                "OracleRefusal", "InternalConsistencyError")),
+    ("lattice", ("FlagRecord", "Flags", "SearchStats", "search_infrequent",
+                 "search_frequent")),
+    ("scoring", ("ScoreReport", "build_report", "max_score_bound")),
+    ("simci", ("CellSpec", "coverage_probability", "find_c")),
+    ("thresholds", ("MaxlenDecision", "ThresholdTable", "ThresholdProvider",
+                    "determine_maxlen", "subset_thresholds")),
+    ("oracle", ("OracleConfig", "WalkerResult", "walker", "exact_nu",
+                "check_propositions", "random_dataset", "TruncatedPoissonMoments",
+                "truncated_poisson_moments", "edgeworth_sum_density",
+                "SimultaneousCI", "simultaneous_intervals")),
+) for name in names}
 
-# The reference oracle is for audits, not scoring: its names load it on first
-# access, so a scoring process never imports it.
-_ORACLE_NAMES = (
-    "OracleConfig", "WalkerResult", "walker", "exact_nu", "check_propositions",
-    "random_dataset", "TruncatedPoissonMoments", "truncated_poisson_moments",
-    "edgeworth_sum_density", "SimultaneousCI", "simultaneous_intervals",
-)
-
-__all__ = [
-    "__version__",
-    "RunConfig", "RunInfo", "run_analysis",
-    "Dataset", "IngestionOptions", "Itemset", "ProbabilityModel",
-    "cell_probability", "empirical_model", "load_dataset", "read_csv", "user_model",
-    "SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
-    "DegenerateTruncation", "CISearchFailure", "TableExplosion", "OracleRefusal",
-    "InternalConsistencyError",
-    "FlagRecord", "Flags", "SearchStats", "search_infrequent", "search_frequent",
-    "ScoreReport", "build_report", "max_score_bound",
-    "CellSpec", "coverage_probability", "find_c",
-    "MaxlenDecision", "ThresholdTable", "ThresholdProvider", "determine_maxlen",
-    "subset_thresholds",
-    *_ORACLE_NAMES,
-]
+__all__ = ["__version__", *_LAZY]
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -5,6 +5,11 @@ recipes and the SVG writer are imported by the subcommand or output format
 that uses them. Commands run with the cyclic garbage collector off (scoring
 allocates no reference cycles), and the interpreter's final collection skips
 the objects alive at exit.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 before NumPy loads,
+unless the caller set it to a non-empty value: the OpenBLAS builds in NumPy
+and SciPy each start a worker pool when loaded, and sono's only BLAS calls are
+short dot products. `import sono` alone loads no NumPy and sets nothing.
 """
 from __future__ import annotations
 
@@ -17,6 +22,10 @@ import os
 import sys
 import time
 from dataclasses import fields
+
+# OpenBLAS reads an empty value as unset, so setdefault would not do.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

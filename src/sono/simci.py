@@ -38,8 +38,9 @@ pdtr, bdtr), and _ufuncs loads the compiled module that holds them without
 running scipy.special's package init, whose array-API layer imports NumPy
 submodules sono never uses. A later `import scipy.special` gets the same
 ufunc objects; if the direct load fails, _ufuncs imports scipy.special as
-usual. Only the Edgeworth kernel's dominant-cell branch imports the package,
-for logsumexp.
+usual. The Edgeworth kernel's dominant-cell branch normalizes each dominant
+cell's truncated pmf with _logsumexp, which follows scipy.special.logsumexp's
+formula bit for bit, so no scoring path imports the package.
 """
 from __future__ import annotations
 
@@ -152,6 +153,18 @@ def _poisson_cdf(k, lam):
     """P(Y <= k) for Y ~ Poisson(lam); k may be negative."""
     k = np.asarray(k, dtype=float)
     return np.where(k < 0, 0.0, _ufuncs().pdtr(np.maximum(k, 0.0), lam))
+
+
+def _logsumexp(a: np.ndarray) -> np.floating:
+    """log(sum(exp(a))) of a finite 1-D array, bit-identical to
+    scipy.special.logsumexp: the elements tied at the maximum are taken out
+    of the shifted sum and counted, and log1p keeps the precision of a sum
+    near one."""
+    a_max = a.max()
+    tied = a == a_max
+    m = np.count_nonzero(tied)
+    s = np.exp(np.where(tied, -np.inf, a) - a_max).sum() / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def truncation_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,8 +381,6 @@ def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndar
     if not top:
         fw = float(_sum_density(mean, var, k3v, k4v, float(spec.n)))
     else:
-        from scipy.special import logsumexp
-
         keep = np.ones(mu2.size, dtype=bool)
         keep[top] = False
         rest = (trivial + float(m1[keep].sum()), trivial + float(mu2[keep].sum()),
@@ -380,7 +391,7 @@ def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndar
             i = int(cells["idx"][j])
             y = np.arange(int(a[i]), int(b[i]) + 1, dtype=float)
             lp = poisson_log_pmf(y, m[i])
-            lp -= logsumexp(lp)  # normalized truncated pmf
+            lp -= _logsumexp(lp)  # normalized truncated pmf
             w = np.exp(lp)
             offset += int(a[i])
             pmf = w if pmf is None else np.convolve(pmf, w)

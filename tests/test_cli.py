@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -49,6 +50,35 @@ assert simci._ufuncs() is scipy.special._ufuncs
 assert all(getattr(scipy.special, f) is getattr(simci._ufuncs(), f)
            for f in ("gammaln", "pdtr", "bdtr"))
 assert scipy.stats.binom.cdf(2, 4, 0.5) == 0.6875
+"""
+
+# Runs a cold `sono` with the given arguments, checks that nu took the
+# Edgeworth kernel's dominant-cell branch without importing the scipy.special
+# package, then prints OPENBLAS_NUM_THREADS and the threads left in the process.
+COLD_SCORE_THREADS = """
+import os, sys
+os.environ.pop("SONO_CACHE_DIR", None)
+from sono.cli import main  # first: it sets the thread default before NumPy loads
+import sono.simci as simci
+normalized = []
+run_logsumexp = simci._logsumexp
+simci._logsumexp = lambda a: normalized.append(a) or run_logsumexp(a)
+assert main(sys.argv[1:]) == 0
+assert normalized, "no nu reached the dominant-cell branch"
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "-"
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+# Library use: scores a CSV through run_analysis and checks that neither the
+# command line nor the BLAS thread default was loaded or set.
+LIBRARY_RUN = """
+import os, sys
+from sono import RunConfig, empirical_model, read_csv, run_analysis
+ds = read_csv(sys.argv[1])
+report, info, flags = run_analysis(ds, empirical_model(ds), RunConfig())
+assert "sono.cli" not in sys.modules
+assert "OPENBLAS_NUM_THREADS" not in os.environ
 """
 
 # Runs `sono` with the given arguments (or only imports it, given none), then
@@ -123,6 +153,18 @@ def sample_csv(tmp_path):
              f"c{RNG.integers(1, 3)}"] for _ in range(60)]
     path = tmp_path / "data.csv"
     write_csv(path, rows)
+    return str(path)
+
+
+@pytest.fixture
+def edgeworth_csv(tmp_path):
+    """1000 rows of six skewed binary variables, B mostly copying A: a cold
+    score evaluates Edgeworth nu with a dominant cell, and some rows score."""
+    rng = np.random.default_rng(5)
+    rows = (rng.random((1000, 6)) < 0.9).astype(int)
+    rows[:, 1] = np.where(rng.random(1000) < 0.03, 1 - rows[:, 0], rows[:, 0])
+    path = tmp_path / "edgeworth.csv"
+    write_csv(path, rows.tolist(), header=tuple("ABCDEF"))
     return str(path)
 
 
@@ -591,14 +633,47 @@ class TestStartup:
         else:
             assert ET.parse(tmp_path / "score_vs_depth.svg").getroot().tag.endswith("svg")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted in /proc/self/task")
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_cold_score_runs_one_thread(self, value, edgeworth_csv, tmp_path):
+        proc = run_python(COLD_SCORE_THREADS, "score", "--input", edgeworth_csv,
+                          "--out", str(tmp_path), env={"OPENBLAS_NUM_THREADS": value})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["1", "1"]
+
+    def test_callers_thread_setting_is_kept(self, edgeworth_csv, tmp_path):
+        setting = {}
+        for value in (None, "2"):
+            proc = run_python(COLD_SCORE_THREADS, "score", "--input", edgeworth_csv,
+                              "--out", str(tmp_path / f"out-{value}"),
+                              env={"OPENBLAS_NUM_THREADS": value})
+            assert proc.returncode == 0, proc.stderr
+            setting[value] = proc.stdout.split()[-2]
+        assert setting == {None: "1", "2": "2"}
+        scores = (tmp_path / "out-None" / "scores.csv").read_bytes()
+        assert any(float(line.split(b",")[1]) > 0 for line in scores.splitlines()[1:])
+        for name in ("scores.csv", "contributions.csv"):
+            assert ((tmp_path / "out-None" / name).read_bytes()
+                    == (tmp_path / "out-2" / name).read_bytes())
+
+    def test_library_use_sets_no_thread_default(self, edgeworth_csv):
+        proc = run_python(LIBRARY_RUN, edgeworth_csv, env={"OPENBLAS_NUM_THREADS": None})
+        assert proc.returncode == 0, proc.stderr
+
     def test_oracle_names_resolve_on_access(self):
-        code = ("import sys, sono\n"
-                "assert 'sono.oracle' not in sys.modules\n"
-                "from sono import walker, check_propositions, OracleConfig\n"
-                "import sono.oracle as oracle\n"
-                "assert (walker, check_propositions, OracleConfig) == "
-                "(oracle.walker, oracle.check_propositions, oracle.OracleConfig)\n"
-                "assert all(getattr(sono, name) is not None for name in sono.__all__)\n"
+        # `import sono` loads no NumPy and no submodule; every public name is
+        # listed by dir(sono) and resolves, through `from sono import ...` and
+        # as an attribute, to the object its module defines
+        code = ("import importlib, sys, sono\n"
+                "assert not [m for m in sys.modules if m == 'numpy' or m.startswith('sono.')]\n"
+                "assert sono.__all__ == ['__version__', *sono._LAZY]\n"
+                "listed = set(dir(sono))\n"
+                "for name in sono._LAZY:\n"
+                "    assert name in listed, name\n"
+                "    exec(f'from sono import {name} as value')\n"
+                "    module = importlib.import_module('sono.' + sono._LAZY[name])\n"
+                "    assert value is getattr(sono, name) is getattr(module, name), name\n"
                 "assert not hasattr(sono, 'no_such_name')\n"
                 "exec('from sono import *')\n")
         proc = run_python(code)

@@ -13,7 +13,7 @@ from sono.oracle import sweep_find_c
 import sono.simci
 from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
-                        _coverage_edgeworth, truncation_bounds)
+                        _coverage_edgeworth, _logsumexp, truncation_bounds)
 from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
 
 
@@ -433,3 +433,60 @@ class TestUfuncLoader:
     def test_failed_direct_load_falls_back_to_the_package(self):
         proc = run_python(FALLBACK_UFUNCS)
         assert proc.returncode == 0, proc.stderr
+
+
+# Evaluates the Edgeworth kernel at every nu-battery point whose truncation is
+# neither empty nor full, counting the dominant-cell branch's normalizations,
+# and prints each nu as float.hex; the scipy.special package stays unimported.
+BATTERY_KERNEL = """
+import sys
+import numpy as np
+import sono.simci as simci
+from sono.verify import NU_BATTERY, battery_spec
+normalized = []
+run_logsumexp = simci._logsumexp
+simci._logsumexp = lambda a: normalized.append(a) or run_logsumexp(a)
+values = []
+for k, n, shape in NU_BATTERY:
+    spec = battery_spec(k, n, shape)
+    for c in range(n + 1):
+        m, a, b = simci.truncation_bounds(spec, c)
+        if np.all(a <= b) and not np.all((a == 0) & (b == n)):
+            values.append(simci._coverage_edgeworth(spec, m, a, b).hex())
+assert len(normalized) > 100, len(normalized)
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+print(*values)
+"""
+
+
+class TestLogsumexp:
+    """simci._logsumexp: scipy.special.logsumexp's value, without the package."""
+
+    def test_bytes_equal_scipy_on_seeded_vectors(self):
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(20241)
+        ties = 0
+        for _ in range(5000):
+            n = int(rng.integers(1, 300))
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)
+            if rng.random() < 0.3:
+                a[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = a.max()
+            if rng.random() < 0.2:
+                a = np.round(a)
+            ties += np.count_nonzero(a == a.max()) > 1
+            assert _logsumexp(a).tobytes() == logsumexp(a).tobytes(), a
+        assert ties > 1000
+
+    def test_dominant_cell_kernel_matches_scipy_without_the_package(self, monkeypatch):
+        from scipy.special import logsumexp
+        proc = run_python(BATTERY_KERNEL)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(sono.simci, "_logsumexp", logsumexp)
+        expected = []
+        for k, n, shape in NU_BATTERY:
+            spec = battery_spec(k, n, shape)
+            for c in range(n + 1):
+                m, a, b = truncation_bounds(spec, c)
+                if np.all(a <= b) and not np.all((a == 0) & (b == n)):
+                    expected.append(_coverage_edgeworth(spec, m, a, b).hex())
+        assert proc.stdout.split() == expected
