@@ -36,13 +36,21 @@ from workloads import WORKLOADS, Workload, write_csv  # noqa: E402
 
 LEVEL = 0.9
 
-# The 1389x10 solar-flare and 148x18 lymphography shapes, too slow for a
-# perfbench invocation but the deep inputs of find_c measurements.
+# The Table-1 shapes at full width, too slow for a perfbench invocation but
+# the deep inputs of find_c measurements: 1389x10 solar flare, 148x18
+# lymphography, 383x15 thyroid, 132x17 primary tumor and 520x15 diabetes.
+# The level vectors are assumed (the raw UCI files are not used here); each
+# shape has its own fixed profile seed.
 EXTRA_SHAPES = {w.name: w for w in (
     Workload("flare10", 1389, (7, 6, 4, 2, 3, 3, 2, 2, 2, 2), "infrequent", False,
              3, 0.03, 1001),
     Workload("lymph", 148, (4, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 4, 4, 8, 3, 2, 2, 8),
              "infrequent", False, 3, 0.03, 1006),
+    Workload("thyroid15", 383, (2, 2, 2, 2, 5, 5, 6, 4, 2, 3, 7, 3, 2, 5, 4),
+             "infrequent", False, 3, 0.03, 1007),
+    Workload("tumor17", 132, (3, 2, 3, 3) + (2,) * 13, "infrequent", False,
+             3, 0.03, 1008),
+    Workload("diabetes15", 520, (2,) * 15, "infrequent", False, 3, 0.03, 1009),
 )}
 
 

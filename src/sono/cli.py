@@ -43,6 +43,17 @@ EXIT_THRESHOLD = 3
 EXIT_OUTPUT = 4
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer >= lowest, so no suite checks nothing."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sono",
@@ -81,10 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the reference-oracle audit suites")
     pv.add_argument("--seed", type=int, default=20240901,
                     help="seed of the coverage simulation and the walker datasets")
-    pv.add_argument("--datasets", type=int, default=12,
-                    help="random datasets for the walker suite")
-    pv.add_argument("--p-max", type=int, default=60,
-                    help="largest p for the proposition sweep")
+    pv.add_argument("--datasets", type=_int_at_least(1), default=12,
+                    help="random datasets for the walker suite (>= 1)")
+    pv.add_argument("--p-max", type=_int_at_least(2), default=60,
+                    help="largest p for the proposition sweep (>= 2)")
     pv.add_argument("--suite", action="append",
                     choices=("nu", "exact-nu", "coverage", "propositions", "walker"),
                     help="run only the named suites (repeatable)")

@@ -48,6 +48,13 @@ class RunConfig:
                               f"got alpha {self.alpha!r}")
         if not self.r > 0:  # NaN fails too
             raise DomainError("r must be > 0")
+        try:  # scores divide by powers of at most p ** (r + 1)
+            finite = math.isfinite(self.r) and math.isfinite(float(p or 1) ** (self.r + 1.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"r must be finite, with p ** (r + 1) within float range "
+                              f"(p={p}), got r {self.r!r}")
         if self.max_len is not None:
             if self.max_len < 1:
                 raise DomainError("max-len must be >= 1")

@@ -35,6 +35,8 @@ class IngestionOptions:
     drop_cols: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise IngestionError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.missing_policy not in ("drop", "level"):
             raise IngestionError(f"unknown missing policy {self.missing_policy!r}")
         if self.level_order not in ("first", "lexicographic"):

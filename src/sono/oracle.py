@@ -27,8 +27,7 @@ from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRe
 from .lattice import FlagRecord
 from .scoring import ScoreReport
 from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
-                    _edgeworth_value, coverage_probability, poisson_log_pmf,
-                    truncation_bounds)
+                    _edgeworth_value, coverage_probability, poisson_log_pmf)
 from .thresholds import SIGMA_FLOOR, MaxlenDecision, subset_thresholds
 
 
@@ -52,8 +51,24 @@ DEFAULT_ORACLE = OracleConfig()
 # Exact coverage probability
 # ---------------------------------------------------------------------------
 
+def _literal_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected counts m = n * p and the truncation bounds at half-width c, by
+    their definition: a = max(0, ceil(m - c)) and b = min(floor(m + c), n),
+    where m - c and m + c are first snapped to an integer within 1e-9
+    (relative) of them. Written out here rather than read from
+    CellSpec.bounds, so the grid the fast path keeps is audited, not shared.
+    """
+    def snap(x):
+        r = np.round(x)
+        return np.where(np.abs(x - r) <= 1e-9 * (1.0 + np.abs(x)), r, x)
+
+    m = spec.n * spec.probs
+    return (m, np.maximum(0.0, np.ceil(snap(m - c))),
+            np.minimum(np.floor(snap(m + c)), float(spec.n)))
+
+
 def _enumeration_states(spec: CellSpec, c: int) -> float:
-    _, a, b = truncation_bounds(spec, c)
+    _, a, b = _literal_bounds(spec, c)
     if np.any(a > b):
         return 0.0
     with np.errstate(over="ignore"):  # beyond float range: inf states, never enumerated
@@ -65,7 +80,7 @@ def _coverage_enumeration(spec: CellSpec, c: int, cap: float) -> float:
     states = _enumeration_states(spec, c)
     if states > cap:
         raise OracleRefusal(f"enumeration needs {states:.3g} states, cap {cap:.3g}")
-    _, a, b = truncation_bounds(spec, c)
+    _, a, b = _literal_bounds(spec, c)
     if np.any(a > b):
         return 0.0
     k = spec.k
@@ -106,7 +121,7 @@ def _sequential_convolution(spec: CellSpec, c: int, work_cap: float) -> float:
     accumulator is rescaled to maximum 1 and the log of the factor carried,
     so it cannot overflow on large tables. Refused above the array-work cap.
     """
-    m, a, b = truncation_bounds(spec, c)
+    m, a, b = _literal_bounds(spec, c)
     if np.any(a > b):
         return 0.0
     if np.all((a == 0.0) & (b == float(spec.n))):
@@ -175,7 +190,7 @@ def sweep_find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[in
     def nu(c: int) -> float:
         if spec.k == 1:
             return 1.0
-        if _computes_exactly(method, *truncation_bounds(spec, c)[1:]):
+        if _computes_exactly(spec, c, method):
             return _sequential_convolution(spec, c, CONVOLUTION_WORK_CAP)
         return coverage_probability(spec, c, method)
 

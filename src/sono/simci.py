@@ -24,12 +24,14 @@ Each cell count is marginally binomial, so the one-cell binomial coverages on
 the same truncation bounds (_binomial_bounds) bracket the exact nu without a
 convolution: from below by Bonferroni, from above by the least-covered cell.
 find_c searches down from the first c whose Bonferroni bound exceeds the
-level, and the bracket settles most of the maxlen rule's single nu(t+1)
-questions (sono.thresholds) with no nu at all.
+level, and the bracket settles most of the questions "is c <= t?" that the
+maxlen rule (sono.thresholds) asks c_at_most with no nu at all.
 
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
-and b_i = min(floor(m_i+c), n).
+and b_i = min(floor(m_i+c), n). A CellSpec computes m once and the bounds
+once per c (CellSpec.bounds), and every nu, binomial bracket and path
+decision at c reads those arrays; no caller passes bounds around.
 
 SciPy is loaded only when nu or a binomial bound is first evaluated: importing
 sono, and a run whose thresholds and maxlen all come from the spill file, never
@@ -73,11 +75,19 @@ _DOMINANCE_MAX_CELLS = 4
 # A batch of row pairs whose direct convolution takes at most this many
 # multiply-adds (rows x width^2) is convolved directly, a larger one by FFT.
 _DIRECT_MAX_WORK = 3e4
+# The binomial bracket settles c_at_most only when it clears the level by
+# this much: far above the 1e-12 to which exact nu is held (sono verify), so
+# a bound that clears the level means exact nu is on the same side.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A k-cell multinomial: cell probabilities and the sample size."""
+    """A k-cell multinomial: cell probabilities and the sample size.
+
+    `m` holds the expected counts n * p_i, and `bounds(c)` the truncation
+    bounds at half-width c, each computed once per spec.
+    """
 
     probs: np.ndarray
     n: int
@@ -93,11 +103,32 @@ class CellSpec:
         if self.n < 1:
             raise DomainError("sample size must be >= 1")
         v.setflags(write=False)
+        m = self.n * v
+        m.setflags(write=False)
         object.__setattr__(self, "probs", v)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_grid", {})
 
     @property
     def k(self) -> int:
         return self.probs.size
+
+    def bounds(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Truncation bounds (a, b) at half-width c, read-only.
+
+        a_i = max(0, ceil(m_i - c)) and b_i = min(floor(m_i + c), n), with
+        values within float fuzz of an integer snapped to it first. Computed
+        on first request and kept: every nu, binomial bracket and path
+        decision at c reads the same arrays.
+        """
+        ab = self._grid.get(c)
+        if ab is None:
+            a = np.maximum(0.0, np.ceil(_snap_int(self.m - c)))
+            b = np.minimum(np.floor(_snap_int(self.m + c)), float(self.n))
+            a.setflags(write=False)
+            b.setflags(write=False)
+            ab = self._grid[c] = (a, b)
+        return ab
 
 
 def _snap_int(x: np.ndarray) -> np.ndarray:
@@ -167,14 +198,6 @@ def _logsumexp(a: np.ndarray) -> np.floating:
     return np.log1p(s) + np.log(m) + a_max
 
 
-def truncation_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected counts and per-cell integer truncation bounds for half-width c."""
-    m = spec.n * spec.probs
-    a = np.maximum(0.0, np.ceil(_snap_int(m - c)))
-    b = np.minimum(np.floor(_snap_int(m + c)), float(spec.n))
-    return m, a, b
-
-
 def _edgeworth_value(mean: float, var: float, k3: float, k4: float, x):
     """Fourth-order Edgeworth density (skewness, kurtosis, skewness^2 terms).
 
@@ -237,14 +260,15 @@ def _cell_moment_arrays(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
     }
 
 
-def _computes_exactly(method: str, a: np.ndarray, b: np.ndarray) -> bool:
-    """The path rule: does `method` compute nu at bounds (a, b) by the exact convolution?
+def _computes_exactly(spec: CellSpec, c: int, method: str) -> bool:
+    """The path rule: does `method` compute nu(c) by the exact convolution?
 
     "auto" does while the truncation grid is small, "exact" while it stays
     within the work cap (beyond it, it refuses). Bounds with a > b (nu = 0 on
     every path) count as exact. The widths b - a + 1 only grow with c, so the
     rule holds on a prefix of c.
     """
+    a, b = spec.bounds(c)
     widths = b - a + 1.0
     if np.any(widths <= 0.0):
         return True
@@ -316,14 +340,15 @@ def _log_product_entry(lo: np.ndarray, lam: np.ndarray, lens: np.ndarray, cut: i
     return math.log(entry) + log_scale if entry > 0.0 else -math.inf
 
 
-def _coverage_convolution(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _coverage_convolution(spec: CellSpec, a: np.ndarray, b: np.ndarray) -> float:
     """Exact nu: the truncated-Poisson sum's pmf at n, by a rescaled product tree.
 
-    m, a, b are the expected counts and truncation bounds (a <= b, not full
-    coverage). Width-1 cells contribute a deterministic shift and a scalar
-    mass factor; only wider cells are convolved, and only the entries up to
-    the one read off (index n minus the summed lower bounds) are kept.
+    a, b are spec's truncation bounds at some c (a <= b, not full coverage).
+    Width-1 cells contribute a deterministic shift and a scalar mass factor;
+    only wider cells are convolved, and only the entries up to the one read
+    off (index n minus the summed lower bounds) are kept.
     """
+    m = spec.m
     wide = b > a
     log_scale = float(poisson_log_pmf(a[~wide], m[~wide]).sum())
     if not np.isfinite(log_scale):
@@ -348,14 +373,15 @@ def _sum_density(mean: float, var: float, k3: float, k4: float, x) -> np.ndarray
     return np.maximum(_edgeworth_value(mean, var, k3, k4, x), 0.0)
 
 
-def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _coverage_edgeworth(spec: CellSpec, a: np.ndarray, b: np.ndarray) -> float:
     """nu through the Edgeworth density of the truncated-Poisson sum.
 
-    m, a, b are the expected counts and truncation bounds (a <= b, not full
-    coverage). Cells holding more than half of the remaining aggregate
-    variance (the regime where the sum is nowhere near normal) are convolved
-    exactly and only the remainder is approximated.
+    a, b are spec's truncation bounds at some c (a <= b, not full coverage).
+    Cells holding more than half of the remaining aggregate variance (the
+    regime where the sum is nowhere near normal) are convolved exactly and
+    only the remainder is approximated.
     """
+    m = spec.m
     cells = _cell_moment_arrays(m, a, b)
     if cells is None:
         return 0.0
@@ -407,10 +433,10 @@ def _coverage_edgeworth(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndar
 def coverage_probability(spec: CellSpec, c: int, method: str = "auto") -> float:
     """nu(c) = P(all cell counts within +-c of their expected counts), in [0, 1].
 
-    The truncation bounds are computed once; nu is 0 where some a > b and 1
-    at full coverage. Otherwise _computes_exactly picks the path: the exact
-    convolution, or for "auto" the Edgeworth kernel, while "exact" refuses
-    beyond the convolution's work cap.
+    nu is 0 where some truncation bound a > b and 1 at full coverage.
+    Otherwise _computes_exactly picks the path: the exact convolution, or for
+    "auto" the Edgeworth kernel, while "exact" refuses beyond the
+    convolution's work cap.
     """
     if c < 0:
         raise DomainError("c must be >= 0")
@@ -418,17 +444,17 @@ def coverage_probability(spec: CellSpec, c: int, method: str = "auto") -> float:
         raise DomainError(f"unknown coverage method {method!r}")
     if spec.k == 1:
         return 1.0
-    m, a, b = truncation_bounds(spec, c)
+    a, b = spec.bounds(c)
     if np.any(a > b):
         return 0.0
     if np.all((a == 0.0) & (b == float(spec.n))):
         return 1.0
-    if _computes_exactly(method, a, b):
-        return _coverage_convolution(spec, m, a, b)
+    if _computes_exactly(spec, c, method):
+        return _coverage_convolution(spec, a, b)
     if method == "exact":
         raise OracleRefusal(f"exact convolution needs ~{_convolution_work(a, b):.2g} "
                             f"array cells, cap is {CONVOLUTION_WORK_CAP:.2g}")
-    return _coverage_edgeworth(spec, m, a, b)
+    return _coverage_edgeworth(spec, a, b)
 
 
 def _bisect(pred, lo: int, hi: int) -> int:
@@ -452,7 +478,7 @@ def _binomial_bounds(spec: CellSpec, c: int) -> tuple[float, float]:
     not its Edgeworth approximation. Returns (lower, upper).
     """
     bdtr = _ufuncs().bdtr
-    _, a, b = truncation_bounds(spec, c)
+    a, b = spec.bounds(c)
     p = spec.probs
     low = np.where(a > 0, bdtr(np.maximum(a - 1.0, 0.0), spec.n, p), 0.0)
     cover = bdtr(b, spec.n, p) - low
@@ -493,7 +519,7 @@ def _first_above(spec: CellSpec, level: float, method: str,
         return nu[c] > level
 
     def inexact(c: int) -> bool:
-        return not _computes_exactly(method, *truncation_bounds(spec, c)[1:])
+        return not _computes_exactly(spec, c, method)
 
     hi = _bonferroni_start(spec, level)
     if inexact(hi):
@@ -543,3 +569,34 @@ def find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[int, flo
     raise CISearchFailure(
         f"no c in [0, {spec.n}] brackets level {level} (nu capped at {prev})"
     )
+
+
+def c_at_most(spec: CellSpec, level: float, t: int, method: str = "auto") -> bool:
+    """Is find_c(spec, level, method)[0] <= t? Usually without running find_c.
+
+    c >= 0, so no t < 0 holds. For t >= 0, by the clamped-sweep definition
+    of c, c <= t holds when the clamped nu(t+1) exceeds the level. Where
+    nu(t+1) is exact, the whole prefix up to it is exact and nondecreasing,
+    so the clamp changes nothing, and the one-cell binomial bracket of exact
+    nu (_binomial_bounds) settles the question without a convolution once it
+    clears the level by _BOUND_MARGIN: a lower bound above holds, an upper
+    bound below fails. Otherwise raw nu(t+1) is evaluated once. The clamped
+    nu is never below it, so a raw nu(t+1) above the level holds; an exactly
+    computed nu(t+1) below the level fails. Any other value (Edgeworth and
+    not above the level, or equal to it) is settled by find_c itself.
+    """
+    if t < 0:
+        return False
+    exact = _computes_exactly(spec, t + 1, method)
+    if exact:
+        lower, upper = _binomial_bounds(spec, t + 1)
+        if lower > level + _BOUND_MARGIN:
+            return True
+        if upper < level - _BOUND_MARGIN:
+            return False
+    v = coverage_probability(spec, t + 1, method)
+    if v > level:
+        return True
+    if v < level and exact:
+        return False
+    return find_c(spec, level, method)[0] <= t

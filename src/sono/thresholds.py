@@ -8,8 +8,11 @@ probability p_d is then n*p_d - c and the frequent-mode threshold is
 n*p_d + c + 2*gamma. A `ThresholdTable` keeps only (c, gamma) and the
 subset's probability vectors: `sigma` prices the cells it is shown, with p_d
 from `data.cell_probs`, and `max_sigma` the most probable cell, which the
-maxlen rule also uses. `ThresholdProvider` serves both the tables and the
-maxlen decision, from memory or from its spill file.
+maxlen rule also uses. The maxlen rule itself asks one question per subset,
+"is c <= t = floor(n*p_ref - 2)?", which sono.simci.c_at_most answers from
+c's definition; this module only supplies p_ref, t and the table-size check.
+`ThresholdProvider` serves both the tables and the maxlen decision, from
+memory or from its spill file.
 """
 from __future__ import annotations
 
@@ -27,9 +30,7 @@ import numpy as np
 
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
-from .simci import (CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec,
-                    _binomial_bounds, _computes_exactly, coverage_probability, find_c,
-                    truncation_bounds)
+from .simci import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec, c_at_most, find_c
 
 log = logging.getLogger(__name__)
 
@@ -40,13 +41,9 @@ SIGMA_FLOOR = 2.0
 # move a spilled decision, so no stale entry is ever served.
 # 2: exact nu by a rescaled product tree, find_c by galloping and bisection.
 # 3: the maxlen rule decides by its definition where raw nu does not settle it.
-# The maxlen rule's binomial bracket (_BOUND_MARGIN) needs no bump: it answers
-# only where exact nu gives the same answer, so no spilled value can move.
+# The binomial bracket in simci.c_at_most needs no bump: it answers only where
+# exact nu gives the same answer, so no spilled value can move.
 _ALGORITHM_VERSION = 3
-# The binomial bracket settles the maxlen rule only when it clears the level
-# by this much: far above the 1e-12 to which exact nu is held (sono verify),
-# so a bound that clears the level means exact nu is on the same side.
-_BOUND_MARGIN = 1e-9
 
 
 def _extreme_cell_prob(pi: Sequence[np.ndarray], largest: bool) -> float:
@@ -133,36 +130,14 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
                    level: float, rule: str, method: str, max_cells: float) -> bool:
     """Does every-cell (all-cells) / some-cell (any-cell) sigma >= 2 hold?
 
-    sigma_ref >= 2  <=>  c(S) <= t with t = floor(n*p_ref - 2), and by the
-    clamped-sweep definition of c that is: the clamped nu(t+1) exceeds the
-    level. Where nu(t+1) is exact, the whole prefix up to it is exact and
-    nondecreasing, so the clamp changes nothing, and the one-cell binomial
-    bracket of exact nu (simci._binomial_bounds) settles the question without
-    a convolution once it clears the level by _BOUND_MARGIN: a lower bound
-    above passes, an upper bound below fails. Otherwise raw nu(t+1) is
-    evaluated once. The clamped nu is never below it, so a raw nu(t+1) above
-    the level passes; an exactly computed nu(t+1) below the level fails. Any
-    other value (Edgeworth and not above the level, or equal to it) is
-    settled by find_c itself.
+    sigma_ref = n*p_ref - c(S) >= 2  <=>  c(S) <= t with t = floor(n*p_ref - 2),
+    which simci.c_at_most answers, mostly without a nu evaluation.
     """
     p_ref = _extreme_cell_prob([model.pi[j] for j in subset], rule == "any-cell")
     if n * p_ref < SIGMA_FLOOR:
         return False  # sigma_ref < 2 for every c >= 0, no table needed
     t = math.floor(n * p_ref - SIGMA_FLOOR + 1e-9)  # <= n - 2, as p_ref <= 1
-    spec = _cell_spec(model, n, subset, max_cells)
-    exact = _computes_exactly(method, *truncation_bounds(spec, t + 1)[1:])
-    if exact:
-        lower, upper = _binomial_bounds(spec, t + 1)
-        if lower > level + _BOUND_MARGIN:
-            return True
-        if upper < level - _BOUND_MARGIN:
-            return False
-    v = coverage_probability(spec, t + 1, method)
-    if v > level:
-        return True
-    if v < level and exact:
-        return False
-    return find_c(spec, level, method)[0] <= t
+    return c_at_most(_cell_spec(model, n, subset, max_cells), level, t, method)
 
 
 def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,

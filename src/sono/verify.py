@@ -18,7 +18,7 @@ from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
                      random_dataset, reference_maxlen, simultaneous_intervals,
                      sweep_find_c, walker)
 from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _computes_exactly,
-                    coverage_probability, find_c, truncation_bounds)
+                    coverage_probability, find_c)
 from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
@@ -85,7 +85,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
                 worst, worst_at = dev, f"k={k} n={n} {shape} c={c}"
             worst_fast = max(worst_fast, abs(coverage_probability(spec, c, "exact") - exact))
             if k == 5 and c >= 5:
-                split = _coverage_edgeworth(spec, *truncation_bounds(spec, c))
+                split = _coverage_edgeworth(spec, *spec.bounds(c))
                 worst_split = max(worst_split, abs(split - exact))
                 edgeworth_points += 1
                 edgeworth_outside += not lower - 1e-12 <= split <= upper + 1e-12
@@ -110,7 +110,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
 
     def searched(spec, level, method):
         c, start = find_c(spec, level, method), _bonferroni_start(spec, level)
-        starts.append((_computes_exactly(method, *truncation_bounds(spec, start)[1:]),
+        starts.append((_computes_exactly(spec, start, method),
                        c[0] + 1 <= start))
         return c
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sono
+import sono.engine
 import sono.simci
 import sono.thresholds
 from conftest import run_python
@@ -273,18 +274,32 @@ class TestScoreCommand:
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 2
 
-    @pytest.mark.parametrize("kind", ["latin-1", "long field", "directory"])
+    @pytest.mark.parametrize("kind", ["latin-1", "long field", "directory",
+                                      "empty delimiter", "long delimiter",
+                                      "long delimiter in config"])
     def test_unreadable_input_exit_code(self, tmp_path, capsys, kind):
+        # a delimiter that is not one character used to end in csv's TypeError
         path = tmp_path / "in.csv"
+        options, message = [], "cannot read input file"
         if kind == "latin-1":
             path.write_bytes("A,B\ncaf\u00e9,x\ntea,y\n".encode("latin-1"))
         elif kind == "long field":
             path.write_text("A,B\n" + "x" * (csv.field_size_limit() + 1) + ",y\n")
-        else:
+        elif kind == "directory":
             path.mkdir()
-        assert main(["score", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        else:
+            path.write_text("A,B\na,x\nb,y\n")
+            message = "delimiter must be one character"
+            if kind == "long delimiter in config":
+                config = tmp_path / "config.json"
+                config.write_text(json.dumps({"delimiter": "ab"}))
+                options = ["--config", str(config)]
+            else:
+                options = ["--delimiter", "" if kind == "empty delimiter" else "ab"]
+        assert main(["score", "--input", str(path), "--out", str(tmp_path / "o"),
+                     *options]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ingestion error: cannot read input file")
+        assert len(err) == 1 and err[0].startswith(f"ingestion error: {message}")
 
     def test_no_input_given(self):
         assert main(["score"]) == 2
@@ -411,13 +426,31 @@ class TestScoreCommand:
         # alphas that leave no confidence level 1 - 2*alpha in (0, 1) used to
         # pass validation and fail inside find_c
         ("--alpha", "0.5", "alpha must leave a confidence level"),
-        ("--alpha", "1e-300", "alpha must leave a confidence level")])
+        ("--alpha", "1e-300", "alpha must leave a confidence level"),
+        # an infinite r zeroed every term of length >= 2
+        ("--r", "inf", "r must be finite")])
     def test_nan_option_rejected(self, sample_csv, tmp_path, capsys, option, value, message):
         # a NaN r used to write NaN scores and exit 0
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out), option, value]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
+    def test_r_beyond_float_range_rejected_before_thresholds(
+            self, sample_csv, tmp_path, capsys, monkeypatch, mode):
+        # such an r used to run the whole search, then end in d ** r's
+        # OverflowError
+        monkeypatch.setattr(sono.engine, "ThresholdProvider", None)  # never reached
+        assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o"),
+                     "--mode", mode, "--r", "1e308"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: r must be finite")
+
+    def test_large_finite_r_runs_with_its_warning(self, sample_csv, tmp_path):
+        with pytest.warns(UserWarning, match="strongly damps longer itemsets"):
+            assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o"),
+                         "--r", "3.5"]) == 0
 
     def test_every_config_field_is_a_command_line_option(self, tmp_path):
         from sono.cli import _build_parser, _cli_overrides
@@ -541,8 +574,7 @@ class TestScoreCommand:
         def no_nu(*args, **kwargs):
             raise AssertionError("nu evaluated on a warm run")
 
-        for module in (sono.simci, sono.thresholds):
-            monkeypatch.setattr(module, "coverage_probability", no_nu)
+        monkeypatch.setattr(sono.simci, "coverage_probability", no_nu)  # every nu's module
         assert main(["score", "--input", sample_csv, "--out", str(out2)]) == 0
         assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
 
@@ -729,6 +761,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "documented boundary deviations" in out
+
+    @pytest.mark.parametrize("argv", [["--datasets", "0"], ["--datasets", "-1"],
+                                      ["--p-max", "1"], ["--p-max", "0"]])
+    def test_options_that_check_nothing_are_rejected(self, capsys, argv):
+        # zero walker datasets or no (p, r) case used to print "verification PASSED"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert f"argument {argv[0]}: must be >= " in capsys.readouterr().err
 
     def test_failure_injection_gives_nonzero_exit(self, monkeypatch, capsys):
         import sono.verify as verify_mod

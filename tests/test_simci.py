@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
                   coverage_probability, edgeworth_sum_density, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
-from sono.oracle import sweep_find_c
+from sono.oracle import _literal_bounds, sweep_find_c
 import sono.simci
 from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
-                        _coverage_edgeworth, _logsumexp, truncation_bounds)
+                        _coverage_edgeworth, _logsumexp, c_at_most)
 from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
 
 
@@ -110,7 +110,7 @@ def enumeration_nu(probs, n, c):
     """Exhaustive multinomial oracle for small tables."""
     from itertools import product
     spec = CellSpec(probs=np.array(probs), n=n)
-    _, a, b = truncation_bounds(spec, c)
+    a, b = spec.bounds(c)
     k = len(probs)
     total = 0.0
     rngs = [range(int(a[i]), int(b[i]) + 1) for i in range(k - 1)]
@@ -145,7 +145,7 @@ class TestCoverageProbability:
         exact = enumeration_nu([1 / 3] * 3, 10, 3)
         assert exact == pytest.approx(0.9068739521414403, rel=1e-12)
         assert coverage_probability(spec, 3, "auto") == pytest.approx(exact, abs=2e-3)
-        edgeworth = _coverage_edgeworth(spec, *truncation_bounds(spec, 3))
+        edgeworth = _coverage_edgeworth(spec, *spec.bounds(3))
         assert edgeworth == pytest.approx(exact, abs=2e-3)
 
     def test_binomial_identity(self):
@@ -177,7 +177,7 @@ class TestCoverageProbability:
         # auto convolves this table at every c, so the kernel is called directly
         spec = CellSpec(probs=np.array([0.4, 0.3, 0.15, 0.1, 0.05]), n=100)
         for c in range(5, 101, 5):
-            split = _coverage_edgeworth(spec, *truncation_bounds(spec, c))
+            split = _coverage_edgeworth(spec, *spec.bounds(c))
             exact = coverage_probability(spec, c, "exact")
             assert split == pytest.approx(exact, abs=2e-3)
 
@@ -193,6 +193,47 @@ class TestCoverageProbability:
             assert 0.0 <= v <= 1.0
             prev = max(prev, v)
         assert prev == 1.0  # nu(n) = 1 exactly
+
+
+def grid_specs():
+    """The nu battery and 20 seeded product tables of 1 to 4 variables."""
+    rng = np.random.default_rng(2718)
+    specs = [battery_spec(*args) for args in NU_BATTERY]
+    for seed in range(20):
+        levels = tuple(int(l) for l in rng.integers(2, 8, size=int(rng.integers(1, 5))))
+        specs.append(kronecker_spec(levels, int(rng.integers(10, 1500)), seed))
+    return specs
+
+
+class TestTruncationGrid:
+    def test_bounds_equal_the_literal_formula(self):
+        rng = np.random.default_rng(31)
+        for spec in grid_specs():
+            assert spec.m.tobytes() == (spec.n * spec.probs).tobytes()
+            cs = np.arange(spec.n + 1)
+            cs = rng.permutation(np.concatenate([cs, rng.choice(cs, spec.n // 2 + 1)]))
+            for c in cs.tolist():  # shuffled, with repeats
+                a, b = spec.bounds(c)
+                _, a_ref, b_ref = _literal_bounds(spec, c)
+                assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes(), c
+
+    def test_bounds_are_computed_once_and_read_only(self):
+        spec = kronecker_spec((7, 6, 4), 1389, seed=3)
+        a, b = spec.bounds(25)
+        assert spec.bounds(25)[0] is a and spec.bounds(25)[1] is b
+        for array in (a, b, spec.m):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_c_at_most_is_find_c_at_most_t(self, method):
+        # the battery, plus a table whose nu(0) is 1, so c = 0 and t = -1
+        specs = [battery_spec(*args) for args in NU_BATTERY]
+        for spec in specs + [CellSpec(probs=np.array([1.0, 0.0]), n=10)]:
+            for level in (0.9, 0.95):
+                c = find_c(spec, level, method)[0]
+                for t in (c - 1, c, c + 1):
+                    assert c_at_most(spec, level, t, method) == (c <= t), (spec, level, t)
 
 
 class TestFindC:
@@ -299,7 +340,7 @@ class TestFastExactCoverage:
             assert c == c_ref
             assert gamma == pytest.approx(gamma_ref, abs=1e-9)
         c = find_c(spec, 0.9, "auto")[0]
-        crosses = not _computes_exactly("auto", *truncation_bounds(spec, c + 1)[1:])
+        crosses = not _computes_exactly(spec, c + 1, "auto")
         assert crosses == (levels != (7, 6, 4))
 
     @pytest.mark.parametrize("below_crossing", [False, True])
@@ -450,9 +491,9 @@ values = []
 for k, n, shape in NU_BATTERY:
     spec = battery_spec(k, n, shape)
     for c in range(n + 1):
-        m, a, b = simci.truncation_bounds(spec, c)
+        a, b = spec.bounds(c)
         if np.all(a <= b) and not np.all((a == 0) & (b == n)):
-            values.append(simci._coverage_edgeworth(spec, m, a, b).hex())
+            values.append(simci._coverage_edgeworth(spec, a, b).hex())
 assert len(normalized) > 100, len(normalized)
 assert "scipy.special" not in sys.modules, "scipy.special was imported"
 print(*values)
@@ -486,7 +527,7 @@ class TestLogsumexp:
         for k, n, shape in NU_BATTERY:
             spec = battery_spec(k, n, shape)
             for c in range(n + 1):
-                m, a, b = truncation_bounds(spec, c)
+                a, b = spec.bounds(c)
                 if np.all(a <= b) and not np.all((a == 0) & (b == n)):
-                    expected.append(_coverage_edgeworth(spec, m, a, b).hex())
+                    expected.append(_coverage_edgeworth(spec, a, b).hex())
         assert proc.stdout.split() == expected

@@ -14,8 +14,8 @@ import sono.simci
 import sono.thresholds as thresholds
 from sono.data import subset_cell_probs
 from sono.oracle import reference_maxlen, reference_subset_passes
-from sono.simci import _binomial_bounds, _computes_exactly, truncation_bounds
-from sono.thresholds import _BOUND_MARGIN, SIGMA_FLOOR
+from sono.simci import _BOUND_MARGIN, _binomial_bounds, _computes_exactly
+from sono.thresholds import SIGMA_FLOOR
 
 
 def model_of(*vectors):
@@ -45,21 +45,29 @@ def audit_maxlen_rule(model, n, rule, alpha=0.05):
 
 
 def count_rule_calls(monkeypatch, nu=None):
-    """Record the c of every nu and each find_c the maxlen rule makes; nu may
-    replace the rule's coverage_probability."""
+    """Record the c of every nu and each find_c the maxlen rule makes
+    (simci.c_at_most asks them); nu may replace the rule's own nu, not those
+    of find_c."""
     calls = {"nu": [], "find_c": 0}
-    real_nu, real_find_c = thresholds.coverage_probability, thresholds.find_c
+    real_nu, real_find_c = sono.simci.coverage_probability, sono.simci.find_c
+    in_find_c = []
 
     def counted_nu(spec, c, method="auto"):
+        if in_find_c:
+            return real_nu(spec, c, method)
         calls["nu"].append(c)
         return (nu or real_nu)(spec, c, method)
 
     def counted_find_c(*args):
         calls["find_c"] += 1
-        return real_find_c(*args)
+        in_find_c.append(True)
+        try:
+            return real_find_c(*args)
+        finally:
+            in_find_c.pop()
 
-    monkeypatch.setattr(thresholds, "coverage_probability", counted_nu)
-    monkeypatch.setattr(thresholds, "find_c", counted_find_c)
+    monkeypatch.setattr(sono.simci, "coverage_probability", counted_nu)
+    monkeypatch.setattr(sono.simci, "find_c", counted_find_c)
     return calls
 
 
@@ -191,8 +199,7 @@ class TestDetermineMaxlen:
         def judged(model, n, subset, alpha, **kw):
             table = subset_thresholds(model, n, subset, alpha, **kw)
             spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
-            edgeworth.append(not _computes_exactly(
-                "auto", *truncation_bounds(spec, table.c + 1)[1:]))
+            edgeworth.append(not _computes_exactly(spec, table.c + 1, "auto"))
             return table
 
         monkeypatch.setattr(sono.oracle, "subset_thresholds", judged)
@@ -249,7 +256,7 @@ class TestDetermineMaxlen:
         spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=n)
         lower, upper = _binomial_bounds(spec, t + 1)
         assert lower < level + _BOUND_MARGIN and upper > level - _BOUND_MARGIN
-        assert _computes_exactly("auto", *truncation_bounds(spec, t + 1)[1:])
+        assert _computes_exactly(spec, t + 1, "auto")
         expected = reference_maxlen(model, n, 0.05, "all-cells")
         assert (expected.violating_subset is None) == passes
         calls = count_rule_calls(monkeypatch)
@@ -266,9 +273,8 @@ class TestDetermineMaxlen:
         # well below the level; the path rule puts every c on the Edgeworth path
         def nu(spec, c, method="auto"):
             return 0.91 if c == 10 else 0.89
-        for module in (sono.simci, thresholds):
-            monkeypatch.setattr(module, "coverage_probability", nu)
-            monkeypatch.setattr(module, "_computes_exactly", lambda method, a, b: False)
+        monkeypatch.setattr(sono.simci, "coverage_probability", nu)
+        monkeypatch.setattr(sono.simci, "_computes_exactly", lambda spec, c, method: False)
         model = model_of([0.5, 0.5])
         spec = CellSpec(probs=subset_cell_probs(model, (0,)), n=100)
         assert find_c(spec, 0.9)[0] == 9
