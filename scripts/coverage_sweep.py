@@ -3,7 +3,8 @@
 
 For each (k, n) pair the two-sided intervals are built at the requested
 alpha and the simultaneous coverage (all empirical proportions inside) is
-estimated from simulated multinomials. Useful for eyeballing how far the
+estimated from simulated multinomials by sono.oracle.simulated_coverage, the
+routine behind `sono verify --suite coverage`. Useful for eyeballing how far the
 discrete bracketing pushes coverage off the nominal level.
 """
 import argparse
@@ -14,7 +15,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from sono import CellSpec, simultaneous_intervals
+from sono import CellSpec
+from sono.oracle import simulated_coverage
 
 
 def main() -> int:
@@ -28,15 +30,8 @@ def main() -> int:
     print(f"{'k':>3} {'n':>5} {'c':>4} {'gamma':>7} {'MC coverage':>12}")
     for k in (3, 5, 7, 10):
         for n in (50, 100, 200):
-            probs = np.full(k, 1.0 / k)
-            spec = CellSpec(probs=probs, n=n)
-            ci = simultaneous_intervals(spec, args.alpha, "two-sided")
-            snap = lambda x: np.where(np.abs(x - np.round(x)) <= 1e-9,
-                                      np.round(x), x)
-            lo = np.ceil(snap(n * ci.lower))
-            hi = np.floor(snap(n * ci.upper))
-            draws = rng.multinomial(n, probs, size=args.sims)
-            rate = float(np.all((draws >= lo) & (draws <= hi), axis=1).mean())
+            spec = CellSpec(probs=np.full(k, 1.0 / k), n=n)
+            ci, rate = simulated_coverage(spec, args.alpha, args.sims, rng)
             print(f"{k:>3} {n:>5} {ci.c:>4} {ci.gamma:>7.3f} {rate:>12.4f}")
     return 0
 

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 # OpenBLAS reads an empty value as unset, so setdefault would not do.
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p-max", type=_int_at_least(2), default=60,
                     help="largest p for the proposition sweep (>= 2)")
     pv.add_argument("--suite", action="append",
-                    choices=("nu", "exact-nu", "coverage", "propositions", "walker"),
+                    choices=("nu", "coverage", "propositions", "walker"),
                     help="run only the named suites (repeatable)")
 
     pp = sub.add_parser("prepare", help="apply a documented UCI cleaning recipe")
@@ -211,14 +211,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "thresholds": {
                     "c_by_size": {str(k): v for k, v in info.c_by_size.items()},
                 },
-                "instrumentation": {
-                    "subsets_materialized": info.stats.subsets_materialized,
-                    "subsets_skipped": info.stats.subsets_skipped,
-                    "cells_tested": info.stats.cells_tested,
-                    "cells_pruned": info.stats.cells_pruned,
-                    "cells_flagged": info.stats.cells_flagged,
-                    "deepest_level_tested": info.stats.deepest_level_tested,
-                },
+                "instrumentation": asdict(info.stats),
                 "diagnostics": {"saturated_tables": info.saturated_tables},
                 "results": {
                     "nonzero_scores": int((report.scores > 0).sum()),

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
@@ -15,6 +16,8 @@ FORMATS = ("csv", "json", "svg")
 # Options that run.json files of earlier versions hold but that no longer
 # exist; a config file may still name them, and they are ignored.
 RETIRED_FILE_KEYS = ("threads",)
+# Larger length exponents are allowed but advised against.
+R_SOFT_MAX = 3.0
 
 
 @dataclass
@@ -69,6 +72,10 @@ class RunConfig:
             raise DomainError("maxlen-rule must be any-cell or all-cells")
         if math.isnan(self.max_cells):
             raise DomainError("max-cells must be a number")
+        if self.r > R_SOFT_MAX:
+            # run_analysis validates: the warning names its caller
+            warnings.warn(f"r={self.r} strongly damps longer itemsets; values much "
+                          f"above {R_SOFT_MAX} are not recommended", stacklevel=3)
 
     def to_flat_dict(self) -> dict[str, Any]:
         d = asdict(self)

@@ -341,10 +341,15 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
         if spec is None:
             vecs.append(emp.pi[i])
         else:
+            values = [spec[lab] for lab in ds2.level_labels[i]]
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise DomainError(f"probabilities of {name} must be numbers, "
+                                      f"got {value!r}")
             try:
-                vecs.append(np.array([float(spec[lab]) for lab in ds2.level_labels[i]]))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"probabilities of {name} must be numbers: {exc}") from exc
+                vecs.append(np.array(values, dtype=float))
+            except OverflowError as exc:  # an integer beyond float range
+                raise DomainError(f"probabilities of {name} must lie in [0, 1]: {exc}") from exc
     return ds2, ProbabilityModel(pi=tuple(vecs), source="user")
 
 

@@ -6,7 +6,7 @@ definitions; the maxlen rule by its definition (sigma_ref read from every
 subset's own threshold table); an exact coverage probability (a
 cell-by-cell convolution of its own plus a multinomial enumeration
 self-check); the literal clamped sweep for the half-width c; the
-simultaneous intervals the coverage simulation checks; truncated-Poisson
+simultaneous intervals and their Monte Carlo coverage; truncated-Poisson
 moments by direct summation and the Edgeworth density of their sum; and
 exact checkers for the two maximum-score propositions, which search every
 flag configuration (no sampling). Deliberately single-threaded and
@@ -51,38 +51,29 @@ DEFAULT_ORACLE = OracleConfig()
 # Exact coverage probability
 # ---------------------------------------------------------------------------
 
+def _snap(x):
+    """x with each entry within 1e-9 (relative) of an integer replaced by that
+    integer, so that endpoints the construction puts on a lattice point stay
+    on it through floor and ceil."""
+    r = np.round(x)
+    return np.where(np.abs(x - r) <= 1e-9 * (1.0 + np.abs(x)), r, x)
+
+
 def _literal_bounds(spec: CellSpec, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected counts m = n * p and the truncation bounds at half-width c, by
     their definition: a = max(0, ceil(m - c)) and b = min(floor(m + c), n),
-    where m - c and m + c are first snapped to an integer within 1e-9
-    (relative) of them. Written out here rather than read from
-    CellSpec.bounds, so the grid the fast path keeps is audited, not shared.
+    where m - c and m + c are first snapped (`_snap`). Written out here rather
+    than read from CellSpec.bounds, so the grid the fast path keeps is
+    audited, not shared.
     """
-    def snap(x):
-        r = np.round(x)
-        return np.where(np.abs(x - r) <= 1e-9 * (1.0 + np.abs(x)), r, x)
-
     m = spec.n * spec.probs
-    return (m, np.maximum(0.0, np.ceil(snap(m - c))),
-            np.minimum(np.floor(snap(m + c)), float(spec.n)))
+    return (m, np.maximum(0.0, np.ceil(_snap(m - c))),
+            np.minimum(np.floor(_snap(m + c)), float(spec.n)))
 
 
-def _enumeration_states(spec: CellSpec, c: int) -> float:
-    _, a, b = _literal_bounds(spec, c)
-    if np.any(a > b):
-        return 0.0
-    with np.errstate(over="ignore"):  # beyond float range: inf states, never enumerated
-        return float(np.exp(np.log(b - a + 1.0).sum()))
-
-
-def _coverage_enumeration(spec: CellSpec, c: int, cap: float) -> float:
-    """Direct multinomial rectangle probability, term-by-term enumeration."""
-    states = _enumeration_states(spec, c)
-    if states > cap:
-        raise OracleRefusal(f"enumeration needs {states:.3g} states, cap {cap:.3g}")
-    _, a, b = _literal_bounds(spec, c)
-    if np.any(a > b):
-        return 0.0
+def _coverage_enumeration(spec: CellSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Direct multinomial rectangle probability over the counts a <= x <= b
+    (a <= b in every cell), term-by-term enumeration."""
     k = spec.k
     n = spec.n
     lo = a.astype(int).tolist()
@@ -113,15 +104,16 @@ def _coverage_enumeration(spec: CellSpec, c: int, cap: float) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
-def _sequential_convolution(spec: CellSpec, c: int, work_cap: float) -> float:
-    """Exact nu(c): convolve the truncated Poisson pmfs one cell at a time.
+def _sequential_convolution(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.ndarray,
+                            work_cap: float) -> float:
+    """Exact nu: convolve the truncated Poisson pmfs one cell at a time, on
+    the expected counts m and the bounds [a, b] of `_literal_bounds`.
 
     Independent of the fast path's product tree. Width-1 cells contribute a
     deterministic shift and a scalar mass factor. After every step the
     accumulator is rescaled to maximum 1 and the log of the factor carried,
     so it cannot overflow on large tables. Refused above the array-work cap.
     """
-    m, a, b = _literal_bounds(spec, c)
     if np.any(a > b):
         return 0.0
     if np.all((a == 0.0) & (b == float(spec.n))):
@@ -157,15 +149,20 @@ def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> f
     """Exact nu(c) by truncated-Poisson convolution, self-checked by enumeration.
 
     The convolution is refused above the array-work cap; whenever the full
-    multinomial enumeration is feasible it is run too and must agree within
+    multinomial enumeration is feasible (at most `enum_state_cap` count
+    vectors in the truncation box) it is run too and must agree within
     1e-12.
     """
     if spec.k == 1:
         return 1.0
-    val = _sequential_convolution(spec, c, config.conv_work_cap)
-    states = _enumeration_states(spec, c)
-    if 0.0 < states <= config.enum_state_cap:
-        other = _coverage_enumeration(spec, c, config.enum_state_cap)
+    m, a, b = _literal_bounds(spec, c)
+    val = _sequential_convolution(spec, m, a, b, config.conv_work_cap)
+    if np.any(a > b):
+        return val
+    with np.errstate(over="ignore"):  # beyond float range: inf states, never enumerated
+        states = float(np.exp(np.log(b - a + 1.0).sum()))
+    if states <= config.enum_state_cap:
+        other = _coverage_enumeration(spec, a, b)
         if abs(val - other) > 1e-12:
             raise OracleRefusal(
                 f"exact-nu self-check failed: conv={val!r} enum={other!r}")
@@ -191,7 +188,8 @@ def sweep_find_c(spec: CellSpec, level: float, method: str = "auto") -> tuple[in
         if spec.k == 1:
             return 1.0
         if _computes_exactly(spec, c, method):
-            return _sequential_convolution(spec, c, CONVOLUTION_WORK_CAP)
+            return _sequential_convolution(spec, *_literal_bounds(spec, c),
+                                           CONVOLUTION_WORK_CAP)
         return coverage_probability(spec, c, method)
 
     prev = nu(0)
@@ -255,6 +253,22 @@ def simultaneous_intervals(spec: CellSpec, alpha: float, sidedness: str = "two-s
         upper = spec.probs + (c + 2.0 * gamma) / n
     return SimultaneousCI(c=c, gamma=gamma, alpha=alpha, lower=lower, upper=upper,
                           sidedness=sidedness)
+
+
+def simulated_coverage(spec: CellSpec, alpha: float, sims: int,
+                       rng: np.random.Generator) -> tuple[SimultaneousCI, float]:
+    """Monte Carlo simultaneous coverage of the two-sided intervals.
+
+    Returns the intervals and the share of `sims` multinomial draws from
+    `rng` whose counts all lie inside them. The endpoints are mapped to
+    integer count bounds through `_snap`: the construction puts them exactly
+    on lattice points, where a raw float comparison loses whole layers.
+    """
+    ci = simultaneous_intervals(spec, alpha, "two-sided")
+    lo = np.ceil(_snap(spec.n * ci.lower))
+    hi = np.floor(_snap(spec.n * ci.upper))
+    draws = rng.multinomial(spec.n, spec.probs, size=sims)
+    return ci, float(np.all((draws >= lo) & (draws <= hi), axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +480,8 @@ class PropositionCase:
     r: float
     checks: dict[str, bool] = field(default_factory=dict)
     details: dict[str, str] = field(default_factory=dict)
+    # the lengths k maximizing C(p, k)/k^r, where the closed form is checked
+    argmax: frozenset[int] | None = None
 
     @property
     def passed(self) -> bool:
@@ -534,6 +550,7 @@ def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0)) -> list[Prop
                     best = max(values)
                     argmaxes = {k + 1 for k, v in enumerate(values)
                                 if v >= best * (1 - 1e-12)}
+                case.argmax = frozenset(argmaxes)
                 expect = math.floor((p - r) / 2.0)
                 case.checks["argmax_closed_form"] = expect in argmaxes
                 case.details["argmax_closed_form"] = (

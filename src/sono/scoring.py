@@ -15,7 +15,6 @@ scored once, and the observations take their distinct row's results.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +22,10 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError
 from .lattice import Flags
 
-R_SOFT_MAX = 3.0
-
 
 def validate_exponent(r: float) -> None:
     if r <= 0:
         raise DomainError("length exponent r must be > 0")
-    if r > R_SOFT_MAX:
-        warnings.warn(
-            f"r={r} strongly damps longer itemsets; values much above "
-            f"{R_SOFT_MAX} are not recommended", stacklevel=2)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,9 @@ class CellSpec:
             raise DomainError("cell probabilities must be a non-empty vector")
         if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
             raise DomainError("cell probabilities must lie in [0, 1]")
-        if abs(float(v.sum()) - 1.0) > 1e-12:
+        # wide enough for any product of vectors that ProbabilityModel accepts
+        # (each within 1e-12 of 1)
+        if abs(float(v.sum()) - 1.0) > 1e-9:
             raise DomainError("cell probabilities must sum to 1")
         if self.n < 1:
             raise DomainError("sample size must be >= 1")

@@ -222,11 +222,16 @@ class ThresholdProvider:
                 digest.update(v.tobytes())
             digest.update(f"{n}|{alpha}|{method}|{model.level_counts}|{_ALGORITHM_VERSION}|"
                           f"{CONVOLUTION_AUTO_CAP}|{CONVOLUTION_AUTO_WORK}".encode())
-            os.makedirs(cache_dir, exist_ok=True)
-            self._spill_path = os.path.join(
-                cache_dir, f"thresholds-{digest.hexdigest()[:16]}.json")
-            if os.path.exists(self._spill_path):
-                self._spilled = self._load_spill()
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as exc:
+                log.warning("cannot use threshold cache directory %s (%s); "
+                            "running without a spill file", cache_dir, exc)
+            else:
+                self._spill_path = os.path.join(
+                    cache_dir, f"thresholds-{digest.hexdigest()[:16]}.json")
+                if os.path.exists(self._spill_path):
+                    self._spilled = self._load_spill()
 
     def _load_spill(self) -> dict[str, list]:
         """The spill file's well-formed entries; what cannot be used is reported."""

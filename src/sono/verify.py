@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
-                     random_dataset, reference_maxlen, simultaneous_intervals,
+                     random_dataset, reference_maxlen, simulated_coverage,
                      sweep_find_c, walker)
 from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _computes_exactly,
                     coverage_probability, find_c)
@@ -144,39 +143,11 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     return checks
 
 
-def suite_exact_nu_self_consistency(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
-    """Convolution vs enumeration inside exact_nu (raises on disagreement)."""
-    tried = 0
-    for k, n in ((2, 10), (2, 20), (3, 10), (3, 20), (5, 10)):
-        for shape in ("uniform", "skewed"):
-            spec = battery_spec(k, n, shape)
-            for c in range(0, n + 1):
-                exact_nu(spec, c, config)  # self-check runs when enumerable
-                tried += 1
-    return [("exact-nu self-consistency", True,
-             f"{tried} convolution/enumeration cross-checks within 1e-12")]
-
-
 def suite_coverage_simulation(seed: int = 20240901, sims: int = 10_000) -> list[Check]:
-    """Two-sided simultaneous coverage for k=5 equiprobable, n=100, alpha=0.05.
-
-    Counts the simulations whose empirical proportions all fall inside the
-    two-sided intervals. Interval endpoints are mapped to integer count
-    bounds (with a 1-ulp snap) because the construction puts endpoints
-    exactly on lattice points, where raw float comparison loses whole layers.
-    """
-    n = 100
-    spec = CellSpec(probs=np.full(5, 0.2), n=n)
-    ci = simultaneous_intervals(spec, 0.05, "two-sided")
-    lo_f = n * ci.lower
-    hi_f = n * ci.upper
-    snap = lambda x: np.where(np.abs(x - np.round(x)) <= 1e-9 * (1 + np.abs(x)),
-                              np.round(x), x)
-    lo = np.ceil(snap(lo_f))
-    hi = np.floor(snap(hi_f))
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, [0.2] * 5, size=sims)
-    rate = float(np.all((draws >= lo) & (draws <= hi), axis=1).mean())
+    """Two-sided simultaneous coverage for k=5 equiprobable, n=100, alpha=0.05
+    (oracle.simulated_coverage)."""
+    spec = CellSpec(probs=np.full(5, 0.2), n=100)
+    ci, rate = simulated_coverage(spec, 0.05, sims, np.random.default_rng(seed))
     ok = 0.94 <= rate <= 0.99
     return [("coverage simulation", ok,
              f"simultaneous coverage {rate:.4f} with c={ci.c}, "
@@ -190,13 +161,6 @@ def suite_coverage_simulation(seed: int = 20240901, sims: int = 10_000) -> list[
 # singleton-dominance threshold overshoots for r=3.
 ARGMAX_OFF_BY_ONE = {(10, 2.0): 3, (17, 3.0): 6}
 SINGLETON_GAP = {(14, 3.0), (15, 3.0), (16, 3.0)}
-
-
-def _true_argmax_set(p: int, r: float) -> set[int]:
-    from fractions import Fraction
-    values = [Fraction(math.comb(p, k), k ** int(r)) for k in range(1, p + 1)]
-    best = max(values)
-    return {k + 1 for k, v in enumerate(values) if v == best}
 
 
 def suite_propositions(p_max: int = 60) -> list[Check]:
@@ -214,7 +178,7 @@ def suite_propositions(p_max: int = 60) -> list[Check]:
         key = (case.p, case.r)
         failing = {name for name, ok in case.checks.items() if not ok}
         if key in ARGMAX_OFF_BY_ONE and failing == {"argmax_closed_form"} \
-                and _true_argmax_set(case.p, case.r) == {ARGMAX_OFF_BY_ONE[key]}:
+                and case.argmax == {ARGMAX_OFF_BY_ONE[key]}:
             documented.append(f"p={case.p} r={case.r:g} argmax off by one")
         elif key in SINGLETON_GAP and failing == {"singletons_dominate"} \
                 and max(math.comb(case.p, j + 1) / (j + 1) ** case.r
@@ -285,7 +249,6 @@ def run_verify(n_datasets: int = 12, seed: int = 20240901, p_max: int = 60,
     """Run the audit suites; exit status 0 iff every check passed."""
     registry = {
         "nu": lambda: suite_nu_accuracy(config),
-        "exact-nu": lambda: suite_exact_nu_self_consistency(config),
         "coverage": lambda: suite_coverage_simulation(seed),
         "propositions": lambda: suite_propositions(p_max),
         "walker": lambda: suite_walker_equivalence(n_datasets, seed, config),

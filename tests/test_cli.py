@@ -374,6 +374,20 @@ class TestScoreCommand:
         doc = json.loads((out / "run.json").read_text())
         assert doc["dataset"]["level_counts"] == [3]
 
+    def test_probabilities_the_model_accepts_reach_every_table(self, tmp_path):
+        # each vector sums to 1 within the model's 1e-12, and their products
+        # used to fail the cell probabilities' own 1e-12 from the pairs on
+        rng = np.random.default_rng(4)
+        path = tmp_path / "d.csv"
+        write_csv(path, rng.choice(["a", "b"], size=(200, 3)).tolist())
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({v: {"a": 0.5, "b": 0.4999999999994}
+                                     for v in ("A", "B", "C")}))
+        out = tmp_path / "out"
+        assert main(["score", "--input", str(path), "--probs", str(probs),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["maxlen"]["value"] == 3
+
     def test_empty_probability_file_falls_back(self, tmp_path, capsys):
         rows = [["a"], ["b"], ["a"]]
         path = tmp_path / "d.csv"
@@ -388,6 +402,11 @@ class TestScoreCommand:
         ('{"V": {"a": NaN, "b": 0.5}}', "not in [0, 1]"),
         ('[{"V": {"a": 0.5, "b": 0.5}}]', "must hold a JSON object"),
         ('{"V": {"a": "abc", "b": 0.5}}', "must be numbers"),
+        # strings that parse as numbers, and booleans, are not JSON numbers
+        ('{"V": {"a": "0.5", "b": "0.5"}}', "must be numbers"),
+        ('{"V": {"a": true, "b": false}}', "must be numbers"),
+        # an integer beyond float range used to end in an OverflowError
+        ('{"V": {"a": 1' + "0" * 400 + ', "b": 0.5}}', "must lie in [0, 1]"),
         ('{"V": 0.5}', "must map level labels to numbers"),
     ])
     def test_malformed_probability_file_exit_code(self, tmp_path, capsys, doc, message):
@@ -532,6 +551,21 @@ class TestScoreCommand:
                   for o in (out1, out2))
         assert c1 == c2
         assert (out1 / "scores.csv").read_bytes() == (out2 / "scores.csv").read_bytes()
+
+    def test_cache_dir_that_is_a_file(self, sample_csv, tmp_path, monkeypatch, caplog):
+        # creating the directory raises FileExistsError, which used to end the run
+        plain = tmp_path / "plain"
+        assert main(["score", "--input", sample_csv, "--out", str(plain)]) == 0
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory")
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert f"cannot use threshold cache directory {cache}" in warnings[0].getMessage()
+        assert cache.read_text() == "not a directory"
+        assert (out / "scores.csv").read_bytes() == (plain / "scores.csv").read_bytes()
 
     def test_cached_run_enforces_max_cells(self, tmp_path, monkeypatch, capsys):
         # three 8-level variables: the triple's table has 512 cells
@@ -746,8 +780,7 @@ def test_scoring_allocates_no_reference_cycles(mode, prune, tmp_path, monkeypatc
 
 class TestVerifyCommand:
     def test_quick_suites_pass(self, capsys):
-        rc = main(["verify", "--suite", "exact-nu", "--suite", "coverage",
-                   "--datasets", "2"])
+        rc = main(["verify", "--suite", "coverage", "--datasets", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out

@@ -202,6 +202,12 @@ class TestUserModel:
         with pytest.raises(DomainError, match="must be numbers"):
             user_model(toy_table, {"V1": {"a": "abc", "b": 0.5}})
 
+    @pytest.mark.parametrize("a, b", [("0.5", "0.5"), (True, False)])
+    def test_only_numbers_are_probabilities(self, toy_table, a, b):
+        # numeric strings and booleans used to be converted with float()
+        with pytest.raises(DomainError, match="must be numbers"):
+            user_model(toy_table, {"V1": {"a": a, "b": b}})
+
     def test_levels_not_a_mapping_rejected(self, toy_table):
         with pytest.raises(DomainError, match="must map level labels"):
             user_model(toy_table, {"V1": [0.5, 0.5]})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sono.engine
 from sono import (DomainError, FlagRecord, InternalConsistencyError, Itemset,
                   RunConfig, build_report, empirical_model, max_score_bound,
                   random_dataset, run_analysis)
@@ -54,8 +55,24 @@ class TestScore:
     def test_r_validation(self):
         with pytest.raises(DomainError):
             report_of([[]], r=0.0, mode="infrequent", maxlen=1)
-        with pytest.warns(UserWarning, match="not recommended"):
+        ds = make_dataset([[1, 1], [1, 2], [2, 1], [1, 1]] * 10)
+        with pytest.warns(UserWarning, match="not recommended") as caught:
+            run_analysis(ds, empirical_model(ds), RunConfig(r=5.0))
+        assert caught[0].filename == __file__  # names run_analysis's caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report_of([[]], r=5.0, mode="infrequent", maxlen=1)
+            max_score_bound(n=10, p=4, r=5.0, maxlen=2)
+
+    def test_large_r_warns_before_threshold_work(self, monkeypatch):
+        def no_thresholds(*args, **kwargs):
+            raise RuntimeError("threshold work started")
+
+        monkeypatch.setattr(sono.engine, "ThresholdProvider", no_thresholds)
+        ds = make_dataset([[1, 1], [1, 2], [2, 1], [1, 1]] * 10)
+        with pytest.warns(UserWarning, match="strongly damps"), \
+                pytest.raises(RuntimeError, match="threshold work started"):
+            run_analysis(ds, empirical_model(ds), RunConfig(r=4.0))
 
     def test_large_r_warns_once_per_run(self):
         ds = make_dataset([[1, 1], [1, 2], [2, 1], [1, 1]] * 10)
