@@ -16,14 +16,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from sono import CellSpec
+from sono.cli import _int_at_least
 from sono.oracle import simulated_coverage
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--sims", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=20240901)
+    parser.add_argument("--sims", type=_int_at_least(1), default=10_000)
+    parser.add_argument("--seed", type=_int_at_least(0), default=20240901)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

@@ -32,7 +32,7 @@ _LAZY = {name: module for module, names in (
     ("simci", ("CellSpec", "coverage_probability", "find_c")),
     ("thresholds", ("MaxlenDecision", "ThresholdTable", "ThresholdProvider",
                     "determine_maxlen", "subset_thresholds")),
-    ("oracle", ("OracleConfig", "WalkerResult", "walker", "exact_nu",
+    ("oracle", ("WalkerResult", "walker", "exact_nu",
                 "check_propositions", "random_dataset", "TruncatedPoissonMoments",
                 "truncated_poisson_moments", "edgeworth_sum_density",
                 "SimultaneousCI", "simultaneous_intervals")),

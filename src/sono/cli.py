@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-cells", dest="max_cells", type=float)
 
     pv = sub.add_parser("verify", help="run the reference-oracle audit suites")
-    pv.add_argument("--seed", type=int, default=20240901,
+    pv.add_argument("--seed", type=_int_at_least(0), default=20240901,
                     help="seed of the coverage simulation and the walker datasets")
     pv.add_argument("--datasets", type=_int_at_least(1), default=12,
                     help="random datasets for the walker suite (>= 1)")

@@ -171,7 +171,7 @@ class ProbabilityModel:
 
     pi: tuple[np.ndarray, ...]
     source: str  # "empirical" or "user"
-    level_counts: tuple[int, ...] = field(default=())
+    level_counts: tuple[int, ...] = field(init=False)  # from pi, in __post_init__
 
     def __post_init__(self):
         vecs = []
@@ -193,13 +193,14 @@ class ProbabilityModel:
         return len(self.pi)
 
 
-def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None = None,
-                 variable_names: Sequence[str] | None = None) -> Dataset:
+def load_dataset(rows: Iterable[Sequence[str]],
+                 options: IngestionOptions | None = None) -> Dataset:
     """Encode a rectangular table of strings into a Dataset.
 
     With header=True the first row names the variables, and a record of
-    another width is reported as ragged. Levels are coded in
-    first-appearance order unless options.level_order == "lexicographic".
+    another width is reported as ragged; without a header they are named
+    V1..Vp. Levels are coded in first-appearance order unless
+    options.level_order == "lexicographic".
     Raw strings are matched exactly (no case or whitespace normalization).
     Every name in options.drop_cols must name a column.
 
@@ -216,16 +217,13 @@ def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None
     if opts.header:
         names = [str(c) for c in first]
     else:
-        names = list(variable_names) if variable_names else None
+        names = None
         rows = itertools.chain([first], rows)
     index: dict[tuple, int] = {}
     group = np.fromiter((index.setdefault(tuple(r), len(index)) for r in rows),
                         dtype=np.intp)
     distinct = list(index)
-    if opts.header:
-        width = len(names)
-    else:
-        width = len(distinct[0]) if distinct else (len(names) if names else 0)
+    width = len(names) if opts.header else len(distinct[0])
     if width == 0:
         raise EmptyDatasetError("empty input table")
     for d, r in enumerate(distinct):
@@ -234,8 +232,6 @@ def load_dataset(rows: Iterable[Sequence[str]], options: IngestionOptions | None
             raise IngestionError(f"ragged table: row {idx} has {len(r)} fields, expected {width}")
     if names is None:
         names = [f"V{i + 1}" for i in range(width)]
-    if len(names) != width:
-        raise IngestionError("header width does not match data width")
 
     unknown = [nm for nm in dict.fromkeys(opts.drop_cols) if nm not in names]
     if unknown:

@@ -5,12 +5,14 @@ walker that recomputes flags, scores, depths and contributions from the
 definitions; the maxlen rule by its definition (sigma_ref read from every
 subset's own threshold table); an exact coverage probability (a
 cell-by-cell convolution of its own plus a multinomial enumeration
-self-check); the literal clamped sweep for the half-width c; the
+self-check); the literal clamped sweep for the half-width c; the two-sided
 simultaneous intervals and their Monte Carlo coverage; truncated-Poisson
 moments by direct summation and the Edgeworth density of their sum; and
 exact checkers for the two maximum-score propositions, which search every
 flag configuration (no sampling). Deliberately single-threaded and
-cache-free.
+cache-free. The size caps are fixed constants (WALKER_MAX_N, WALKER_MAX_P,
+WALKER_MAX_CELLS, EXACT_NU_WORK_CAP, ENUMERATION_STATE_CAP): past them the
+oracle raises OracleRefusal.
 """
 from __future__ import annotations
 
@@ -31,20 +33,15 @@ from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
 from .thresholds import SIGMA_FLOOR, MaxlenDecision, subset_thresholds
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Size caps and tolerances for the audit suites."""
-
-    max_cells: float = 1e5
-    walker_max_n: int = 500
-    walker_max_p: int = 8
-    enum_state_cap: float = 1e6
-    conv_work_cap: float = 1e7
-    nu_tol: float = 2e-3
-    score_rtol: float = 1e-9
-
-
-DEFAULT_ORACLE = OracleConfig()
+# Size caps: beyond them the oracle raises OracleRefusal instead of running
+# for hours. The walker loops over every row, subset and cell of a table.
+WALKER_MAX_N = 500
+WALKER_MAX_P = 8
+WALKER_MAX_CELLS = 1e5
+# exact_nu's convolution is refused above this many array cells of work, and
+# its enumeration self-check runs only up to this many count vectors.
+EXACT_NU_WORK_CAP = 1e7
+ENUMERATION_STATE_CAP = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +142,23 @@ def _sequential_convolution(spec: CellSpec, m: np.ndarray, a: np.ndarray, b: np.
     return min(max(val, 0.0), 1.0)
 
 
-def exact_nu(spec: CellSpec, c: int, config: OracleConfig = DEFAULT_ORACLE) -> float:
+def exact_nu(spec: CellSpec, c: int) -> float:
     """Exact nu(c) by truncated-Poisson convolution, self-checked by enumeration.
 
-    The convolution is refused above the array-work cap; whenever the full
-    multinomial enumeration is feasible (at most `enum_state_cap` count
-    vectors in the truncation box) it is run too and must agree within
-    1e-12.
+    The convolution is refused above EXACT_NU_WORK_CAP array cells of work;
+    whenever the full multinomial enumeration is feasible (at most
+    ENUMERATION_STATE_CAP count vectors in the truncation box) it is run too
+    and must agree within 1e-12.
     """
     if spec.k == 1:
         return 1.0
     m, a, b = _literal_bounds(spec, c)
-    val = _sequential_convolution(spec, m, a, b, config.conv_work_cap)
+    val = _sequential_convolution(spec, m, a, b, EXACT_NU_WORK_CAP)
     if np.any(a > b):
         return val
     with np.errstate(over="ignore"):  # beyond float range: inf states, never enumerated
         states = float(np.exp(np.log(b - a + 1.0).sum()))
-    if states <= config.enum_state_cap:
+    if states <= ENUMERATION_STATE_CAP:
         other = _coverage_enumeration(spec, a, b)
         if abs(val - other) > 1e-12:
             raise OracleRefusal(
@@ -215,44 +212,23 @@ class SimultaneousCI:
 
     c: int
     gamma: float
-    alpha: float
     lower: np.ndarray
     upper: np.ndarray
-    sidedness: str  # "two-sided", "upper-one-sided", "lower-one-sided"
 
 
-def simultaneous_intervals(spec: CellSpec, alpha: float, sidedness: str = "two-sided",
-                           method: str = "auto") -> SimultaneousCI:
-    """Simultaneous interval endpoints for all cell proportions.
-
-    two-sided uses level 1-alpha: (p_i - c/n, p_i + (c+2*gamma)/n).
-    One-sided variants use level 1-2*alpha: upper-one-sided keeps
-    (p_i - c/n, 1); lower-one-sided keeps (0, p_i + (c+2*gamma)/n).
-    Endpoints are the raw formula values, not clamped to [0, 1].
+def simultaneous_intervals(spec: CellSpec, alpha: float) -> SimultaneousCI:
+    """Two-sided simultaneous intervals for all cell proportions at level
+    1-alpha: (p_i - c/n, p_i + (c+2*gamma)/n). Endpoints are the raw formula
+    values, not clamped to [0, 1].
 
     (c, gamma) come from the fast path's simci.find_c: the coverage
     simulation audits the c that scoring uses, not sweep_find_c's.
     """
     if not (0.0 < alpha <= 0.5):
         raise DomainError("alpha must be in (0, 0.5]")
-    if sidedness not in ("two-sided", "upper-one-sided", "lower-one-sided"):
-        raise DomainError(f"unknown sidedness {sidedness!r}")
-    level = 1.0 - alpha if sidedness == "two-sided" else 1.0 - 2.0 * alpha
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"resulting confidence level {level} is outside (0, 1)")
-    c, gamma = simci.find_c(spec, level, method)
-    n = spec.n
-    if sidedness == "two-sided":
-        lower = spec.probs - c / n
-        upper = spec.probs + (c + 2.0 * gamma) / n
-    elif sidedness == "upper-one-sided":
-        lower = spec.probs - c / n
-        upper = np.ones_like(spec.probs)
-    else:
-        lower = np.zeros_like(spec.probs)
-        upper = spec.probs + (c + 2.0 * gamma) / n
-    return SimultaneousCI(c=c, gamma=gamma, alpha=alpha, lower=lower, upper=upper,
-                          sidedness=sidedness)
+    c, gamma = simci.find_c(spec, 1.0 - alpha)
+    return SimultaneousCI(c=c, gamma=gamma, lower=spec.probs - c / spec.n,
+                          upper=spec.probs + (c + 2.0 * gamma) / spec.n)
 
 
 def simulated_coverage(spec: CellSpec, alpha: float, sims: int,
@@ -264,7 +240,7 @@ def simulated_coverage(spec: CellSpec, alpha: float, sims: int,
     integer count bounds through `_snap`: the construction puts them exactly
     on lattice points, where a raw float comparison loses whole layers.
     """
-    ci = simultaneous_intervals(spec, alpha, "two-sided")
+    ci = simultaneous_intervals(spec, alpha)
     lo = np.ceil(_snap(spec.n * ci.lower))
     hi = np.floor(_snap(spec.n * ci.upper))
     draws = rng.multinomial(spec.n, spec.probs, size=sims)
@@ -384,26 +360,26 @@ class WalkerResult:
 
 def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
            mode: str = "infrequent", prune: bool = True,
-           max_len: int | None = None, maxlen_rule: str = "any-cell",
-           method: str = "auto",
-           config: OracleConfig = DEFAULT_ORACLE) -> WalkerResult:
+           max_len: int | None = None) -> WalkerResult:
     """Reference scorer: every subset and cell via nested loops, no caching.
 
     Applies the same flagging and pruning rules as the fast path and
     recomputes scores, depths and contributions from their definitions.
+    maxlen, unless given, is reference_maxlen's under the default rule and
+    method. Refused above WALKER_MAX_N rows, WALKER_MAX_P variables or
+    WALKER_MAX_CELLS cells in the full table.
     """
     total_cells = 1.0
     for l in model.level_counts:
         total_cells *= l
-    if ds.n > config.walker_max_n or ds.p > config.walker_max_p \
-            or total_cells > config.max_cells:
+    if ds.n > WALKER_MAX_N or ds.p > WALKER_MAX_P or total_cells > WALKER_MAX_CELLS:
         raise OracleRefusal(
             f"walker caps exceeded (n={ds.n}, p={ds.p}, cells={total_cells:.3g})")
     n, p = ds.n, ds.p
     if max_len is not None:
         maxlen = max_len
     else:
-        maxlen = reference_maxlen(model, n, alpha, maxlen_rule, method).maxlen
+        maxlen = reference_maxlen(model, n, alpha).maxlen
     maxlen = min(maxlen, p)
 
     flagged: list[FlagRecord] = []
@@ -416,7 +392,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
 
     for size in sizes:
         for subset in itertools.combinations(range(p), size):
-            table = subset_thresholds(model, n, subset, alpha, method=method)
+            table = subset_thresholds(model, n, subset, alpha)
             # observed cells, one slow pass per subset
             seen: dict[tuple[int, ...], int] = {}
             for i in range(n):
@@ -478,6 +454,8 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
 class PropositionCase:
     p: int
     r: float
+    # the best single-length boundary value, max over k = 2..p of C(p, k)/k^r
+    boundary: float
     checks: dict[str, bool] = field(default_factory=dict)
     details: dict[str, str] = field(default_factory=dict)
     # the lengths k maximizing C(p, k)/k^r, where the closed form is checked
@@ -523,7 +501,8 @@ def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0)) -> list[Prop
         if p > 60:
             raise OracleRefusal("proposition checks capped at p <= 60")
         for r in r_set:
-            case = PropositionCase(p=p, r=float(r))
+            case = PropositionCase(p=p, r=float(r), boundary=max(
+                math.comb(p, k) / k ** r for k in range(2, p + 1)))
             threshold = 2.0 ** (r + 1.0) + 1.0
             best_config = _best_configuration(p, r)
             singletons = float(p)  # every a_k = 0
@@ -533,12 +512,10 @@ def check_propositions(p_range=range(2, 61), r_set=(1.0, 2.0, 3.0)) -> list[Prop
                 case.details["singletons_dominate"] = (
                     f"p={p} vs best configuration {best_config:.6g}")
             else:
-                boundary = max(
-                    math.comb(p, j + 1) / (j + 1) ** r for j in range(1, p))
-                ok = boundary >= best_config - 1e-9
+                ok = case.boundary >= best_config - 1e-9
                 case.checks["boundary_dominates"] = bool(ok)
                 case.details["boundary_dominates"] = (
-                    f"boundary {boundary:.6g} vs best configuration {best_config:.6g}")
+                    f"boundary {case.boundary:.6g} vs best configuration {best_config:.6g}")
                 if r == int(r):  # exact rational arithmetic, no tie fuzz
                     from fractions import Fraction
                     values = [Fraction(math.comb(p, k), k ** int(r))

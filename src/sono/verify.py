@@ -1,26 +1,30 @@
 """Audit suites behind `sono verify`: fast path against the reference oracle.
 
 Each suite returns (name, passed, detail) triples; run_verify aggregates them
-into a plain-text report and an exit status.
+into a plain-text report and an exit status. The tolerances are fixed
+(NU_TOL, SCORE_RTOL); the oracle's size caps live in sono.oracle.
 """
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
-from .oracle import (DEFAULT_ORACLE, OracleConfig, check_propositions, exact_nu,
-                     random_dataset, reference_maxlen, simulated_coverage,
-                     sweep_find_c, walker)
+from .oracle import (check_propositions, exact_nu, random_dataset, reference_maxlen,
+                     simulated_coverage, sweep_find_c, walker)
 from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _computes_exactly,
                     coverage_probability, find_c)
 from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
+
+# Largest |nu_auto - nu_exact| the nu suite accepts, and the relative
+# tolerance of the walker suite's scores, depths and contributions.
+NU_TOL = 2e-3
+SCORE_RTOL = 1e-9
 
 NU_BATTERY = tuple(
     (k, n, shape)
@@ -46,7 +50,7 @@ def kronecker_spec(levels, n: int, seed: int) -> CellSpec:
     return CellSpec(probs=probs / probs.sum(), n=n)
 
 
-def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
+def suite_nu_accuracy() -> list[Check]:
     """Shipped nu against exact nu over the battery, plus half-width agreement.
 
     The shipped (auto) path must stay within tol everywhere, and its Edgeworth
@@ -75,7 +79,7 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for c in range(0, n + 1):
-            exact = exact_nu(spec, c, config)
+            exact = exact_nu(spec, c)
             lower, upper = _binomial_bounds(spec, c)
             if not lower - 1e-12 <= exact <= upper + 1e-12:
                 bracket_misses.append(f"k={k} n={n} {shape} c={c}")
@@ -89,10 +93,10 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
                 edgeworth_points += 1
                 edgeworth_outside += not lower - 1e-12 <= split <= upper + 1e-12
     checks.append(("nu accuracy",
-                   worst <= config.nu_tol and worst_split <= config.nu_tol,
+                   worst <= NU_TOL and worst_split <= NU_TOL,
                    f"max |nu_auto - nu_exact| = {worst:.2e}"
                    + (f" at {worst_at}" if worst_at else "")
-                   + f" (tol {config.nu_tol:.0e}); split-Edgeworth on its k=5 "
+                   + f" (tol {NU_TOL:.0e}); split-Edgeworth on its k=5 "
                    f"operating slice {worst_split:.2e}"))
     checks.append(("fast exact nu", worst_fast <= 1e-12,
                    f"max |nu_product_tree - nu_oracle| = {worst_fast:.2e} (tol 1e-12)"))
@@ -143,11 +147,11 @@ def suite_nu_accuracy(config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
     return checks
 
 
-def suite_coverage_simulation(seed: int = 20240901, sims: int = 10_000) -> list[Check]:
-    """Two-sided simultaneous coverage for k=5 equiprobable, n=100, alpha=0.05
-    (oracle.simulated_coverage)."""
+def suite_coverage_simulation(seed: int = 20240901) -> list[Check]:
+    """Two-sided simultaneous coverage for k=5 equiprobable, n=100, alpha=0.05,
+    from 10,000 draws (oracle.simulated_coverage)."""
     spec = CellSpec(probs=np.full(5, 0.2), n=100)
-    ci, rate = simulated_coverage(spec, 0.05, sims, np.random.default_rng(seed))
+    ci, rate = simulated_coverage(spec, 0.05, 10_000, np.random.default_rng(seed))
     ok = 0.94 <= rate <= 0.99
     return [("coverage simulation", ok,
              f"simultaneous coverage {rate:.4f} with c={ci.c}, "
@@ -181,8 +185,7 @@ def suite_propositions(p_max: int = 60) -> list[Check]:
                 and case.argmax == {ARGMAX_OFF_BY_ONE[key]}:
             documented.append(f"p={case.p} r={case.r:g} argmax off by one")
         elif key in SINGLETON_GAP and failing == {"singletons_dominate"} \
-                and max(math.comb(case.p, j + 1) / (j + 1) ** case.r
-                        for j in range(1, case.p)) > case.p:
+                and case.boundary > case.p:
             documented.append(f"p={case.p} r={case.r:g} singleton-threshold gap")
         else:
             unexpected.append(f"p={case.p} r={case.r:g}: {case.details}")
@@ -198,8 +201,7 @@ def _flag_key_sets(flag_sets):
     return [frozenset(rec.key() for rec in recs) for recs in flag_sets]
 
 
-def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
-                             config: OracleConfig = DEFAULT_ORACLE) -> list[Check]:
+def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list[Check]:
     """Fast path vs nested-loop walker on seeded random datasets.
 
     maxlen is decided by its definition (oracle.reference_maxlen) once per
@@ -225,17 +227,16 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
                 failures.append(f"ds{i} {mode} prune={prune}: maxlen "
                                 f"{info.maxlen} != {maxlen}")
                 continue
-            ref = walker(ds, model, alpha, r, mode=mode, prune=prune,
-                         max_len=maxlen, config=config)
+            ref = walker(ds, model, alpha, r, mode=mode, prune=prune, max_len=maxlen)
             if _flag_key_sets(flags.by_row()) != _flag_key_sets(ref.flag_sets):
                 failures.append(f"ds{i} {mode} prune={prune}: flag sets differ")
                 continue
             for name, a, b in (("scores", report.scores, ref.report.scores),
                                ("depths", report.depths, ref.report.depths)):
-                if not np.allclose(a, b, rtol=config.score_rtol, atol=1e-12):
+                if not np.allclose(a, b, rtol=SCORE_RTOL, atol=1e-12):
                     failures.append(f"ds{i} {mode} prune={prune}: {name} differ")
             if not np.allclose(report.contributions, ref.report.contributions,
-                               rtol=config.score_rtol, atol=1e-12):
+                               rtol=SCORE_RTOL, atol=1e-12):
                 failures.append(f"ds{i} {mode} prune={prune}: contributions differ")
     detail = f"{runs} runs on {n_datasets} seeded datasets"
     if failures:
@@ -244,14 +245,13 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901,
 
 
 def run_verify(n_datasets: int = 12, seed: int = 20240901, p_max: int = 60,
-               config: OracleConfig = DEFAULT_ORACLE,
                suites: tuple[str, ...] | None = None) -> tuple[int, str]:
     """Run the audit suites; exit status 0 iff every check passed."""
     registry = {
-        "nu": lambda: suite_nu_accuracy(config),
+        "nu": suite_nu_accuracy,
         "coverage": lambda: suite_coverage_simulation(seed),
         "propositions": lambda: suite_propositions(p_max),
-        "walker": lambda: suite_walker_equivalence(n_datasets, seed, config),
+        "walker": lambda: suite_walker_equivalence(n_datasets, seed),
     }
     names = suites or tuple(registry)
     lines = []

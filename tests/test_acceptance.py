@@ -117,7 +117,7 @@ def test_criterion_2_nu_accuracy():
 
 def test_criterion_3_coverage_simulation():
     t0 = time.perf_counter()
-    [(name, ok, detail)] = suite_coverage_simulation(seed=SEED, sims=10_000)
+    [(name, ok, detail)] = suite_coverage_simulation(seed=SEED)
     elapsed = time.perf_counter() - t0
     _report_line(3, "coverage simulation", ok and elapsed < 60.0,
                  f"{detail}; {elapsed:.0f}s")

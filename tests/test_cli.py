@@ -3,6 +3,8 @@ import dataclasses
 import gc
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -796,9 +798,11 @@ class TestVerifyCommand:
         assert "documented boundary deviations" in out
 
     @pytest.mark.parametrize("argv", [["--datasets", "0"], ["--datasets", "-1"],
-                                      ["--p-max", "1"], ["--p-max", "0"]])
+                                      ["--p-max", "1"], ["--p-max", "0"],
+                                      ["--seed", "-1"]])
     def test_options_that_check_nothing_are_rejected(self, capsys, argv):
-        # zero walker datasets or no (p, r) case used to print "verification PASSED"
+        # zero walker datasets or no (p, r) case used to print "verification
+        # PASSED"; a negative seed ended in NumPy's traceback
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         assert exc.value.code == 2
@@ -807,10 +811,22 @@ class TestVerifyCommand:
     def test_failure_injection_gives_nonzero_exit(self, monkeypatch, capsys):
         import sono.verify as verify_mod
 
-        def broken(seed=0, sims=10):
+        def broken(seed=0):
             return [("coverage simulation", False, "injected failure")]
 
         monkeypatch.setattr(verify_mod, "suite_coverage_simulation", broken)
         rc = main(["verify", "--suite", "coverage"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [(["--sims", "0"], "argument --sims: must be >= 1"),
+                                           (["--seed", "-1"], "argument --seed: must be >= 0")])
+def test_coverage_sweep_rejects_options_that_check_nothing(argv, message):
+    # --sims 0 used to print nan coverage for every shape
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "coverage_sweep.py")
+    done = subprocess.run([sys.executable, script, *argv], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done
+    assert message in done.stderr

@@ -128,6 +128,13 @@ class TestProbabilityModel:
         with pytest.raises(DomainError, match="not in"):
             ProbabilityModel(pi=(np.array([np.nan, 0.5]),), source="user")
 
+    def test_level_counts_come_from_pi_only(self):
+        # a passed level_counts used to be accepted and silently overwritten
+        with pytest.raises(TypeError, match="level_counts"):
+            ProbabilityModel(pi=(np.array([0.5, 0.5]),), source="user", level_counts=(3,))
+        model = ProbabilityModel(pi=(np.array([0.2, 0.8]), np.full(3, 1 / 3)), source="user")
+        assert model.level_counts == (2, 3)
+
 
 class TestCellProbability:
     def test_product_of_two(self):

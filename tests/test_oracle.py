@@ -7,7 +7,7 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, IngestionOptions, OracleConfig, OracleRefusal, RunConfig,
+from sono import (CellSpec, IngestionOptions, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
 from sono.oracle import _best_configuration
@@ -39,18 +39,21 @@ class TestExactNu:
         assert exact_nu(spec, 30) == 1.0
 
     def test_refusal_beyond_caps(self):
+        # the convolution would need about 1.7e7 array cells, over the 1e7 cap
         spec = CellSpec(probs=np.full(200, 1 / 200), n=5000)
-        with pytest.raises(OracleRefusal):
-            exact_nu(spec, 400, OracleConfig(conv_work_cap=1e4))
+        with pytest.raises(OracleRefusal, match="cap is 1e"):
+            exact_nu(spec, 400)
 
 
 class TestWalker:
     def test_caps(self):
+        # one past each cap: 501 rows, 9 variables, 18^4 = 104,976 table cells
         rng = np.random.default_rng(0)
-        ds = random_dataset(rng, n_max=60, p_max=3)
-        model = empirical_model(ds)
-        with pytest.raises(OracleRefusal):
-            walker(ds, model, 0.05, 2.0, config=OracleConfig(walker_max_n=10))
+        for n, level_counts in ((501, (2, 2)), (20, (2,) * 9), (20, (18,) * 4)):
+            codes = np.column_stack([rng.integers(1, l + 1, size=n) for l in level_counts])
+            ds = make_dataset(codes, level_counts)
+            with pytest.raises(OracleRefusal, match="walker caps exceeded"):
+                walker(ds, empirical_model(ds), 0.05, 2.0)
 
     def test_single_variable_matches_fast_path(self):
         ds = make_dataset([[1]] * 30 + [[2]] * 3 + [[3]] * 27, level_counts=(3,))
@@ -175,6 +178,17 @@ class TestCheckPropositions:
     def test_p_cap(self):
         with pytest.raises(OracleRefusal):
             check_propositions(range(61, 62), (1.0,))
+
+    def test_boundary_is_recorded_on_every_case(self):
+        # the best single-length value max_k C(p, k)/k^r, k = 2..p, on both
+        # sides of the p < 2^(r+1)+1 threshold; at r=3 it first beats the p
+        # singletons at p=14, three below the threshold (the singleton gap)
+        cases = check_propositions(range(2, 21), (1.0, 2.0, 3.0))
+        for case in cases:
+            want = max(Fraction(math.comb(case.p, k), k ** int(case.r))
+                       for k in range(2, case.p + 1))
+            assert case.boundary == pytest.approx(float(want), rel=1e-12), (case.p, case.r)
+        assert min(c.p for c in cases if c.r == 3.0 and c.boundary > c.p) == 14
 
     @staticmethod
     def enumerated_best(p, r):

@@ -6,10 +6,10 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, DegenerateTruncation, DomainError, OracleConfig,
+from sono import (CellSpec, DegenerateTruncation, DomainError,
                   coverage_probability, edgeworth_sum_density, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
-from sono.oracle import _literal_bounds, sweep_find_c
+from sono.oracle import _literal_bounds, _sequential_convolution, sweep_find_c
 import sono.simci
 from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
@@ -281,9 +281,10 @@ class TestFindC:
             find_c(spec, 0.0)
 
 
-# The oracle's cell-by-cell convolution with the fast path's work cap and no
-# enumeration self-check, for tables far beyond enumeration.
-BIG_ORACLE = OracleConfig(conv_work_cap=CONVOLUTION_WORK_CAP, enum_state_cap=0.0)
+def big_oracle_nu(spec, c):
+    """The oracle's cell-by-cell convolution at the fast path's work cap, with
+    no enumeration self-check, for tables far beyond exact_nu's caps."""
+    return _sequential_convolution(spec, *_literal_bounds(spec, c), CONVOLUTION_WORK_CAP)
 
 
 class TestFastExactCoverage:
@@ -306,7 +307,7 @@ class TestFastExactCoverage:
         # around the half-widths find_c visits: a few sd of a mean-sized cell
         c = int(round(spread * (math.sqrt(n / k) + 1.0) * 3.0))
         assert coverage_probability(spec, c, "exact") == pytest.approx(
-            exact_nu(spec, c, BIG_ORACLE), abs=1e-12)
+            big_oracle_nu(spec, c), abs=1e-12)
 
     def test_large_table_does_not_overflow(self):
         # the unscaled accumulator used to overflow here: inf * 0 gave NaN and
@@ -315,7 +316,7 @@ class TestFastExactCoverage:
         for c in range(2, 12):
             fast = coverage_probability(spec, c, "exact")
             assert fast > 0.0
-            assert fast == pytest.approx(exact_nu(spec, c, BIG_ORACLE), abs=1e-12)
+            assert fast == pytest.approx(big_oracle_nu(spec, c), abs=1e-12)
         assert find_c(spec, 0.9, "exact")[0] == find_c(spec, 0.9, "auto")[0] == 5
 
     def test_find_c_matches_literal_sweep_on_battery(self):
@@ -376,41 +377,34 @@ class TestFastExactCoverage:
 
 class TestSimultaneousIntervals:
     def test_upper_one_sided_endpoints(self):
+        # The upper one-sided intervals at alpha, (p_i - c/n, 1), are the
+        # lower ends of the two-sided ones at 2*alpha: level 0.90 here, the
+        # c behind the infrequent thresholds n*p_i - c.
         spec = CellSpec(probs=np.array([0.5, 0.5]), n=100)
-        ci = simultaneous_intervals(spec, 0.05, "upper-one-sided", method="exact")
-        assert ci.c == 7  # frozen: exact bracketing at level 0.90
+        for method in ("exact", "auto"):
+            assert find_c(spec, 0.90, method)[0] == 7  # frozen: exact bracketing
+        ci = simultaneous_intervals(spec, 0.10)
+        assert ci.c == 7
         assert ci.lower.tolist() == pytest.approx([0.5 - 0.07, 0.5 - 0.07])
-        assert ci.upper.tolist() == [1.0, 1.0]
 
     def test_two_sided_alpha_half_allowed(self):
         spec = CellSpec(probs=np.array([0.5, 0.5]), n=30)
-        ci_half = simultaneous_intervals(spec, 0.5, "two-sided")
-        ci_strict = simultaneous_intervals(spec, 0.05, "two-sided")
+        ci_half = simultaneous_intervals(spec, 0.5)
+        ci_strict = simultaneous_intervals(spec, 0.05)
         assert ci_half.c <= ci_strict.c
-
-    def test_one_sided_alpha_half_rejected(self):
-        spec = CellSpec(probs=np.array([0.5, 0.5]), n=30)
-        with pytest.raises(DomainError):
-            simultaneous_intervals(spec, 0.5, "upper-one-sided")
 
     def test_degenerate_single_cell(self):
         spec = CellSpec(probs=np.array([1.0]), n=25)
-        ci = simultaneous_intervals(spec, 0.05, "upper-one-sided")
-        assert ci.c == 0
+        ci = simultaneous_intervals(spec, 0.05)
+        assert (ci.c, ci.gamma) == (0, 0.0)
         assert ci.lower.tolist() == [1.0]
         assert ci.upper.tolist() == [1.0]
 
     def test_endpoints_not_clamped(self):
         # a rare cell with a large c gives a negative raw lower endpoint
         spec = CellSpec(probs=np.array([0.02, 0.49, 0.49]), n=50)
-        ci = simultaneous_intervals(spec, 0.05, "two-sided")
+        ci = simultaneous_intervals(spec, 0.05)
         assert ci.lower.min() < 0.0
-
-    def test_lower_one_sided(self):
-        spec = CellSpec(probs=np.array([0.3, 0.7]), n=60)
-        ci = simultaneous_intervals(spec, 0.05, "lower-one-sided")
-        assert ci.lower.tolist() == [0.0, 0.0]
-        assert np.all(ci.upper > ci.lower)
 
 
 # Loads the ufuncs through simci._ufuncs in a fresh process, then checks that

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, ProbabilityModel, TableExplosion, ThresholdProvider,
-                  ThresholdTable, determine_maxlen, find_c, subset_thresholds)
+from sono import (CellSpec, OracleRefusal, ProbabilityModel, TableExplosion,
+                  ThresholdProvider, ThresholdTable, determine_maxlen, find_c,
+                  subset_thresholds)
 import sono.oracle
 import sono.simci
 import sono.thresholds as thresholds
@@ -37,11 +38,23 @@ def grid(table):
     return np.array(list(itertools.product(*(range(1, v.size + 1) for v in table.pi))))
 
 
-def audit_maxlen_rule(model, n, rule, alpha=0.05):
+def refused_or(call):
+    """call()'s result, or OracleRefusal if the exact convolution refused."""
+    try:
+        return call()
+    except OracleRefusal:
+        return OracleRefusal
+
+
+def audit_maxlen_rule(model, n, rule, method, alpha=0.05):
     """Hold determine_maxlen to its definition, oracle.reference_maxlen
-    (sigma_ref read from each subset's own threshold table)."""
-    decision = determine_maxlen(model, n, alpha, rule=rule)
-    assert decision == reference_maxlen(model, n, alpha, rule), (rule, n, alpha)
+    (sigma_ref read from each subset's own threshold table), under one nu
+    method; where "exact" meets a table beyond the convolution's work cap,
+    both must refuse."""
+    decision = refused_or(lambda: determine_maxlen(model, n, alpha, rule=rule,
+                                                   method=method))
+    assert decision == refused_or(lambda: reference_maxlen(model, n, alpha, rule, method)), \
+        (rule, method, n, alpha)
 
 
 def count_rule_calls(monkeypatch, nu=None):
@@ -186,8 +199,9 @@ class TestDetermineMaxlen:
             model = model_of(*(rng.dirichlet(np.full(int(rng.integers(2, 5)), conc))
                                for _ in range(p)))
             n = int(rng.integers(20, 600))
-            for rule in ("any-cell", "all-cells"):
-                audit_maxlen_rule(model, n, rule)
+            for rule, method in itertools.product(("any-cell", "all-cells"),
+                                                  ("auto", "exact")):
+                audit_maxlen_rule(model, n, rule, method)
 
     def test_rule_matches_definition_on_benchmark_shapes(self, monkeypatch):
         # a 1389-row model with solar-flare level counts and a 30000-row model
@@ -199,7 +213,7 @@ class TestDetermineMaxlen:
         def judged(model, n, subset, alpha, **kw):
             table = subset_thresholds(model, n, subset, alpha, **kw)
             spec = CellSpec(probs=subset_cell_probs(model, subset), n=n)
-            edgeworth.append(not _computes_exactly(spec, table.c + 1, "auto"))
+            edgeworth.append(not _computes_exactly(spec, table.c + 1, kw["method"]))
             return table
 
         monkeypatch.setattr(sono.oracle, "subset_thresholds", judged)
@@ -208,26 +222,29 @@ class TestDetermineMaxlen:
                    1389),
                   (model_of(*(rng.dirichlet(np.full(2, 0.6)) for _ in range(7))), 30000)]
         for model, n in models:
-            for rule in ("any-cell", "all-cells"):
-                audit_maxlen_rule(model, n, rule)
+            for rule, method in itertools.product(("any-cell", "all-cells"),
+                                                  ("auto", "exact")):
+                audit_maxlen_rule(model, n, rule, method)
         assert any(edgeworth)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.integers(1, 60), min_size=2, max_size=4),
                     min_size=1, max_size=5),
            st.integers(20, 2000), st.sampled_from(["any-cell", "all-cells"]),
-           st.sampled_from([0.05, 0.1]))
-    def test_rule_matches_definition_on_random_models(self, weights, n, rule, alpha):
+           st.sampled_from([0.05, 0.1]), st.sampled_from(["auto", "exact"]))
+    def test_rule_matches_definition_on_random_models(self, weights, n, rule, alpha,
+                                                      method):
         model = model_of(*(np.array(w, dtype=float) / sum(w) for w in weights))
-        audit_maxlen_rule(model, n, rule, alpha)
+        audit_maxlen_rule(model, n, rule, method, alpha)
         # every subset, also beyond the first failing one: more of them sit
         # near sigma_ref = 2, where a bracket used too loosely would flip
         for size in range(1, model.p + 1):
             for subset in itertools.combinations(range(model.p), size):
-                assert thresholds._subset_passes(
-                    model, n, subset, 1.0 - 2.0 * alpha, rule, "auto",
-                    thresholds.DEFAULT_MAX_CELLS) \
-                    == reference_subset_passes(model, n, subset, alpha, rule), subset
+                assert refused_or(lambda: thresholds._subset_passes(
+                    model, n, subset, 1.0 - 2.0 * alpha, rule, method,
+                    thresholds.DEFAULT_MAX_CELLS)) == refused_or(
+                    lambda: reference_subset_passes(model, n, subset, alpha, rule,
+                                                    method)), subset
 
     @pytest.mark.parametrize("probs, n, rule, passes", [
         ([0.5, 0.5], 100, "any-cell", True),      # lower bound far above the level
