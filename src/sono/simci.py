@@ -183,9 +183,13 @@ def poisson_log_pmf(y, lam):
 
 
 def _poisson_cdf(k, lam):
-    """P(Y <= k) for Y ~ Poisson(lam); k may be negative."""
+    """P(Y <= k) for Y ~ Poisson(lam), k and lam arrays of one shape; the
+    entries with k < 0 are 0, and pdtr is not evaluated on them."""
     k = np.asarray(k, dtype=float)
-    return np.where(k < 0, 0.0, _ufuncs().pdtr(np.maximum(k, 0.0), lam))
+    out = np.zeros_like(k)
+    ok = k >= 0
+    out[ok] = _ufuncs().pdtr(k[ok], lam[ok])
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> np.floating:

@@ -12,11 +12,11 @@ maxlen rule also uses. The maxlen rule itself asks one question per subset,
 "is c <= t = floor(n*p_ref - 2)?", which sono.simci.c_at_most answers from
 c's definition; this module only supplies p_ref, t and the table-size check.
 `ThresholdProvider` serves both the tables and the maxlen decision, from
-memory or from its spill file.
+memory or from its spill file. Only a provider with a spill file imports
+hashlib (and with it OpenSSL's libcrypto), to name that file.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import logging
@@ -217,6 +217,7 @@ class ThresholdProvider:
         # or the file held what could not be used.
         self._unsaved = False
         if cache_dir:
+            import hashlib  # imported here: it loads OpenSSL, which only the file name needs
             digest = hashlib.sha256()
             for v in model.pi:
                 digest.update(v.tobytes())

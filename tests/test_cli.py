@@ -85,12 +85,14 @@ assert "OPENBLAS_NUM_THREADS" not in os.environ
 """
 
 # Runs `sono` with the given arguments (or only imports it, given none), then
-# prints the sono and xml modules loaded as the last line of standard output.
+# prints the sono, xml and hashlib modules loaded as the last line of standard
+# output.
 RUN_AND_LIST_MODULES = """
 import sys
 from sono.cli import main
 status = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(*sorted(m for m in sys.modules if m.startswith(("sono.", "xml."))))
+print(*sorted(m for m in sys.modules
+              if m.startswith(("sono.", "xml.", "hashlib", "_hashlib"))))
 sys.exit(status)
 """
 
@@ -670,18 +672,26 @@ class TestStartup:
         assert (tmp_path / "scores.csv").exists()
 
     @staticmethod
-    def run_listing_modules(argv):
-        proc = run_python(RUN_AND_LIST_MODULES, *argv)
+    def run_listing_modules(argv, env=None):
+        proc = run_python(RUN_AND_LIST_MODULES, *argv, env=env)
         return proc, set((proc.stdout.splitlines() or [""])[-1].split())
 
-    @pytest.mark.parametrize("command", ["import", "score"])
+    @pytest.mark.parametrize("command", ["import", "score", "score-cached"])
     def test_scoring_loads_no_audit_module(self, command, sample_csv, tmp_path):
         argv = ([] if command == "import"
-                else ["score", "--input", sample_csv, "--out", str(tmp_path)])
-        proc, loaded = self.run_listing_modules(argv)
+                else ["score", "--input", sample_csv, "--out", str(tmp_path / "out")])
+        cache = tmp_path / "cache"
+        env = {"SONO_CACHE_DIR": str(cache) if command == "score-cached" else None}
+        proc, loaded = self.run_listing_modules(argv, env)
         assert proc.returncode == 0, proc.stderr
         assert "sono.engine" in loaded
         assert not loaded & NOT_FOR_SCORING
+        # OpenSSL, through hashlib, is loaded only to name a spill file
+        if command == "score-cached":
+            assert "_hashlib" in loaded
+            assert len(list(cache.glob("thresholds-*.json"))) == 1
+        else:
+            assert not loaded & {"hashlib", "_hashlib"}
 
     @pytest.mark.parametrize("argv, module", [
         (["prepare", "--list"], "sono.prepare"),

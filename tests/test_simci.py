@@ -158,6 +158,33 @@ class TestCoverageProbability:
         spec = CellSpec(probs=np.array([0.6, 0.3, 0.1]), n=23)
         assert coverage_probability(spec, 23) == 1.0
 
+    def test_poisson_cdf_skips_pdtr_below_zero(self, monkeypatch):
+        # P(Y <= k) is 0 for k < 0: pdtr sees only the entries with k >= 0,
+        # and each value equals pdtr(max(k, 0), lam) masked to 0 where k < 0
+        ufuncs = sono.simci._ufuncs()
+        cdf_args, pdtr_k = [], []
+
+        class Recorder:
+            gammaln, bdtr = ufuncs.gammaln, ufuncs.bdtr
+
+            @staticmethod
+            def pdtr(k, lam):
+                pdtr_k.append(np.array(k, dtype=float))
+                return ufuncs.pdtr(k, lam)
+
+        run_cdf = sono.simci._poisson_cdf
+        monkeypatch.setattr(sono.simci, "_ufuncs", lambda: Recorder)
+        monkeypatch.setattr(sono.simci, "_poisson_cdf",
+                            lambda k, lam: cdf_args.append((k, lam)) or run_cdf(k, lam))
+        spec = CellSpec(probs=np.full(3, 1 / 3), n=10)
+        _coverage_edgeworth(spec, *spec.bounds(3))
+        k = np.concatenate([k for k, _ in cdf_args])
+        assert (k < 0).any()
+        assert np.array_equal(np.concatenate(pdtr_k), k[k >= 0])
+        for k, lam in cdf_args:
+            masked = np.where(k < 0, 0.0, ufuncs.pdtr(np.maximum(k, 0.0), lam))
+            assert run_cdf(k, lam).tobytes() == masked.tobytes()
+
     def test_dominant_cell_regression(self):
         # one cell carrying ~97% of the variance: an Edgeworth series over the
         # whole sum is off by ~12% here, so the kernel convolves that cell
