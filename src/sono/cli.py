@@ -113,16 +113,13 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
-def _write_rows_csv(path: str, names, columns, group: np.ndarray) -> None:
+def _write_rows_csv(path: str, names, rows, group: np.ndarray) -> None:
     """A 1-based "row" column plus float columns as reprs. Only the header,
     whose names may need quoting, goes through `csv`; rows end in its CRLF.
 
-    Rows i and j with group[i] == group[j] hold the same values, so each
-    group's line is formatted once, from any one of its rows."""
-    rep = np.empty(int(group.max(initial=-1)) + 1, dtype=np.intp)
-    rep[group] = np.arange(group.size)
-    lines = [",".join(map(repr, row))
-             for row in np.asarray(columns, dtype=float)[rep].tolist()]
+    `rows` holds one sequence of floats per distinct row; observation i
+    gets the line of distinct row group[i], formatted once."""
+    lines = [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["row", *names])
         fh.writelines(f"{i},{lines[g]}\r\n" for i, g in enumerate(group.tolist(), start=1))
@@ -133,6 +130,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = merge_config(RunConfig(), file_values, _cli_overrides(args))
     if not cfg.input:
         raise IngestionError("no --input file given")
+    try:  # before the input is read, so a bad --out costs no search
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     opts = IngestionOptions(
         delimiter=cfg.delimiter, header=cfg.header,
         missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
@@ -173,19 +175,22 @@ def cmd_score(args: argparse.Namespace) -> int:
         model = empirical_model(ds)
     t_model = time.perf_counter()
 
-    report, info, flags = run_analysis(ds, model, cfg)
+    # Only the SVG reads the per-observation arrays; everything else here
+    # works on the report's distinct rows.
+    report, info, _ = run_analysis(ds, model, cfg)
+    scores, group = report.distinct_scores, report.group
+    nonzero = int(np.bincount(group, minlength=scores.size)[scores > 0].sum())
     print(f"n={ds.n} p={ds.p} maxlen={info.maxlen} (rule {info.maxlen_rule}) "
-          f"nonzero scores {int((report.scores > 0).sum())}/{ds.n} "
+          f"nonzero scores {nonzero}/{ds.n} "
           f"in {info.runtime_s:.1f}s", file=sys.stderr)
 
     try:
-        os.makedirs(cfg.out, exist_ok=True)
         t_write = time.perf_counter()
         if "csv" in cfg.format:
             _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
-                            np.column_stack([report.scores, report.depths]), flags.group)
-            _write_rows_csv(os.path.join(cfg.out, "contributions.csv"),
-                            ds.variable_names, report.contributions, flags.group)
+                            zip(scores.tolist(), report.distinct_depths.tolist()), group)
+            _write_rows_csv(os.path.join(cfg.out, "contributions.csv"), ds.variable_names,
+                            report.distinct_contributions.tolist(), group)
         if "json" in cfg.format:
             # Timings and table counts go under "results", next to runtime_s,
             # so every block but "config" and "results" is the same on each run
@@ -214,8 +219,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "instrumentation": asdict(info.stats),
                 "diagnostics": {"saturated_tables": info.saturated_tables},
                 "results": {
-                    "nonzero_scores": int((report.scores > 0).sum()),
-                    "max_score": float(report.scores.max()),
+                    "nonzero_scores": nonzero,
+                    "max_score": float(scores.max()),
                     "runtime_s": info.runtime_s,
                     "timings": timings,
                     "tables": info.tables,

@@ -63,6 +63,8 @@ class RunConfig:
                 raise DomainError("max-len must be >= 1")
             if p is not None and self.max_len > p:
                 raise DomainError(f"max-len {self.max_len} exceeds p={p}")
+        if not self.format:
+            raise DomainError(f"format must name at least one of {', '.join(FORMATS)}")
         bad = set(self.format) - set(FORMATS)
         if bad:
             raise DomainError(f"unknown output formats {sorted(bad)}")
@@ -72,6 +74,8 @@ class RunConfig:
             raise DomainError("maxlen-rule must be any-cell or all-cells")
         if math.isnan(self.max_cells):
             raise DomainError("max-cells must be a number")
+        if self.max_cells < 1:
+            raise DomainError("max-cells must be >= 1")
         if self.r > R_SOFT_MAX:
             # run_analysis validates: the warning names its caller
             warnings.warn(f"r={self.r} strongly damps longer itemsets; values much "

@@ -441,7 +441,8 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
                 contrib[i, var] += share
         scores[i] = math.fsum(terms)
         depths[i] = math.fsum(lengths) / len(lengths) if lengths else 0.0
-    report = ScoreReport(scores=scores, depths=depths, contributions=contrib,
+    report = ScoreReport(distinct_scores=scores, distinct_depths=depths,
+                         distinct_contributions=contrib, group=np.arange(n),
                          mode=mode, r=r, maxlen=maxlen)
     return WalkerResult(report=report, flag_sets=flag_sets, maxlen=maxlen)
 

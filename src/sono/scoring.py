@@ -10,7 +10,9 @@ complement maxlen - |d| + 1 (frequent); observations with no flags get 0.
 `build_report` reads the search's flagged-cell table (`lattice.Flags`) once:
 each flagged cell's term, share and depth length is computed a single time
 and scattered to the distinct rows that contain it. Each distinct row is
-scored once, and the observations take their distinct row's results.
+scored once, and the report keeps the results at that size: a `ScoreReport`
+holds one score, depth and contribution row per distinct row plus the row map
+`group`, and builds the per-observation arrays only when they are read.
 """
 from __future__ import annotations
 
@@ -30,14 +32,32 @@ def validate_exponent(r: float) -> None:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Scores, depths and the n x p contribution matrix of one run."""
+    """Scores, depths and contributions of one run, kept per distinct row.
 
-    scores: np.ndarray
-    depths: np.ndarray
-    contributions: np.ndarray
+    Observation i is distinct row `group[i]`. `scores`, `depths` and the
+    n x p `contributions` are the per-observation arrays, gathered from the
+    distinct rows on each access.
+    """
+
+    distinct_scores: np.ndarray
+    distinct_depths: np.ndarray
+    distinct_contributions: np.ndarray
+    group: np.ndarray
     mode: str
     r: float
     maxlen: int
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.distinct_scores[self.group]
+
+    @property
+    def depths(self) -> np.ndarray:
+        return self.distinct_depths[self.group]
+
+    @property
+    def contributions(self) -> np.ndarray:
+        return self.distinct_contributions[self.group]
 
 
 def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
@@ -48,7 +68,7 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
     are exact integer sums over counts; contributions add each share per
     (row, variable) in search order, starting from 0.0. The results are
     bit-identical to summing the per-row lists of `flags.by_row()`. They are
-    computed per distinct row and expanded to the n observations.
+    computed and kept per distinct row, with `flags.group` as the row map.
     """
     validate_exponent(r)
     terms, shares, lengths = [], [], []
@@ -92,9 +112,9 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
         inside = member[cell, var]
         contributions[:, var] = np.bincount(row[inside], weights=weight[inside],
                                             minlength=distinct)
-    group = flags.group
-    return ScoreReport(scores=scores[group], depths=depths[group],
-                       contributions=contributions[group], mode=mode, r=r, maxlen=maxlen)
+    return ScoreReport(distinct_scores=scores, distinct_depths=depths,
+                       distinct_contributions=contributions, group=flags.group,
+                       mode=mode, r=r, maxlen=maxlen)
 
 
 def max_score_bound(n: int, p: int, r: float, maxlen: int) -> float:

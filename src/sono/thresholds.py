@@ -12,8 +12,8 @@ maxlen rule also uses. The maxlen rule itself asks one question per subset,
 "is c <= t = floor(n*p_ref - 2)?", which sono.simci.c_at_most answers from
 c's definition; this module only supplies p_ref, t and the table-size check.
 `ThresholdProvider` serves both the tables and the maxlen decision, from
-memory or from its spill file. Only a provider with a spill file imports
-hashlib (and with it OpenSSL's libcrypto), to name that file.
+memory or from its spill file. A provider with a spill file names it by a
+BLAKE2b digest from CPython's `_blake2` module, which loads no OpenSSL.
 """
 from __future__ import annotations
 
@@ -217,8 +217,8 @@ class ThresholdProvider:
         # or the file held what could not be used.
         self._unsaved = False
         if cache_dir:
-            import hashlib  # imported here: it loads OpenSSL, which only the file name needs
-            digest = hashlib.sha256()
+            from _blake2 import blake2b  # hashlib would load OpenSSL's libcrypto
+            digest = blake2b(digest_size=8)
             for v in model.pi:
                 digest.update(v.tobytes())
             digest.update(f"{n}|{alpha}|{method}|{model.level_counts}|{_ALGORITHM_VERSION}|"
@@ -230,7 +230,7 @@ class ThresholdProvider:
                             "running without a spill file", cache_dir, exc)
             else:
                 self._spill_path = os.path.join(
-                    cache_dir, f"thresholds-{digest.hexdigest()[:16]}.json")
+                    cache_dir, f"thresholds-{digest.hexdigest()}.json")
                 if os.path.exists(self._spill_path):
                     self._spilled = self._load_spill()
 

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import sono
+import sono.cli
 import sono.engine
+import sono.scoring
 import sono.simci
 import sono.thresholds
 from conftest import run_python
@@ -213,6 +216,40 @@ class TestScoreCommand:
             lines = (out / name).read_bytes().decode().split("\r\n")
             assert lines[1:] == [f"{i},{','.join(map(repr, map(float, row)))}"
                                  for i, row in enumerate(columns, start=1)] + [""]
+
+    def test_score_writes_from_the_distinct_rows(self, tmp_path, monkeypatch, capsys):
+        # 1000 rows over 5 distinct rows: the CSV files, the summary line and
+        # run.json's results come from the report's distinct rows, so a run
+        # that cannot build the per-observation arrays writes the same bytes
+        patterns = [["a", "x", "u"]] * 900 + [["b", "y", "u"]] * 80 + [["a", "y", "v"]] * 15
+        patterns += [["c", "x", "v"]] * 4 + [["c", "y", "u"]]
+        path = tmp_path / "dup.csv"
+        write_csv(path, [patterns[i] for i in RNG.permutation(len(patterns))])
+
+        def expanded(report):
+            raise AssertionError("sono score built a per-observation array")
+
+        docs = []
+        for patched in (False, True):
+            if patched:
+                for name in ("scores", "depths", "contributions"):
+                    monkeypatch.setattr(sono.scoring.ScoreReport, name, property(expanded))
+            out = tmp_path / f"out-{patched}"
+            assert main(["score", "--input", str(path), "--out", str(out)]) == 0
+            docs.append(json.loads((out / "run.json").read_text())["results"])
+            docs[-1]["summary"] = capsys.readouterr().err
+        for name in ("scores.csv", "contributions.csv"):
+            assert (tmp_path / "out-True" / name).read_bytes() == \
+                (tmp_path / "out-False" / name).read_bytes()
+        monkeypatch.undo()
+        ds = sono.read_csv(str(path))
+        report, _, _ = sono.run_analysis(ds, sono.empirical_model(ds), sono.RunConfig())
+        nonzero = int((report.scores > 0).sum())
+        assert nonzero > int((report.distinct_scores > 0).sum())  # counted per observation
+        for doc in docs:
+            assert f" nonzero scores {nonzero}/{ds.n} " in doc["summary"]
+            assert doc["nonzero_scores"] == nonzero
+            assert doc["max_score"] == float(report.scores.max())
 
     def test_run_json_contents(self, sample_csv, tmp_path):
         out = tmp_path / "out"
@@ -459,6 +496,41 @@ class TestScoreCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
+    @pytest.mark.parametrize("options, message", [
+        # such caps used to pass validation and end in a threshold error
+        (["--max-cells", "0"], "max-cells must be >= 1"),
+        (["--max-cells", "-1"], "max-cells must be >= 1"),
+        # no format used to run the whole search and write nothing
+        (["--format", ""], "format must name at least one of csv, json, svg"),
+        ({"format": []}, "format must name at least one of csv, json, svg"),
+    ], ids=["max-cells-0", "max-cells-negative", "format-empty", "config-format-empty"])
+    def test_option_rejected_before_thresholds(self, sample_csv, tmp_path, capsys,
+                                               monkeypatch, options, message):
+        if isinstance(options, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(options))
+            options = ["--config", str(config)]
+        monkeypatch.setattr(sono.engine, "ThresholdProvider", None)  # never reached
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out), *options]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not list(out.iterdir())
+
+    def test_output_path_checked_before_the_input_is_read(self, sample_csv, tmp_path,
+                                                           capsys, monkeypatch):
+        # an --out naming a file used to fail only after the whole search
+        def reached(*args, **kwargs):
+            raise AssertionError("scoring started before --out was made")
+
+        monkeypatch.setattr(sono.simci, "find_c", reached)
+        monkeypatch.setattr(sono.thresholds, "find_c", reached)
+        monkeypatch.setattr(sono.cli, "read_csv", reached)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["score", "--input", sample_csv, "--out", str(taken)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output failure: ")
+
     @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
     def test_r_beyond_float_range_rejected_before_thresholds(
             self, sample_csv, tmp_path, capsys, monkeypatch, mode):
@@ -686,12 +758,17 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert "sono.engine" in loaded
         assert not loaded & NOT_FOR_SCORING
-        # OpenSSL, through hashlib, is loaded only to name a spill file
+        # no OpenSSL: the spill file is named without hashlib
+        assert not loaded & {"hashlib", "_hashlib"}
         if command == "score-cached":
-            assert "_hashlib" in loaded
-            assert len(list(cache.glob("thresholds-*.json"))) == 1
-        else:
+            [spill] = cache.iterdir()
+            assert re.fullmatch(r"thresholds-[0-9a-f]{16}\.json", spill.name)
+            out = tmp_path / "warm"
+            proc, loaded = self.run_listing_modules([*argv[:-1], str(out)], env)
+            assert proc.returncode == 0, proc.stderr
             assert not loaded & {"hashlib", "_hashlib"}
+            tables = json.loads((out / "run.json").read_text())["results"]["tables"]
+            assert tables["computed"] == 0 and tables["from_spill"] > 0
 
     @pytest.mark.parametrize("argv, module", [
         (["prepare", "--list"], "sono.prepare"),

@@ -148,6 +148,12 @@ class TestDuplicateHeavyData:
                 assert report.scores.tolist() == scores
                 assert report.depths.tolist() == depths
                 assert report.contributions.tolist() == contributions
+                # the report keeps one entry per distinct row; each
+                # per-observation array is its distinct rows gathered by group
+                assert report.distinct_contributions.shape == (flags.distinct, ds.p)
+                for name in ("scores", "depths", "contributions"):
+                    kept = getattr(report, f"distinct_{name}")
+                    assert getattr(report, name).tobytes() == kept[flags.group].tobytes()
 
 
 class TestCheckPropositions:
