@@ -24,8 +24,8 @@ _LAZY = {name: module for module, names in (
               "cell_probability", "empirical_model", "load_dataset", "read_csv",
               "user_model")),
     ("errors", ("SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
-                "DegenerateTruncation", "CISearchFailure", "TableExplosion",
-                "OracleRefusal", "InternalConsistencyError")),
+                "CISearchFailure", "TableExplosion", "OracleRefusal",
+                "InternalConsistencyError")),
     ("lattice", ("FlagRecord", "Flags", "SearchStats", "search_infrequent",
                  "search_frequent")),
     ("scoring", ("ScoreReport", "build_report", "max_score_bound")),
@@ -34,8 +34,7 @@ _LAZY = {name: module for module, names in (
                     "determine_maxlen", "subset_thresholds")),
     ("oracle", ("WalkerResult", "walker", "exact_nu",
                 "check_propositions", "random_dataset", "TruncatedPoissonMoments",
-                "truncated_poisson_moments", "edgeworth_sum_density",
-                "SimultaneousCI", "simultaneous_intervals")),
+                "truncated_poisson_moments", "SimultaneousCI", "simultaneous_intervals")),
 ) for name in names}
 
 __all__ = ["__version__", *_LAZY]

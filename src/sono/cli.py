@@ -130,6 +130,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = merge_config(RunConfig(), file_values, _cli_overrides(args))
     if not cfg.input:
         raise IngestionError("no --input file given")
+    cfg.validate()  # the checks that need no data, before --out is made
     try:  # before the input is read, so a bad --out costs no search
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:

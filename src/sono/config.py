@@ -76,8 +76,8 @@ class RunConfig:
             raise DomainError("max-cells must be a number")
         if self.max_cells < 1:
             raise DomainError("max-cells must be >= 1")
-        if self.r > R_SOFT_MAX:
-            # run_analysis validates: the warning names its caller
+        if p is not None and self.r > R_SOFT_MAX:
+            # given once, by run_analysis's check with p; it names that caller
             warnings.warn(f"r={self.r} strongly damps longer itemsets; values much "
                           f"above {R_SOFT_MAX} are not recommended", stacklevel=3)
 

@@ -17,10 +17,6 @@ class DomainError(SonoError):
     """A code, label or probability is outside its declared domain."""
 
 
-class DegenerateTruncation(SonoError):
-    """Truncated-Poisson machinery hit zero mass or zero aggregate variance."""
-
-
 class CISearchFailure(SonoError):
     """The integer half-width sweep exhausted c = n without bracketing the level."""
 

@@ -7,12 +7,11 @@ subset's own threshold table); an exact coverage probability (a
 cell-by-cell convolution of its own plus a multinomial enumeration
 self-check); the literal clamped sweep for the half-width c; the two-sided
 simultaneous intervals and their Monte Carlo coverage; truncated-Poisson
-moments by direct summation and the Edgeworth density of their sum; and
-exact checkers for the two maximum-score propositions, which search every
-flag configuration (no sampling). Deliberately single-threaded and
-cache-free. The size caps are fixed constants (WALKER_MAX_N, WALKER_MAX_P,
-WALKER_MAX_CELLS, EXACT_NU_WORK_CAP, ENUMERATION_STATE_CAP): past them the
-oracle raises OracleRefusal.
+moments by direct summation; and exact checkers for the two maximum-score
+propositions, which search every flag configuration (no sampling).
+Deliberately single-threaded and cache-free. The size caps are fixed
+constants (WALKER_MAX_N, WALKER_MAX_P, WALKER_MAX_CELLS, EXACT_NU_WORK_CAP,
+ENUMERATION_STATE_CAP): past them the oracle raises OracleRefusal.
 """
 from __future__ import annotations
 
@@ -24,12 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from . import simci
-from .data import Dataset, Itemset, ProbabilityModel, empirical_model
-from .errors import CISearchFailure, DegenerateTruncation, DomainError, OracleRefusal
+from .data import Dataset, Itemset, ProbabilityModel
+from .errors import CISearchFailure, DomainError, OracleRefusal
 from .lattice import FlagRecord
 from .scoring import ScoreReport
-from .simci import (_VAR_EPS, CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
-                    _edgeworth_value, coverage_probability, poisson_log_pmf)
+from .simci import (CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
+                    coverage_probability, poisson_log_pmf)
 from .thresholds import SIGMA_FLOOR, MaxlenDecision, subset_thresholds
 
 
@@ -268,48 +267,26 @@ class TruncatedPoissonMoments:
 def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMoments:
     """Exact moments of Y | a <= Y <= b for Y ~ Poisson(lam), by direct summation.
 
-    The mass is accumulated in log space; moments use normalized weights, so
-    the result is exact up to floating point for any finite [a, b].
+    The log-pmf is shifted by its maximum before summation; moments use the
+    normalized weights, so the result is exact up to floating point for any
+    finite lam > 0 and [a, b]. `sono verify` audits the Edgeworth kernel's
+    cell moments against it.
     """
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    if not (0.0 < lam < math.inf):  # NaN fails too
+        raise DomainError("lam must be positive and finite")
     if a < 0 or b < a:
         raise DomainError("need 0 <= a <= b")
-    from scipy.special import logsumexp
-
     y = np.arange(a, b + 1, dtype=float)
     logw = poisson_log_pmf(y, lam)
-    log_mass = float(logsumexp(logw))
-    if not np.isfinite(log_mass):
-        raise DegenerateTruncation(f"zero mass on [{a}, {b}] for lam={lam}")
-    w = np.exp(logw - log_mass)
+    peak = float(logw.max())
+    w = np.exp(logw - peak)
+    total = float(w.sum())
+    w /= total
     m1 = float(np.dot(y, w))
     d = y - m1
-    mu2 = float(np.dot(d * d, w))
-    mu3 = float(np.dot(d ** 3, w))
-    mu4 = float(np.dot(d ** 4, w))
-    return TruncatedPoissonMoments(
-        lam=float(lam), a=int(a), b=int(b),
-        m1=m1, mu2=mu2, mu3=mu3, mu4=mu4, mass=math.exp(log_mass),
-    )
-
-
-def edgeworth_sum_density(moments: Sequence[TruncatedPoissonMoments], target: int) -> float:
-    """Approximate P(sum of independent truncated Poissons = target).
-
-    Aggregates means and central moments into the sum's cumulants and
-    evaluates the fourth-order Edgeworth series. May return a slightly
-    negative value in extreme tails; callers clamp.
-    """
-    if not moments:
-        raise DomainError("need at least one cell")
-    mean = math.fsum(m.m1 for m in moments)
-    var = math.fsum(m.mu2 for m in moments)
-    k3 = math.fsum(m.mu3 for m in moments)
-    k4 = math.fsum(m.mu4 - 3.0 * m.mu2 ** 2 for m in moments)
-    if var <= _VAR_EPS:
-        raise DegenerateTruncation("zero aggregate variance")
-    return _edgeworth_value(mean, var, k3, k4, float(target))
+    mu2, mu3, mu4 = (float(np.dot(d ** r, w)) for r in (2, 3, 4))
+    return TruncatedPoissonMoments(lam=float(lam), a=int(a), b=int(b), m1=m1, mu2=mu2,
+                                   mu3=mu3, mu4=mu4, mass=math.exp(peak + math.log(total)))
 
 
 # ---------------------------------------------------------------------------

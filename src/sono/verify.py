@@ -2,11 +2,12 @@
 
 Each suite returns (name, passed, detail) triples; run_verify aggregates them
 into a plain-text report and an exit status. The tolerances are fixed
-(NU_TOL, SCORE_RTOL); the oracle's size caps live in sono.oracle.
+(NU_TOL, MOMENT_TOL, SCORE_RTOL); the oracle's size caps live in sono.oracle.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -14,9 +15,9 @@ from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
 from .oracle import (check_propositions, exact_nu, random_dataset, reference_maxlen,
-                     simulated_coverage, sweep_find_c, walker)
-from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _computes_exactly,
-                    coverage_probability, find_c)
+                     simulated_coverage, sweep_find_c, truncated_poisson_moments, walker)
+from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _cell_moment_arrays,
+                    _computes_exactly, _coverage_edgeworth, coverage_probability, find_c)
 from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
@@ -25,6 +26,12 @@ Check = tuple[str, bool, str]
 # tolerance of the walker suite's scores, depths and contributions.
 NU_TOL = 2e-3
 SCORE_RTOL = 1e-9
+# Largest deviations of the Edgeworth kernel's per-cell moments from direct
+# summation the nu suite accepts, each ten or more times the worst measured:
+# relative, but absolute for the summed log-mass (often near 0); a trivial
+# cell's four cumulants are all lam.
+MOMENT_TOL = {"mean": 1e-13, "mu2": 1e-11, "mu3": 1e-8, "kappa4": 1e-7,
+              "trivial-cell cumulants": 1e-11, "summed log-mass": 1e-11}
 
 NU_BATTERY = tuple(
     (k, n, shape)
@@ -50,32 +57,45 @@ def kronecker_spec(levels, n: int, seed: int) -> CellSpec:
     return CellSpec(probs=probs / probs.sum(), n=n)
 
 
+def _moment_deviations(spec: CellSpec, c: int) -> tuple[int, int, np.ndarray]:
+    """The Edgeworth kernel's non-trivial and trivial cell counts at c, and the
+    worst deviation of each MOMENT_TOL quantity from direct summation."""
+    a, b = spec.bounds(c)
+    cells = _cell_moment_arrays(spec.m, a, b)
+    ref = np.array([(r.m1, r.mu2, r.mu3, r.mu4 - 3.0 * r.mu2 ** 2, math.log(r.mass)) for r in
+                    map(truncated_poisson_moments, spec.m, a.astype(int), b.astype(int))])
+    idx = cells["idx"]
+    fast = np.column_stack([cells[key] for key in ("m1", "mu2", "mu3", "k4")])
+    lam = np.delete(spec.m, idx)[:, None]
+    return idx.size, lam.size, np.array([
+        *np.max(np.abs(fast - ref[idx, :4]) / np.abs(ref[idx, :4]), axis=0, initial=0.0),
+        np.max(np.abs(np.delete(ref[:, :4], idx, axis=0) - lam) / lam, initial=0.0),
+        abs(cells["sum_log_mass"] - math.fsum(ref[idx, 4]))])
+
+
 def suite_nu_accuracy() -> list[Check]:
     """Shipped nu against exact nu over the battery, plus half-width agreement.
 
-    The shipped (auto) path must stay within tol everywhere, and its Edgeworth
-    kernel (called directly: auto convolves the whole battery) on the k=5
-    slice where that regime operates. Auto's c must stay within 1 of exact's
-    on the battery and on flare-shaped tables where auto's find_c crosses
-    into Edgeworth. The fast path's own exact nu (product tree) must match
-    the oracle's cell-by-cell convolution within 1e-12, and find_c must
-    return the literal clamped sweep's c, with gamma within 1e-9, and wherever
-    nu is exact at find_c's Bonferroni start, the start must bound c + 1 (the
-    sweep check alone would not see a broken bound: find_c would fall back to
-    the sweep, still right but slower). Exact nu
-    must lie within its one-cell binomial bracket (_binomial_bounds, which
-    settles the maxlen rule without nu) within 1e-12; how often the Edgeworth
-    kernel leaves that bracket is reported, as the rule never uses it there.
+    Each check holds a fast-path stage to the oracle: auto nu within NU_TOL
+    of exact nu on the battery, as is the Edgeworth kernel (called directly,
+    as auto convolves the whole battery) on its k=5, c >= 5 operating slice;
+    the product tree's exact nu within 1e-12 of the cell-by-cell convolution;
+    exact nu within 1e-12 of its one-cell binomial bracket (_binomial_bounds,
+    which settles the maxlen rule without nu; how often the Edgeworth kernel
+    leaves it is only reported); auto's c within 1 of exact's on the battery
+    and on flare-shaped tables where auto's find_c crosses into Edgeworth;
+    find_c's c equal to the literal clamped sweep's, gamma within 1e-9, and
+    the Bonferroni start at or above c + 1 wherever nu is exact there (a
+    broken bound would only send find_c to the slower sweep); and the
+    kernel's cell moments within MOMENT_TOL of direct summation on that slice
+    and at each Edgeworth c of the flare-shaped tables up to find_c's c + 1.
     """
-    from .simci import _coverage_edgeworth
-
     checks: list[Check] = []
-    worst = 0.0
+    worst = worst_split = worst_fast = 0.0
     worst_at = ""
-    worst_split = 0.0
-    worst_fast = 0.0
     bracket_misses = []
     edgeworth_outside = edgeworth_points = 0
+    moments = []  # _moment_deviations at each audited (table, c)
     for k, n, shape in NU_BATTERY:
         spec = battery_spec(k, n, shape)
         for c in range(0, n + 1):
@@ -92,6 +112,7 @@ def suite_nu_accuracy() -> list[Check]:
                 worst_split = max(worst_split, abs(split - exact))
                 edgeworth_points += 1
                 edgeworth_outside += not lower - 1e-12 <= split <= upper + 1e-12
+                moments.append(_moment_deviations(spec, c))
     checks.append(("nu accuracy",
                    worst <= NU_TOL and worst_split <= NU_TOL,
                    f"max |nu_auto - nu_exact| = {worst:.2e}"
@@ -131,8 +152,10 @@ def suite_nu_accuracy() -> list[Check]:
     crossing = ((7, 6, 4, 2), (6, 4, 3, 3), (7, 6, 4, 3))
     for levels in crossing:
         spec = kronecker_spec(levels, 1389, seed=3)
-        worst_c = max(worst_c, abs(searched(spec, 0.9, "auto")[0]
-                                   - searched(spec, 0.9, "exact")[0]))
+        c_auto = searched(spec, 0.9, "auto")[0]
+        worst_c = max(worst_c, abs(c_auto - searched(spec, 0.9, "exact")[0]))
+        moments.extend(_moment_deviations(spec, c) for c in range(c_auto + 2)
+                       if not _computes_exactly(spec, c, "auto"))
     checks.append(("c agreement", worst_c <= 1,
                    f"max |c_auto - c_exact| = {worst_c} over the battery and "
                    f"{len(crossing)} tables crossing into Edgeworth (tol 1)"))
@@ -144,6 +167,13 @@ def suite_nu_accuracy() -> list[Check]:
                    + f"; max |gamma - gamma_sweep| = {worst_gamma:.2e} (tol 1e-9); "
                    f"Bonferroni start below c + 1 at {start_misses} of "
                    f"{sum(exact for exact, _ in starts)} exact-path starts"))
+    worst_moment = np.max([dev for _, _, dev in moments], axis=0)
+    cells = np.sum([counts for *counts, _ in moments], axis=0)
+    checks.append(("Edgeworth cell moments", all(worst_moment <= [*MOMENT_TOL.values()]),
+                   f"{cells[0]} non-trivial and {cells[1]} trivial cells at {len(moments)} "
+                   "points against direct summation, max deviation (relative; the log-mass "
+                   "absolute): " + ", ".join(f"{name} {dev:.2e} (tol {tol:.0e})" for (name, tol),
+                                             dev in zip(MOMENT_TOL.items(), worst_moment))))
     return checks
 
 
@@ -211,7 +241,6 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list
     rng = np.random.default_rng(seed)
     grid = list(itertools.product(("infrequent", "frequent"), (True, False)))
     failures = []
-    runs = 0
     for i in range(n_datasets):
         ds = random_dataset(rng)
         model = empirical_model(ds)
@@ -220,7 +249,6 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list
         provider = ThresholdProvider(model, ds.n, alpha)
         maxlen = reference_maxlen(model, ds.n, alpha).maxlen
         for mode, prune in grid:
-            runs += 1
             cfg = RunConfig(mode=mode, alpha=alpha, r=r, prune=prune)
             report, info, flags = run_analysis(ds, model, cfg, provider)
             if info.maxlen != maxlen:
@@ -231,14 +259,11 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list
             if _flag_key_sets(flags.by_row()) != _flag_key_sets(ref.flag_sets):
                 failures.append(f"ds{i} {mode} prune={prune}: flag sets differ")
                 continue
-            for name, a, b in (("scores", report.scores, ref.report.scores),
-                               ("depths", report.depths, ref.report.depths)):
-                if not np.allclose(a, b, rtol=SCORE_RTOL, atol=1e-12):
+            for name in ("scores", "depths", "contributions"):
+                if not np.allclose(getattr(report, name), getattr(ref.report, name),
+                                   rtol=SCORE_RTOL, atol=1e-12):
                     failures.append(f"ds{i} {mode} prune={prune}: {name} differ")
-            if not np.allclose(report.contributions, ref.report.contributions,
-                               rtol=SCORE_RTOL, atol=1e-12):
-                failures.append(f"ds{i} {mode} prune={prune}: contributions differ")
-    detail = f"{runs} runs on {n_datasets} seeded datasets"
+    detail = f"{len(grid) * n_datasets} runs on {n_datasets} seeded datasets"
     if failures:
         detail += "; " + "; ".join(failures[:3])
     return [("walker equivalence", not failures, detail)]

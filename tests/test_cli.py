@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import dataclasses
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sono
 import sono.cli
@@ -493,8 +498,9 @@ class TestScoreCommand:
         # a NaN r used to write NaN scores and exit 0
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out), option, value]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
-        assert not (out / "scores.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()  # checked before --out is made
 
     @pytest.mark.parametrize("options, message", [
         # such caps used to pass validation and end in a threshold error
@@ -510,11 +516,15 @@ class TestScoreCommand:
             config = tmp_path / "config.json"
             config.write_text(json.dumps(options))
             options = ["--config", str(config)]
-        monkeypatch.setattr(sono.engine, "ThresholdProvider", None)  # never reached
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the input was read before the options were checked")
+
+        monkeypatch.setattr(sono.cli, "read_csv", reached)
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out), *options]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_output_path_checked_before_the_input_is_read(self, sample_csv, tmp_path,
                                                            capsys, monkeypatch):
@@ -543,9 +553,10 @@ class TestScoreCommand:
         assert len(err) == 1 and err[0].startswith("error: r must be finite")
 
     def test_large_finite_r_runs_with_its_warning(self, sample_csv, tmp_path):
-        with pytest.warns(UserWarning, match="strongly damps longer itemsets"):
+        with pytest.warns(UserWarning, match="strongly damps longer itemsets") as record:
             assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o"),
                          "--r", "3.5"]) == 0
+        assert sum("strongly damps" in str(w.message) for w in record) == 1
 
     def test_every_config_field_is_a_command_line_option(self, tmp_path):
         from sono.cli import _build_parser, _cli_overrides
@@ -917,3 +928,64 @@ def test_coverage_sweep_rejects_options_that_check_nothing(argv, message):
                           text=True, timeout=120)
     assert done.returncode == 2, done
     assert message in done.stderr
+
+
+# The last stderr line of each failing exit code (README, "Exit codes").
+_FAILURE_PREFIXES = {1: "error: ", 2: "ingestion error: ", 3: "threshold error: "}
+
+
+@st.composite
+def _csv_bytes(draw):
+    """Delimited bytes over small level sets. Now and then (each feature on
+    its own, so that many inputs still reach scoring): fields that hold
+    delimiters, quotes and line breaks, quoted fields, ragged lines, a BOM,
+    an undecodable byte, a field past csv.field_size_limit(); line ends mix
+    LF, CRLF and CR, with blank lines between."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    field = st.sampled_from(["a", "b", "c", "?", ""])
+    if draw(st.integers(0, 3)) == 0:
+        field = st.one_of(field, st.text(alphabet='ab?,;\t"\r\n ', max_size=4))
+    sizes = [width] if draw(st.integers(0, 3)) else [width, 0, width + 1]
+    quoted = draw(st.integers(0, 3)) == 0
+    # most inputs get a header of distinct names, the rest a drawn one
+    lines = [delimiter.join("ABC"[:width]) + "\n"] if draw(st.integers(0, 3)) else []
+    for _ in range(draw(st.integers(0, 40))):
+        size = draw(st.sampled_from(sizes))
+        fields = draw(st.lists(field, min_size=size, max_size=size))
+        if quoted and draw(st.booleans()):
+            fields = [f'"{f}"' for f in fields]
+        lines.append(delimiter.join(fields)
+                     + draw(st.sampled_from(["\n", "\r\n", "\r", "\n\r", "\r\n\r\n"])))
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines) - 1)),
+                     "x" * (csv.field_size_limit() + 1) + "\n")
+    raw = "".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + raw[at:]
+    return delimiter, raw
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_bytes())
+def test_no_input_ends_in_a_traceback(monkeypatch, case):
+    # any bytes end in exit 0 or in one documented error line, in-process
+    delimiter, raw = case
+    monkeypatch.delenv("SONO_CACHE_DIR", raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["score", "--input", path, "--out", os.path.join(tmp, "out"),
+                           "--max-len", "2", "--delimiter", delimiter])
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert status in (0, 1, 2, 3), text
+    if status:
+        assert text.splitlines()[-1].startswith(_FAILURE_PREFIXES[status]), text

@@ -6,15 +6,15 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, DegenerateTruncation, DomainError,
-                  coverage_probability, edgeworth_sum_density, exact_nu, find_c,
+from sono import (CellSpec, DomainError, coverage_probability, exact_nu, find_c,
                   simultaneous_intervals, truncated_poisson_moments)
 from sono.oracle import _literal_bounds, _sequential_convolution, sweep_find_c
 import sono.simci
+import sono.verify
 from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
-                        _coverage_edgeworth, _logsumexp, c_at_most)
-from sono.verify import NU_BATTERY, battery_spec, kronecker_spec
+                        _coverage_edgeworth, _edgeworth_value, _logsumexp, c_at_most)
+from sono.verify import MOMENT_TOL, NU_BATTERY, battery_spec, kronecker_spec, suite_nu_accuracy
 
 
 def direct_moments(lam, a, b):
@@ -53,6 +53,9 @@ class TestTruncatedPoissonMoments:
     def test_bad_args(self):
         with pytest.raises(DomainError):
             truncated_poisson_moments(0.0, 0, 5)
+        for lam in (math.nan, math.inf):  # used to surface as a zero-mass error
+            with pytest.raises(DomainError):
+                truncated_poisson_moments(lam, 0, 5)
         with pytest.raises(DomainError):
             truncated_poisson_moments(1.0, 5, 2)
 
@@ -81,17 +84,20 @@ class TestTruncatedPoissonMoments:
                                                       rel=1e-9, abs=1e-11)
 
 
+def sum_density(cells, target):
+    """The Edgeworth kernel's density at target of a sum of independent
+    truncated Poissons, from their directly summed moments."""
+    return _edgeworth_value(math.fsum(m.m1 for m in cells), math.fsum(m.mu2 for m in cells),
+                            math.fsum(m.mu3 for m in cells),
+                            math.fsum(m.mu4 - 3.0 * m.mu2 ** 2 for m in cells), float(target))
+
+
 class TestEdgeworthSumDensity:
     def test_poisson_sum_pmf(self):
         cells = [truncated_poisson_moments(5.0, 0, 200) for _ in range(20)]
-        approx = edgeworth_sum_density(cells, 100)
+        approx = sum_density(cells, 100)
         exact = math.exp(-100 + 100 * math.log(100) - math.lgamma(101))
         assert approx == pytest.approx(exact, abs=1e-3)
-
-    def test_degenerate_variance_raises(self):
-        atom = truncated_poisson_moments(4.0, 4, 4)
-        with pytest.raises(DegenerateTruncation):
-            edgeworth_sum_density([atom], 4)
 
     def test_against_convolution_oracle(self):
         lams = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -103,7 +109,25 @@ class TestEdgeworthSumDensity:
             w = np.array([math.exp(-l + y * math.log(l) - math.lgamma(y + 1))
                           for y in ys])
             pmf = np.convolve(pmf, w / w.sum())
-        assert edgeworth_sum_density(cells, 15) == pytest.approx(pmf[15], abs=1e-3)
+        assert sum_density(cells, 15) == pytest.approx(pmf[15], abs=1e-3)
+
+
+def test_moment_audit_fails_on_a_kernel_with_a_wrong_mu3(monkeypatch):
+    # mu3 off by 100 times its tolerance moves nu far less than NU_TOL, so
+    # only the moment check can see it
+    kernel = sono.simci._cell_moment_arrays
+
+    def skewed(lam, a, b):
+        cells = kernel(lam, a, b)
+        if cells is not None:
+            cells["mu3"] = cells["mu3"] * (1.0 + 100.0 * MOMENT_TOL["mu3"])
+        return cells
+
+    monkeypatch.setattr(sono.simci, "_cell_moment_arrays", skewed)  # the kernel's nu
+    monkeypatch.setattr(sono.verify, "_cell_moment_arrays", skewed)  # the audit
+    checks = {name: ok for name, ok, _ in suite_nu_accuracy()}
+    assert checks.pop("Edgeworth cell moments") is False
+    assert checks and all(checks.values()), checks
 
 
 def enumeration_nu(probs, n, c):
