@@ -18,6 +18,14 @@ FORMATS = ("csv", "json", "svg")
 RETIRED_FILE_KEYS = ("threads",)
 # Larger length exponents are allowed but advised against.
 R_SOFT_MAX = 3.0
+# The caps of method "auto"'s nu path rule (sono.simci._computes_exactly),
+# kept here so that the threshold spill key can hash them without loading
+# sono.simci. Below this product of truncation widths, "auto" computes nu
+# exactly by convolution instead of the Edgeworth approximation.
+CONVOLUTION_AUTO_CAP = 1e5
+# The convolution is also used whenever its estimated work (bounded by the
+# squared sum of truncation widths) stays below this.
+CONVOLUTION_AUTO_WORK = 4e7
 
 
 @dataclass

@@ -23,9 +23,16 @@ and bisection; the literal sweep lives on in sono.oracle as the reference.
 Each cell count is marginally binomial, so the one-cell binomial coverages on
 the same truncation bounds (_binomial_bounds) bracket the exact nu without a
 convolution: from below by Bonferroni, from above by the least-covered cell.
-find_c searches down from the first c whose Bonferroni bound exceeds the
-level, and the bracket settles most of the questions "is c <= t?" that the
-maxlen rule (sono.thresholds) asks c_at_most with no nu at all.
+By Hoeffding the Bonferroni bound provably exceeds the level at a half-width
+c_h (_hoeffding_point) of order sqrt(n). find_c searches down from the first
+c whose Bonferroni bound exceeds the level, bisected below c_h. The maxlen
+rule (sono.thresholds) asks c_at_most "is c <= t?" with t ~ n * p_ref,
+usually far above c: the bracket at t + 1 settles most questions with no nu
+at all, and where t + 1 is past the exact prefix, the question is asked
+first at c_h, by its bracket or by one nu on a window about c_h wide.
+
+The caps of method auto's path rule are defined in sono.config, so that the
+threshold spill key can read them without loading this module.
 
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
@@ -34,15 +41,16 @@ once per c (CellSpec.bounds), and every nu, binomial bracket and path
 decision at c reads those arrays; no caller passes bounds around.
 
 SciPy is loaded only when nu or a binomial bound is first evaluated: importing
-sono, and a run whose thresholds and maxlen all come from the spill file, never
-load it. Even then the fast path needs only three compiled ufuncs (gammaln,
-pdtr, bdtr), and _ufuncs loads the compiled module that holds them without
-running scipy.special's package init, whose array-API layer imports NumPy
-submodules sono never uses. A later `import scipy.special` gets the same
-ufunc objects; if the direct load fails, _ufuncs imports scipy.special as
-usual. The Edgeworth kernel's dominant-cell branch normalizes each dominant
-cell's truncated pmf with _logsumexp, which follows scipy.special.logsumexp's
-formula bit for bit, so no scoring path imports the package.
+sono never loads it, and a run whose thresholds and maxlen all come from the
+spill file loads neither it nor this module. Even then the fast path needs
+only three compiled ufuncs (gammaln, pdtr, bdtr), and _ufuncs loads the
+compiled module that holds them without running scipy.special's package
+init, whose array-API layer imports NumPy submodules sono never uses. A
+later `import scipy.special` gets the same ufunc objects; if the direct load
+fails, _ufuncs imports scipy.special as usual. The Edgeworth kernel's
+dominant-cell branch normalizes each dominant cell's truncated pmf with
+_logsumexp, which follows scipy.special.logsumexp's formula bit for bit, so
+no scoring path imports the package.
 """
 from __future__ import annotations
 
@@ -54,14 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK  # the path rule's caps
 from .errors import CISearchFailure, DomainError, OracleRefusal
 
-# Below this product of truncation widths, method "auto" computes nu exactly by
-# convolution instead of the Edgeworth approximation.
-CONVOLUTION_AUTO_CAP = 1e5
-# The convolution is also used whenever its estimated work (bounded by the
-# squared sum of truncation widths) stays below this.
-CONVOLUTION_AUTO_WORK = 4e7
 # Array-work cap of method "exact", which refuses beyond it.
 CONVOLUTION_WORK_CAP = 2e8
 _SNAP = 1e-9
@@ -491,20 +494,29 @@ def _binomial_bounds(spec: CellSpec, c: int) -> tuple[float, float]:
     return 1.0 - float(np.sum(1.0 - cover)), float(cover.min())
 
 
+def _hoeffding_point(spec: CellSpec, level: float) -> int:
+    """A c, at most n, at which the Bonferroni bound on nu exceeds level.
+
+    By Hoeffding (1963) each cell count leaves +-c of its mean with
+    probability at most 2 exp(-2 c^2 / n), so the Bonferroni bound of
+    _binomial_bounds is at least 1 - 2k exp(-2 c^2 / n), above the level from
+    one past the root of the equality on (at c = n every coverage is 1).
+    """
+    root = math.sqrt(spec.n * math.log(2.0 * spec.k / (1.0 - level)) / 2.0)
+    return min(math.ceil(root) + 1, spec.n)
+
+
 def _bonferroni_start(spec: CellSpec, level: float) -> int:
     """Smallest c in [1, n] whose Bonferroni bound on nu exceeds level.
 
     The bound comes from _binomial_bounds and never exceeds exact nu, so where
     nu(c) is exact the first c with nu(c) > level lies at or below the result.
-    By Hoeffding each cell's tail is at most 2 exp(-2 c^2 / n), so the bound
-    exceeds the level at the c_h below and the bisection starts from
-    [0, min(c_h, n)] rather than [0, n] (at c = n every coverage is 1).
+    The bisection runs on [0, _hoeffding_point] rather than [0, n].
     """
     def above(c: int) -> bool:
         return _binomial_bounds(spec, c)[0] > level
 
-    c_h = math.ceil(math.sqrt(spec.n * math.log(2.0 * spec.k / (1.0 - level)) / 2.0)) + 1
-    return _bisect(above, 0, min(c_h, spec.n))
+    return _bisect(above, 0, _hoeffding_point(spec, level))
 
 
 def _first_above(spec: CellSpec, level: float, method: str,
@@ -581,19 +593,40 @@ def c_at_most(spec: CellSpec, level: float, t: int, method: str = "auto") -> boo
     """Is find_c(spec, level, method)[0] <= t? Usually without running find_c.
 
     c >= 0, so no t < 0 holds. For t >= 0, by the clamped-sweep definition
-    of c, c <= t holds when the clamped nu(t+1) exceeds the level. Where
-    nu(t+1) is exact, the whole prefix up to it is exact and nondecreasing,
-    so the clamp changes nothing, and the one-cell binomial bracket of exact
-    nu (_binomial_bounds) settles the question without a convolution once it
-    clears the level by _BOUND_MARGIN: a lower bound above holds, an upper
-    bound below fails. Otherwise raw nu(t+1) is evaluated once. The clamped
-    nu is never below it, so a raw nu(t+1) above the level holds; an exactly
-    computed nu(t+1) below the level fails. Any other value (Edgeworth and
-    not above the level, or equal to it) is settled by find_c itself.
+    of c, c <= t holds as soon as the clamped nu(j) exceeds the level at any
+    j <= t+1; the clamped nu is never below the raw one.
+
+    Where nu(t+1) is exact, the whole prefix up to it is exact and
+    nondecreasing, so the clamp changes nothing, and the one-cell binomial
+    bracket of exact nu (_binomial_bounds) settles the question without a
+    convolution once it clears the level by _BOUND_MARGIN: a lower bound
+    above holds, an upper bound below fails. The lower bound never decreases
+    in c, so no smaller j would do better.
+
+    Where t+1 lies past the exact prefix, a j < t+1 is asked first: the
+    Hoeffding point c_h (_hoeffding_point), where the Bonferroni bound
+    provably clears the level, usually far below t+1 ~ n*p_ref. If c_h is
+    exact and its lower bound clears the level by _BOUND_MARGIN, c <= t holds
+    with no nu; otherwise raw nu(c_h) is evaluated once, on windows about c_h
+    wide rather than t wide, and c <= t holds if it is above the level.
+
+    If neither settles it, raw nu(t+1) is evaluated once: above the level
+    holds; exactly computed and below the level fails. Any other value
+    (Edgeworth and not above the level, or equal to it) is settled by find_c
+    itself.
     """
+    if not (0.0 < level < 1.0):
+        raise DomainError("confidence level must be in (0, 1)")
     if t < 0:
         return False
     exact = _computes_exactly(spec, t + 1, method)
+    j = _hoeffding_point(spec, level)
+    if not exact and j <= t:
+        if _computes_exactly(spec, j, method) \
+                and _binomial_bounds(spec, j)[0] > level + _BOUND_MARGIN:
+            return True
+        if coverage_probability(spec, j, method) > level:
+            return True
     if exact:
         lower, upper = _binomial_bounds(spec, t + 1)
         if lower > level + _BOUND_MARGIN:

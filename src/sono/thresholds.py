@@ -10,10 +10,17 @@ subset's probability vectors: `sigma` prices the cells it is shown, with p_d
 from `data.cell_probs`, and `max_sigma` the most probable cell, which the
 maxlen rule also uses. The maxlen rule itself asks one question per subset,
 "is c <= t = floor(n*p_ref - 2)?", which sono.simci.c_at_most answers from
-c's definition; this module only supplies p_ref, t and the table-size check.
-`ThresholdProvider` serves both the tables and the maxlen decision, from
-memory or from its spill file. A provider with a spill file names it by a
-BLAKE2b digest from CPython's `_blake2` module, which loads no OpenSSL.
+c's definition, mostly from the binomial bracket at t+1 or, where t+1 is
+past the exact prefix, at the Hoeffding point c_h; this module only supplies
+p_ref, t and the table-size check. `ThresholdProvider` serves both the tables
+and the maxlen decision, from memory or from its spill file. A provider with
+a spill file names it by a BLAKE2b digest from CPython's `_blake2` module,
+which loads no OpenSSL.
+
+sono.simci is imported inside the functions that compute (and is looked up
+there at each call), so a run whose tables and maxlen all come from the
+spill file never loads it; the path-rule caps that the spill key hashes are
+read from sono.config.
 """
 from __future__ import annotations
 
@@ -24,13 +31,16 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
-from .simci import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, CellSpec, c_at_most, find_c
+
+if TYPE_CHECKING:
+    from .simci import CellSpec
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +52,10 @@ SIGMA_FLOOR = 2.0
 # 2: exact nu by a rescaled product tree, find_c by galloping and bisection.
 # 3: the maxlen rule decides by its definition where raw nu does not settle it.
 # The binomial bracket in simci.c_at_most needs no bump: it answers only where
-# exact nu gives the same answer, so no spilled value can move.
+# exact nu gives the same answer, so no spilled value can move. Nor does its
+# first question at the Hoeffding point c_h <= t: a raw nu(c_h), or a lower
+# bound on exact nu(c_h), above the level means that the clamped sweep has
+# crossed by c_h, so the "c <= t" it answers is what find_c's c gives.
 _ALGORITHM_VERSION = 3
 
 
@@ -104,6 +117,7 @@ def _check_table_cells(model: ProbabilityModel, subset: Sequence[int],
 
 def _cell_spec(model: ProbabilityModel, n: int, subset: Sequence[int],
                max_cells: float) -> CellSpec:
+    from .simci import CellSpec
     _check_table_cells(model, subset, max_cells)
     return CellSpec(probs=subset_cell_probs(model, subset), n=n)
 
@@ -120,6 +134,7 @@ def subset_thresholds(model: ProbabilityModel, n: int, subset: Sequence[int],
                       alpha: float, *, method: str = "auto",
                       max_cells: float = DEFAULT_MAX_CELLS) -> ThresholdTable:
     """Threshold table for one variable subset (one c at level 1-2*alpha)."""
+    from .simci import find_c
     subset = tuple(sorted(subset))
     spec = _cell_spec(model, n, subset, max_cells)
     c, gamma = find_c(spec, 1.0 - 2.0 * alpha, method)
@@ -133,6 +148,7 @@ def _subset_passes(model: ProbabilityModel, n: int, subset: tuple[int, ...],
     sigma_ref = n*p_ref - c(S) >= 2  <=>  c(S) <= t with t = floor(n*p_ref - 2),
     which simci.c_at_most answers, mostly without a nu evaluation.
     """
+    from .simci import c_at_most
     p_ref = _extreme_cell_prob([model.pi[j] for j in subset], rule == "any-cell")
     if n * p_ref < SIGMA_FLOOR:
         return False  # sigma_ref < 2 for every c >= 0, no table needed

@@ -17,7 +17,8 @@ from .engine import run_analysis
 from .oracle import (check_propositions, exact_nu, random_dataset, reference_maxlen,
                      simulated_coverage, sweep_find_c, truncated_poisson_moments, walker)
 from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _cell_moment_arrays,
-                    _computes_exactly, _coverage_edgeworth, coverage_probability, find_c)
+                    _computes_exactly, _coverage_edgeworth, _hoeffding_point, c_at_most,
+                    coverage_probability, find_c)
 from .thresholds import ThresholdProvider
 
 Check = tuple[str, bool, str]
@@ -86,9 +87,12 @@ def suite_nu_accuracy() -> list[Check]:
     and on flare-shaped tables where auto's find_c crosses into Edgeworth;
     find_c's c equal to the literal clamped sweep's, gamma within 1e-9, and
     the Bonferroni start at or above c + 1 wherever nu is exact there (a
-    broken bound would only send find_c to the slower sweep); and the
-    kernel's cell moments within MOMENT_TOL of direct summation on that slice
-    and at each Edgeworth c of the flare-shaped tables up to find_c's c + 1.
+    broken bound would only send find_c to the slower sweep); the kernel's
+    cell moments within MOMENT_TOL of direct summation on that slice and at
+    each Edgeworth c of the flare-shaped tables up to find_c's c + 1; and
+    c_at_most, the maxlen rule's question, answering exactly "find_c's c <=
+    t?" at t around c and at the rule's t >> c on those tables and a
+    30000-row binary one, where it asks first at the Hoeffding point.
     """
     checks: list[Check] = []
     worst = worst_split = worst_fast = 0.0
@@ -167,6 +171,29 @@ def suite_nu_accuracy() -> list[Check]:
                    + f"; max |gamma - gamma_sweep| = {worst_gamma:.2e} (tol 1e-9); "
                    f"Bonferroni start below c + 1 at {start_misses} of "
                    f"{sum(exact for exact, _ in starts)} exact-path starts"))
+    rule_misses = []
+    answers = 0
+    probes = {"bracket": 0, "nu": 0}  # questions asked first at the Hoeffding point
+    rule_specs = [kronecker_spec(levels, 1389, seed=3) for levels in crossing]
+    rule_specs.append(kronecker_spec((2,), 30000, seed=3))
+    for spec, method in itertools.product(rule_specs, ("auto", "exact")):
+        c = find_c(spec, 0.9, method)[0]
+        t_rule = math.floor(spec.n * spec.probs.max() - 2)
+        for t in (c - 1, c, c + 1, t_rule):
+            answers += 1
+            if c_at_most(spec, 0.9, t, method) != (c <= t):
+                rule_misses.append(f"k={spec.k} n={spec.n} {method} t={t}")
+        j = _hoeffding_point(spec, 0.9)
+        if j <= t_rule and not _computes_exactly(spec, t_rule + 1, method):
+            probes["bracket" if _computes_exactly(spec, j, method) else "nu"] += 1
+    checks.append(("maxlen rule's question", not rule_misses,
+                   f"{len(rule_misses)} of {answers} c_at_most answers differ from "
+                   "find_c's c <= t"
+                   + (f" ({', '.join(rule_misses[:3])})" if rule_misses else "")
+                   + f" (t = c - 1, c, c + 1 and floor(n p_max - 2); {len(crossing)} "
+                   "flare-shaped tables and a 30000-row binary one; both methods); "
+                   f"asked first at the Hoeffding point: {probes['bracket']} by its "
+                   f"bracket, {probes['nu']} by nu"))
     worst_moment = np.max([dev for _, _, dev in moments], axis=0)
     cells = np.sum([counts for *counts, _ in moments], axis=0)
     checks.append(("Edgeworth cell moments", all(worst_moment <= [*MOMENT_TOL.values()]),

@@ -171,13 +171,17 @@ def sample_csv(tmp_path):
 
 @pytest.fixture
 def edgeworth_csv(tmp_path):
-    """1000 rows of six skewed binary variables, B mostly copying A: a cold
-    score evaluates Edgeworth nu with a dominant cell, and some rows score."""
+    """1000 rows: two skewed binary variables, B mostly copying A, so that
+    some rows score, and three five-level variables with one level at 0.97.
+    Their many-celled tables have one dominant cell, so a cold score
+    evaluates Edgeworth nu with a dominant cell (the maxlen rule's nu at the
+    Hoeffding point)."""
     rng = np.random.default_rng(5)
-    rows = (rng.random((1000, 6)) < 0.9).astype(int)
-    rows[:, 1] = np.where(rng.random(1000) < 0.03, 1 - rows[:, 0], rows[:, 0])
+    binary = (rng.random((1000, 2)) < 0.9).astype(int)
+    binary[:, 1] = np.where(rng.random(1000) < 0.03, 1 - binary[:, 0], binary[:, 0])
+    five = np.where(rng.random((1000, 3)) < 0.97, 0, rng.integers(1, 5, (1000, 3)))
     path = tmp_path / "edgeworth.csv"
-    write_csv(path, rows.tolist(), header=tuple("ABCDEF"))
+    write_csv(path, np.hstack([binary, five]).tolist(), header=tuple("ABCDE"))
     return str(path)
 
 
@@ -532,8 +536,8 @@ class TestScoreCommand:
         def reached(*args, **kwargs):
             raise AssertionError("scoring started before --out was made")
 
+        # sono.thresholds looks find_c up in sono.simci at each call
         monkeypatch.setattr(sono.simci, "find_c", reached)
-        monkeypatch.setattr(sono.thresholds, "find_c", reached)
         monkeypatch.setattr(sono.cli, "read_csv", reached)
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -768,6 +772,9 @@ class TestStartup:
         proc, loaded = self.run_listing_modules(argv, env)
         assert proc.returncode == 0, proc.stderr
         assert "sono.engine" in loaded
+        # loaded with the scoring path when no spill file can serve the tables,
+        # else by the first table that is computed
+        assert "sono.simci" in loaded
         assert not loaded & NOT_FOR_SCORING
         # no OpenSSL: the spill file is named without hashlib
         assert not loaded & {"hashlib", "_hashlib"}
@@ -778,6 +785,8 @@ class TestStartup:
             proc, loaded = self.run_listing_modules([*argv[:-1], str(out)], env)
             assert proc.returncode == 0, proc.stderr
             assert not loaded & {"hashlib", "_hashlib"}
+            # every table and the maxlen decision come from the spill file
+            assert "sono.simci" not in loaded
             tables = json.loads((out / "run.json").read_text())["results"]["tables"]
             assert tables["computed"] == 0 and tables["from_spill"] > 0
 

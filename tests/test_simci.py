@@ -13,7 +13,8 @@ import sono.simci
 import sono.verify
 from conftest import run_python
 from sono.simci import (CONVOLUTION_WORK_CAP, _cell_moment_arrays, _computes_exactly,
-                        _coverage_edgeworth, _edgeworth_value, _logsumexp, c_at_most)
+                        _coverage_edgeworth, _edgeworth_value, _hoeffding_point,
+                        _logsumexp, c_at_most)
 from sono.verify import MOMENT_TOL, NU_BATTERY, battery_spec, kronecker_spec, suite_nu_accuracy
 
 
@@ -285,6 +286,23 @@ class TestTruncationGrid:
                 c = find_c(spec, level, method)[0]
                 for t in (c - 1, c, c + 1):
                     assert c_at_most(spec, level, t, method) == (c <= t), (spec, level, t)
+        # n = 30000 tables of k = 2, 4, 16, 64 cells, also at the maxlen rule's
+        # t = floor(n * p_max - 2) >> c, where auto's t + 1 is past the exact
+        # prefix and the question is asked at the Hoeffding point first: by
+        # its bracket for k = 2 and 4, by an Edgeworth nu for k = 16 and 64
+        probes = set()
+        for levels in ((2,), (2, 2), (2,) * 4, (2,) * 6):
+            spec = kronecker_spec(levels, 30000, seed=3)
+            for level in (0.9, 0.95):
+                c = find_c(spec, level, method)[0]
+                t_rule = math.floor(spec.n * spec.probs.max() - 2)
+                assert t_rule > 20 * c
+                if method == "auto":
+                    assert not _computes_exactly(spec, t_rule + 1, method)
+                    probes.add(_computes_exactly(spec, _hoeffding_point(spec, level), method))
+                for t in (c - 1, c, c + 1, t_rule):
+                    assert c_at_most(spec, level, t, method) == (c <= t), (spec, level, t)
+        assert probes == ({True, False} if method == "auto" else set())
 
 
 class TestFindC:
@@ -330,6 +348,9 @@ class TestFindC:
         spec = CellSpec(probs=np.array([0.5, 0.5]), n=10)
         with pytest.raises(DomainError):
             find_c(spec, 0.0)
+        for level in (0.0, 1.0):  # no c exists, and at 1 c_h would divide by zero
+            with pytest.raises(DomainError):
+                c_at_most(spec, level, 5)
 
 
 def big_oracle_nu(spec, c):

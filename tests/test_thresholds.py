@@ -259,6 +259,18 @@ class TestDetermineMaxlen:
         assert (decision.violating_subset is None) == passes
         assert decision == reference_maxlen(model, n, 0.05, rule)
 
+    @pytest.mark.parametrize("rule", ["any-cell", "all-cells"])
+    def test_large_n_settles_at_the_hoeffding_point_without_nu(self, monkeypatch, rule):
+        # t + 1 lies thousands of c above c and past auto's exact prefix for
+        # every subset; the bracket at the Hoeffding point, exact for 2, 4 and
+        # 8 cells at n = 30000, settles each question without a nu
+        model, n = model_of([0.6, 0.4], [0.7, 0.3], [0.55, 0.45]), 30000
+        expected = reference_maxlen(model, n, 0.05, rule)
+        calls = count_rule_calls(monkeypatch)
+        assert determine_maxlen(model, n, 0.05, rule=rule) == expected
+        assert calls == {"nu": [], "find_c": 0}
+        assert expected.violating_subset is None
+
     @pytest.mark.parametrize("probs, n, passes", [
         ([0.9, 0.1], 40, True),               # nu(t+1) about 0.94
         ([0.95, 0.05], 119, True),            # nu(t+1) = min-cell coverage, 0.908
