@@ -5,9 +5,11 @@
 
 Each file is read `--repeats` times (default 21) in this process with the
 cyclic collector off, as `sono score` reads it; one JSON line per file gives
-the median and minimum wall seconds and the tracemalloc peak of one more,
-traced read, in MiB. `--src` names the source tree to import `sono` from
-(default: this checkout's `src`), so two trees can be compared on one input.
+the median and minimum wall seconds and, for one more, traced read, the
+tracemalloc peak and the size still allocated after it with the `Dataset`
+alive (`retained_mib`), in MiB. `--src` names the source tree to import
+`sono` from (default: this checkout's `src`), so two trees can be compared on
+one input.
 
 `--write-distinct PATH` first writes the all-distinct input: 30000 rows of 7
 variables with 12 levels each, every row different, drawn with `--seed`.
@@ -62,13 +64,15 @@ def main() -> int:
             read_csv(path)
             walls.append(time.perf_counter() - t0)
         tracemalloc.start()
-        read_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        ds = read_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        del ds
         print(json.dumps({"file": os.path.basename(path),
                           "median_s": round(statistics.median(walls), 6),
                           "min_s": round(min(walls), 6),
-                          "tracemalloc_peak_mib": round(peak / 2 ** 20, 3)}))
+                          "tracemalloc_peak_mib": round(peak / 2 ** 20, 3),
+                          "retained_mib": round(retained / 2 ** 20, 3)}))
     return 0
 
 

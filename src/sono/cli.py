@@ -131,15 +131,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not cfg.input:
         raise IngestionError("no --input file given")
     cfg.validate()  # the checks that need no data, before --out is made
+    opts = IngestionOptions(
+        delimiter=cfg.delimiter, header=cfg.header,
+        missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
+        level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
     try:  # before the input is read, so a bad --out costs no search
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    opts = IngestionOptions(
-        delimiter=cfg.delimiter, header=cfg.header,
-        missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
-        level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
     t_start = time.perf_counter()
     try:
         ds = read_csv(cfg.input, opts)
@@ -180,7 +180,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     # works on the report's distinct rows.
     report, info, _ = run_analysis(ds, model, cfg)
     scores, group = report.distinct_scores, report.group
-    nonzero = int(np.bincount(group, minlength=scores.size)[scores > 0].sum())
+    nonzero = int(ds.weight[scores > 0].sum())
     print(f"n={ds.n} p={ds.p} maxlen={info.maxlen} (rule {info.maxlen_rule}) "
           f"nonzero scores {nonzero}/{ds.n} "
           f"in {info.runtime_s:.1f}s", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Dataset container, level encoding, itemsets and the product-multinomial model.
 
-Levels of each nominal variable are encoded as 1-based integer codes. The
-probability model holds one probability vector per variable; under the
-independence assumption the probability of a cell (an itemset) is the product
-of its per-variable level probabilities. This module is the one home of that
-product: `cell_probs` for given cells (row-wise), `subset_cell_probs` for the
-full grid of a table.
+Levels are 1-based integer codes; a `Dataset` keeps each distinct row of codes
+once, with each observation's distinct row. The probability model holds one
+probability vector per variable; under independence the probability of a cell
+(an itemset) is the product of its per-variable level probabilities. This
+module is the one home of that product: `cell_probs` for given cells
+(row-wise), `subset_cell_probs` for the full grid of a table.
 """
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,48 +42,49 @@ class IngestionOptions:
             raise IngestionError(f"unknown level order {self.level_order!r}")
 
 
-class RowGroups(NamedTuple):
-    """The identical rows of a code matrix, numbered by first appearance."""
-
-    rows: np.ndarray  # (distinct, p) int32: each distinct row once
-    group: np.ndarray  # (n,) intp: each row's distinct-row index
-    weight: np.ndarray  # (distinct,) int64: each distinct row's multiplicity
-
-
-def _group_rows(codes: np.ndarray) -> RowGroups:
-    """Group the rows of a C-contiguous code matrix by their bytes, one opaque
-    key per row, which sorts faster than rows; groups are numbered by first
-    appearance."""
+def _group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous code matrix, numbered by first
+    appearance, and each row's distinct-row index. Rows are grouped by their
+    bytes, one opaque key per row, which sorts faster than rows."""
     keys = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    group = rank[inverse]
-    return RowGroups(codes[first[order]], group, np.bincount(group))
+    return codes[first[order]], rank[inverse]
 
 
 @dataclass(frozen=True)
 class Dataset:
     """n observations of p nominal variables, level-coded 1..level_counts[i].
 
-    `row_groups` groups the identical rows. `load_dataset` and `read_csv`
-    store the grouping they find while encoding; otherwise it is computed
-    from the codes on first use.
+    Each distinct row is kept once: observation i is `rows[group[i]]`, and
+    `weight` counts each distinct row's observations. `codes`, the n x p
+    matrix, is built on each access; `from_codes` groups one.
     """
 
-    codes: np.ndarray  # (n, p) int32, 1-based
+    rows: np.ndarray  # (distinct, p) int32, 1-based: each distinct row once
+    group: np.ndarray  # (n,) intp: each observation's distinct row
     level_counts: tuple[int, ...]
     variable_names: tuple[str, ...]
     level_labels: tuple[tuple[str, ...], ...]
     dropped_rows: int = 0
+    weight: np.ndarray = field(init=False)  # (distinct,) bincount(group), in __post_init__
 
     def __post_init__(self):
-        codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int32))
-        object.__setattr__(self, "codes", codes)
-        n, p = codes.shape if codes.ndim == 2 else (0, 0)
-        if n < 1 or p < 1:
+        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.int32))
+        distinct, p = rows.shape if rows.ndim == 2 else (0, 0)
+        if distinct < 1 or p < 1:
             raise EmptyDatasetError("dataset needs at least one row and one variable")
+        group = np.asarray(self.group)
+        if group.ndim != 1 or group.size == 0 or group.dtype.kind not in "iu":
+            raise DomainError("the row map must be a 1-D, non-empty integer array")
+        if group.min() < 0 or group.max() >= distinct:
+            raise DomainError(f"the row map names distinct rows outside 0..{distinct - 1}")
+        group = np.ascontiguousarray(group, dtype=np.intp)
+        weight = np.bincount(group, minlength=distinct)
+        if not weight.all():
+            raise DomainError(f"distinct row {int(np.argmin(weight))} has no observation")
         if not len(self.level_counts) == len(self.variable_names) == len(self.level_labels) == p:
             raise IngestionError("level_counts / variable_names / level_labels length mismatch")
         if len(set(self.variable_names)) != p:
@@ -92,45 +92,48 @@ class Dataset:
         for i, (l, labels) in enumerate(zip(self.level_counts, self.level_labels)):
             if l < 1 or len(labels) != l:
                 raise IngestionError(f"variable {self.variable_names[i]} has bad level set")
-            col = codes[:, i]
-            if col.min() < 1 or col.max() > l:
-                raise DomainError(
-                    f"codes of variable {self.variable_names[i]} outside 1..{l}"
-                )
-        codes.setflags(write=False)
+            if rows[:, i].min() < 1 or rows[:, i].max() > l:
+                raise DomainError(f"codes of variable {self.variable_names[i]} outside 1..{l}")
+        for name, value in (("rows", rows), ("group", group), ("weight", weight)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def row_groups(self) -> RowGroups:
-        """The distinct rows, numbered by first appearance, with multiplicities."""
-        return _group_rows(self.codes)
+    @classmethod
+    def from_codes(cls, codes, level_counts: tuple[int, ...],
+                   variable_names: tuple[str, ...],
+                   level_labels: tuple[tuple[str, ...], ...], dropped_rows: int = 0
+                   ) -> "Dataset":
+        """A Dataset from a full (n, p) code matrix, its identical rows grouped."""
+        codes = np.ascontiguousarray(codes, dtype=np.int32)
+        # an empty matrix is passed on as it is, for the rows check to reject
+        rows, group = _group_rows(codes) if codes.ndim == 2 and codes.size else (codes, [])
+        return cls(rows, group, level_counts, variable_names, level_labels, dropped_rows)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The (n, p) code matrix, `rows[group]`, built on each access."""
+        return self.rows[self.group]
 
     @property
     def n(self) -> int:
-        return self.codes.shape[0]
+        return self.group.size
 
     @property
     def p(self) -> int:
-        return self.codes.shape[1]
+        return self.rows.shape[1]
 
     def decode_row(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            self.level_labels[j][self.codes[i, j] - 1] for j in range(self.p)
-        )
+        row = self.rows[self.group[i]]
+        return tuple(self.level_labels[j][row[j] - 1] for j in range(self.p))
 
     def with_extended_levels(self, extra_labels: Sequence[Sequence[str]]) -> "Dataset":
         """Append never-observed levels (e.g. from a user probability file)."""
-        labels = []
-        counts = []
-        for i in range(self.p):
-            merged = tuple(self.level_labels[i]) + tuple(extra_labels[i])
+        labels = tuple(tuple(own) + tuple(extra)
+                       for own, extra in zip(self.level_labels, extra_labels))
+        for name, merged in zip(self.variable_names, labels):
             if len(set(merged)) != len(merged):
-                raise DomainError(f"duplicate level label for {self.variable_names[i]}")
-            labels.append(merged)
-            counts.append(len(merged))
-        out = replace(self, level_counts=tuple(counts), level_labels=tuple(labels))
-        if "row_groups" in self.__dict__:  # the codes are the same
-            out.__dict__["row_groups"] = self.row_groups
-        return out
+                raise DomainError(f"duplicate level label for {name}")
+        return replace(self, level_counts=tuple(map(len, labels)), level_labels=labels)
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,9 @@ def load_dataset(rows: Iterable[Sequence[str]],
 
     `rows` is read once, as a stream, and only its distinct rows are kept:
     they are checked, cleaned and encoded once each, in first-appearance
-    order, so they meet every level in the order the rows do. The grouping
-    becomes the Dataset's `row_groups`.
+    order, so they meet every level in the order the rows do. They become
+    the Dataset's `rows`, and each kept row's distinct-row index its `group`;
+    no n x p matrix is built.
     """
     opts = options or IngestionOptions()
     rows = iter(rows)
@@ -265,20 +269,17 @@ def load_dataset(rows: Iterable[Sequence[str]],
                 if v not in maps[j]:
                     maps[j][v] = len(vocab[j]) + 1
                     vocab[j].append(v)
-    distinct_codes = np.array([[maps[j][v] for j, v in enumerate(r)] for r in cleaned],
-                              dtype=np.int32)
     row_kept = kept[group]
     group = (np.cumsum(kept) - 1)[group[row_kept]]
-    ds = Dataset(
-        codes=distinct_codes[group],
+    return Dataset(
+        rows=np.array([[maps[j][v] for j, v in enumerate(r)] for r in cleaned],
+                      dtype=np.int32),
+        group=group,
         level_counts=tuple(len(v) for v in vocab),
         variable_names=tuple(names),
         level_labels=tuple(tuple(v) for v in vocab),
         dropped_rows=int(row_kept.size - group.size),
     )
-    ds.__dict__["row_groups"] = RowGroups(distinct_codes, group,
-                                          np.bincount(group, minlength=len(cleaned)))
-    return ds
 
 
 def read_csv(path, options: IngestionOptions | None = None) -> Dataset:
@@ -294,13 +295,11 @@ def read_csv(path, options: IngestionOptions | None = None) -> Dataset:
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:
-    """Observed level proportions, count(level)/n per variable."""
-    n = ds.n
-    vecs = []
-    for i in range(ds.p):
-        counts = np.bincount(ds.codes[:, i] - 1, minlength=ds.level_counts[i])
-        vecs.append(counts.astype(float) / n)
-    return ProbabilityModel(pi=tuple(vecs), source="empirical")
+    """Observed level proportions, count(level)/n per variable, counted over
+    the distinct rows with their weights (integer sums, so exact)."""
+    return ProbabilityModel(pi=tuple(
+        np.bincount(ds.rows[:, i] - 1, weights=ds.weight, minlength=l) / ds.n
+        for i, l in enumerate(ds.level_counts)), source="empirical")
 
 
 def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]

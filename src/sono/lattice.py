@@ -8,14 +8,14 @@ itemset flagged without testing it, still recorded with its true support
 and threshold.
 
 A row's flags depend only on its levels, so the walk runs over the distinct
-rows of the data (`Dataset.row_groups`), each weighted by how often it
-occurs: a cell's support is the weighted count of the distinct rows that
-hold it. The one kept state is a boolean mask per (subset, distinct row) of
-the previous size, keyed by the subset's variable bitmask: the rows whose
-cell is decided (in infrequent mode it contains a flagged itemset, in
-frequent mode it lies under one) or flagged. A row's cell is its
-projection, so a subset's decided rows are the OR of the masks of its
-neighbours one variable away. Both searches return a `Flags` table.
+rows of the data (`Dataset.rows`), each weighted by how often it occurs
+(`Dataset.weight`): a cell's support is the weighted count of the distinct
+rows that hold it. The one kept state is a boolean mask per (subset, distinct
+row) of the previous size, keyed by the subset's variable bitmask: the rows
+whose cell is decided (in infrequent mode it contains a flagged itemset, in
+frequent mode it lies under one) or flagged. A row's cell is its projection,
+so a subset's decided rows are the OR of the masks of its neighbours one
+variable away. Both searches return a `Flags` table.
 
 A subset's observed cells are grouped by `subset_codes`, an integer key that
 only this module knows; each cell's levels, which price it and name its
@@ -127,7 +127,7 @@ def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
     all decided (keeping them all) and stops at a size where it visited
     nothing: every larger subset is then all decided too.
     """
-    codes, group, weight = ds.row_groups
+    codes, weight = ds.rows, ds.weight
     rows, p = codes.shape
     top = min(maxlen, p)
     infrequent = mode == "infrequent"
@@ -186,7 +186,7 @@ def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
 
     def cat(parts: list[np.ndarray]) -> np.ndarray:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-    return Flags(tuple(records), cat(flag_rows), cat(flag_cells), group), stats
+    return Flags(tuple(records), cat(flag_rows), cat(flag_cells), ds.group), stats
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,

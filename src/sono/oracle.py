@@ -293,8 +293,8 @@ def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMom
 # Nested-loop walker
 # ---------------------------------------------------------------------------
 
-def _row_contains(ds: Dataset, row: int, itemset: Itemset) -> bool:
-    return all(ds.codes[row, var] == level for var, level in itemset.entries)
+def _row_contains(codes: np.ndarray, row: int, itemset: Itemset) -> bool:
+    return all(codes[row, var] == level for var, level in itemset.entries)
 
 
 def reference_subset_passes(model: ProbabilityModel, n: int, subset: Sequence[int],
@@ -352,7 +352,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     if ds.n > WALKER_MAX_N or ds.p > WALKER_MAX_P or total_cells > WALKER_MAX_CELLS:
         raise OracleRefusal(
             f"walker caps exceeded (n={ds.n}, p={ds.p}, cells={total_cells:.3g})")
-    n, p = ds.n, ds.p
+    n, p, codes = ds.n, ds.p, ds.codes  # ds.codes is built on each access
     if max_len is not None:
         maxlen = max_len
     else:
@@ -373,7 +373,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
             # observed cells, one slow pass per subset
             seen: dict[tuple[int, ...], int] = {}
             for i in range(n):
-                cell = tuple(int(ds.codes[i, j]) for j in subset)
+                cell = tuple(int(codes[i, j]) for j in subset)
                 seen[cell] = seen.get(cell, 0) + 1
             cells = sorted(seen)
             sigmas = table.sigma(np.array(cells), mode).tolist()
@@ -394,7 +394,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     flag_sets: list[list[FlagRecord]] = [[] for _ in range(n)]
     for rec in flagged:
         for i in range(n):
-            if _row_contains(ds, i, rec.itemset):
+            if _row_contains(codes, i, rec.itemset):
                 flag_sets[i].append(rec)
 
     # literal score / depth / contribution recomputation
@@ -537,8 +537,8 @@ def random_dataset(rng: np.random.Generator, *, n_max: int = 200, p_max: int = 6
         codes[:, j] = rng.choice(l, size=n, p=w) + 1
     labels = tuple(tuple(f"v{j}l{k + 1}" for k in range(l))
                    for j, l in enumerate(level_counts))
-    return Dataset(
-        codes=codes,
+    return Dataset.from_codes(
+        codes,
         level_counts=tuple(level_counts),
         variable_names=tuple(f"X{j + 1}" for j in range(p)),
         level_labels=labels,

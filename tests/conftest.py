@@ -102,8 +102,8 @@ def make_dataset(codes, level_counts=None) -> Dataset:
     p = codes.shape[1]
     if level_counts is None:
         level_counts = tuple(int(codes[:, j].max()) for j in range(p))
-    return Dataset(
-        codes=codes,
+    return Dataset.from_codes(
+        codes,
         level_counts=tuple(level_counts),
         variable_names=tuple(f"X{j + 1}" for j in range(p)),
         level_labels=tuple(tuple(str(k + 1) for k in range(l))

@@ -314,10 +314,11 @@ def test_uci_empirical_frequencies_vs_independent_counter(tmp_path_factory):
     _, ds, _, _, _ = uci_run("solar-flare", tmp_path_factory)
     model = empirical_model(ds)
     assert len(model.pi) == 10
+    codes = ds.codes
     for j in range(ds.p):
         counts: dict[int, int] = {}
         for i in range(ds.n):
-            code = int(ds.codes[i, j])
+            code = int(codes[i, j])
             counts[code] = counts.get(code, 0) + 1
         for level in range(1, ds.level_counts[j] + 1):
             assert model.pi[j][level - 1] == counts.get(level, 0) / ds.n

@@ -530,6 +530,28 @@ class TestScoreCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        # these used to exit 2 only after an empty --out was made
+        ({"level_order": "sideways"}, "unknown level order 'sideways'"),
+        ({"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
+        (["--delimiter", ";;"], "delimiter must be one character, got ';;'"),
+    ], ids=["config-level-order", "config-delimiter", "delimiter"])
+    def test_ingestion_option_rejected_before_out(self, sample_csv, tmp_path, capsys,
+                                                  monkeypatch, options, message):
+        if isinstance(options, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(options))
+            options = ["--config", str(config)]
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the input was read before the options were checked")
+
+        monkeypatch.setattr(sono.cli, "read_csv", reached)
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--out", str(out), *options]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"ingestion error: {message}"]
+        assert not out.exists()
+
     def test_output_path_checked_before_the_input_is_read(self, sample_csv, tmp_path,
                                                            capsys, monkeypatch):
         # an --out naming a file used to fail only after the whole search

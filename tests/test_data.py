@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (DomainError, EmptyDatasetError, IngestionError,
+from sono import (Dataset, DomainError, EmptyDatasetError, IngestionError,
                   IngestionOptions, Itemset, ProbabilityModel, cell_probability,
                   empirical_model, load_dataset, read_csv, user_model)
 from sono.data import _group_rows
@@ -323,7 +323,7 @@ def outcome(load, *args):
     except (IngestionError, EmptyDatasetError, csv.Error) as exc:
         return type(exc), str(exc)
     return (ds.codes.tolist(), ds.level_counts, ds.variable_names, ds.level_labels,
-            ds.dropped_rows, [a.tolist() for a in ds.row_groups])
+            ds.dropped_rows, [a.tolist() for a in (ds.rows, ds.group, ds.weight)])
 
 
 def read_rows(path, opts):
@@ -398,8 +398,8 @@ class TestReadCsv:
         finally:
             os.remove(path)
         assert ds.codes.tolist() == [[1, 1], [2, 2], [1, 1], [1, 1], [2, 2]]
-        assert ds.row_groups.group.tolist() == [0, 1, 0, 0, 1]
-        assert ds.row_groups.weight.tolist() == [3, 2]
+        assert ds.group.tolist() == [0, 1, 0, 0, 1]
+        assert ds.weight.tolist() == [3, 2]
 
     @pytest.mark.parametrize("text", [
         'A,B\n"x\ny",b\nc,d\n"x\ny",b\n',   # a record spanning two lines
@@ -448,10 +448,10 @@ class TestReadCsv:
 class TestRowGroups:
     def test_groups_number_rows_by_first_appearance(self):
         ds = make_dataset([[2, 1], [1, 1], [2, 1], [1, 2], [1, 1]])
-        rows, group, weight = ds.row_groups
-        assert rows.tolist() == [[2, 1], [1, 1], [1, 2]]
-        assert group.tolist() == [0, 1, 0, 2, 1]
-        assert weight.tolist() == [2, 2, 1]
+        assert ds.rows.tolist() == [[2, 1], [1, 1], [1, 2]]
+        assert ds.group.tolist() == [0, 1, 0, 2, 1]
+        assert ds.weight.tolist() == [2, 2, 1]
+        assert ds.codes.tolist() == [[2, 1], [1, 1], [2, 1], [1, 2], [1, 1]]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("ab?"), min_size=3, max_size=3),
@@ -464,13 +464,32 @@ class TestRowGroups:
             ds = load_dataset(body, opts)
         except EmptyDatasetError:
             return
-        want = _group_rows(ds.codes)
-        assert all(np.array_equal(a, b) for a, b in zip(ds.row_groups, want))
+        rows, group = _group_rows(ds.codes)
+        assert np.array_equal(ds.rows, rows) and np.array_equal(ds.group, group)
+        assert np.array_equal(ds.weight, np.bincount(group))
 
     def test_replaced_codes_are_regrouped(self):
         ds = load_dataset([["a"], ["b"], ["a"]], IngestionOptions(header=False))
-        assert ds.row_groups.weight.tolist() == [2, 1]
-        moved = dataclasses.replace(ds, codes=np.array([[2], [2], [1]]))
-        assert moved.row_groups.group.tolist() == [0, 0, 1]
+        assert ds.weight.tolist() == [2, 1]
+        moved = Dataset.from_codes([[2], [2], [1]], ds.level_counts, ds.variable_names,
+                                   ds.level_labels)
+        assert moved.rows.tolist() == [[2], [1]]
+        assert moved.group.tolist() == [0, 0, 1]
+        assert moved.weight.tolist() == [2, 1]
         extended = ds.with_extended_levels([("c",)])
-        assert extended.row_groups is ds.row_groups
+        assert extended.rows is ds.rows and extended.group is ds.group
+        assert extended.level_counts == (3,)
+
+    @pytest.mark.parametrize("group, message", [
+        (np.array([[0, 1]]), "1-D"),
+        (np.zeros(0, dtype=np.intp), "non-empty"),
+        (np.array([0.0, 1.0]), "integer"),
+        (np.array([0, 2, 1]), "outside 0..1"),
+        (np.array([0, -1]), "outside 0..1"),
+        (np.array([1, 1]), "distinct row 0 has no observation"),
+    ], ids=["2-D", "empty", "float", "past-the-end", "negative", "unmapped-row"])
+    def test_row_map_is_checked(self, group, message):
+        # a row with no observation would reach scoring as a zero-support flag
+        with pytest.raises(DomainError, match=message):
+            Dataset(rows=np.array([[1], [2]]), group=group, level_counts=(2,),
+                    variable_names=("X1",), level_labels=(("a", "b"),))

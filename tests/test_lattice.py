@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
+from sono import (Dataset, IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
                   load_dataset, random_dataset, run_analysis, search_frequent,
                   search_infrequent)
 from sono.lattice import _observed_cells
@@ -26,20 +25,20 @@ def flagged_itemsets(flags):
     return out
 
 
-def support(ds, subset):
-    """Observed-cell supports over `subset`, counted row by row."""
-    return Counter(tuple(row) for row in ds.codes[:, list(subset)].tolist())
+def support(codes, subset):
+    """Observed-cell supports over `subset` of a code matrix, counted row by row."""
+    return Counter(tuple(row) for row in codes[:, list(subset)].tolist())
 
 
 def search_support(ds, subset):
     """The observed cells as the search groups them: {levels: supp}, in order."""
-    codes, group, weight = ds.row_groups
-    assert np.array_equal(codes[group], ds.codes)
+    rows, group, weight, codes = ds.rows, ds.group, ds.weight, ds.codes
+    assert np.array_equal(rows[group], codes)
     assert weight.tolist() == np.bincount(group).tolist()
-    levels, inv, counts = _observed_cells(codes, weight, ds.level_counts, tuple(subset))
-    by_row = support(ds, subset)
+    levels, inv, counts = _observed_cells(rows, weight, ds.level_counts, tuple(subset))
+    by_row = support(codes, subset)
     assert counts[inv][group].tolist() == [by_row[tuple(row)]
-                                           for row in ds.codes[:, list(subset)].tolist()]
+                                           for row in codes[:, list(subset)].tolist()]
     return dict(zip(map(tuple, levels.tolist()), counts.tolist()))
 
 
@@ -219,12 +218,13 @@ class TestSearchSemantics:
     def test_apriori_monotonicity_of_supports(self):
         rng = np.random.default_rng(41)
         ds = random_dataset(rng, n_max=60, p_max=4)
+        codes = ds.codes
         for size in range(2, ds.p + 1):
             for subset in itertools.combinations(range(ds.p), size):
-                supp = support(ds, subset)
+                supp = support(codes, subset)
                 for drop in range(size):
                     sub = subset[:drop] + subset[drop + 1:]
-                    sub_supp = support(ds, sub)
+                    sub_supp = support(codes, sub)
                     for cell, cnt in supp.items():
                         sub_cell = cell[:drop] + cell[drop + 1:]
                         assert cnt <= sub_supp[sub_cell]
@@ -247,7 +247,8 @@ class TestRowPermutation:
     def test_permuting_rows_permutes_results_exactly(self, seed, mode, data):
         ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
         perm = np.array(data.draw(st.permutations(range(ds.n))))
-        shuffled = dataclasses.replace(ds, codes=ds.codes[perm])
+        shuffled = Dataset.from_codes(ds.codes[perm], ds.level_counts, ds.variable_names,
+                                      ds.level_labels)
         cfg = RunConfig(mode=mode)
         report, info, _ = run_analysis(ds, empirical_model(ds), cfg)
         moved, moved_info, _ = run_analysis(shuffled, empirical_model(shuffled), cfg)
@@ -275,12 +276,12 @@ class TestLevelRelabelling:
         first = load_dataset(table, IngestionOptions(level_order="first"))
         lexicographic = load_dataset(table, IngestionOptions(level_order="lexicographic"))
         perms = [np.array(data.draw(st.permutations(range(l)))) for l in first.level_counts]
-        drawn = dataclasses.replace(
-            first,
-            codes=np.column_stack([perm[first.codes[:, j] - 1] + 1
-                                   for j, perm in enumerate(perms)]),
-            level_labels=tuple(tuple(labels[k] for k in np.argsort(perm))
-                               for labels, perm in zip(first.level_labels, perms)))
+        codes = first.codes
+        drawn = Dataset.from_codes(
+            np.column_stack([perm[codes[:, j] - 1] + 1 for j, perm in enumerate(perms)]),
+            first.level_counts, first.variable_names,
+            tuple(tuple(labels[k] for k in np.argsort(perm))
+                  for labels, perm in zip(first.level_labels, perms)))
         cfg = RunConfig(mode=mode, prune=prune)
         report, info, flags = run_analysis(first, empirical_model(first), cfg)
         expected = labelled_flags(first, flags)
@@ -322,8 +323,8 @@ class TestColumnPermutation:
     def test_permuting_columns_permutes_contributions(self, seed, mode, prune, data):
         ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
         perm = list(data.draw(st.permutations(range(ds.p))))
-        moved = dataclasses.replace(
-            ds, codes=ds.codes[:, perm],
+        moved = Dataset.from_codes(
+            ds.codes[:, perm],
             level_counts=tuple(ds.level_counts[j] for j in perm),
             variable_names=tuple(ds.variable_names[j] for j in perm),
             level_labels=tuple(ds.level_labels[j] for j in perm))

@@ -199,11 +199,12 @@ class TestScaleFree:
     def test_doubling_rows_doubles_supports(self):
         rng = np.random.default_rng(19)
         ds = random_dataset(rng, n_max=50, p_max=4)
-        doubled = make_dataset(np.vstack([ds.codes, ds.codes]),
-                               level_counts=ds.level_counts)
+        codes = ds.codes
+        doubled = make_dataset(np.vstack([codes, codes]), level_counts=ds.level_counts)
+        doubled_codes = doubled.codes
         for subset in ((0,), tuple(range(ds.p))):
-            base = Counter(map(tuple, ds.codes[:, subset].tolist()))
-            twice = Counter(map(tuple, doubled.codes[:, subset].tolist()))
+            base = Counter(map(tuple, codes[:, subset].tolist()))
+            twice = Counter(map(tuple, doubled_codes[:, subset].tolist()))
             assert twice == {cell: 2 * cnt for cell, cnt in base.items()}
         # empirical proportions unchanged
         m1 = empirical_model(ds)
