@@ -308,7 +308,8 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
 
     Variables absent from the mapping fall back to empirical proportions.
     Labels in the mapping that were never observed extend the variable's
-    vocabulary (their probability participates in thresholds).
+    vocabulary (their probability participates in thresholds, and may be 0).
+    An observed level may not have probability 0.
     """
     unknown = set(mapping) - set(ds.variable_names)
     if unknown:
@@ -337,10 +338,12 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
             vecs.append(emp.pi[i])
         else:
             values = [spec[lab] for lab in ds2.level_labels[i]]
-            for value in values:
+            for lab, value in zip(ds2.level_labels[i], values):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise DomainError(f"probabilities of {name} must be numbers, "
                                       f"got {value!r}")
+                if value == 0 and lab in ds.level_labels[i]:
+                    raise DomainError(f"observed level {lab!r} of {name} has probability 0")
             try:
                 vecs.append(np.array(values, dtype=float))
             except OverflowError as exc:  # an integer beyond float range

@@ -71,7 +71,7 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
     search = search_infrequent if cfg.mode == "infrequent" else search_frequent
     flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
     t_search = time.perf_counter()
-    report = build_report(flags, cfg.r, cfg.mode, decision.maxlen, ds.p)
+    report = build_report(flags, cfg.r, cfg.mode, decision.maxlen)
     t_scoring = time.perf_counter()
     provider.flush_spill()
     info = RunInfo(

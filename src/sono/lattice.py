@@ -15,7 +15,7 @@ row) of the previous size, keyed by the subset's variable bitmask: the rows
 whose cell is decided (in infrequent mode it contains a flagged itemset, in
 frequent mode it lies under one) or flagged. A row's cell is its projection,
 so a subset's decided rows are the OR of the masks of its neighbours one
-variable away. Both searches return a `Flags` table.
+variable away. Both searches return a `Flags` table of arrays.
 
 A subset's observed cells are grouped by `subset_codes`, an integer key that
 only this module knows; each cell's levels, which price it and name its
@@ -65,13 +65,16 @@ class SearchStats:
 class Flags:
     """The flagged cells of a search and the distinct rows that contain them.
 
-    `records` holds the flagged cells in search order. Observation i is
-    distinct row `group[i]`. Incidence k says that distinct row `row[k]`
-    contains cell `records[cell[k]]`; incidences run subset by subset and by
-    row within a subset, so every row meets its cells in search order.
+    Cell k, in search order, has levels `levels[k]` (0 off its itemset),
+    support `supp[k]` and threshold `sigma[k]`. Observation i is distinct row
+    `group[i]`. Incidence j says that distinct row `row[j]` contains cell
+    `cell[j]`; incidences run subset by subset and by row within a subset, so
+    every row meets its cells in search order.
     """
 
-    records: tuple[FlagRecord, ...]
+    levels: np.ndarray
+    supp: np.ndarray
+    sigma: np.ndarray
     row: np.ndarray
     cell: np.ndarray
     group: np.ndarray
@@ -86,11 +89,20 @@ class Flags:
         """Number of distinct rows."""
         return int(self.group.max(initial=-1)) + 1
 
+    @property
+    def records(self) -> tuple[FlagRecord, ...]:
+        """The flagged cells as `FlagRecord`s in search order, built on each
+        access for audits; scoring reads only the arrays."""
+        cells = zip(self.levels.tolist(), self.supp.tolist(), self.sigma.tolist())
+        return tuple(FlagRecord(Itemset(tuple((j, v) for j, v in enumerate(lv) if v)), s, g)
+                     for lv, s, g in cells)
+
     def by_row(self) -> list[list[FlagRecord]]:
         """Per-observation lists of flagged cells, each in search order."""
+        records = self.records
         out: list[list[FlagRecord]] = [[] for _ in range(self.distinct)]
         for i, k in zip(self.row.tolist(), self.cell.tolist()):
-            out[i].append(self.records[k])
+            out[i].append(records[k])
         return [list(out[d]) for d in self.group.tolist()]
 
 
@@ -132,9 +144,9 @@ def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
     top = min(maxlen, p)
     infrequent = mode == "infrequent"
     stats = SearchStats()
-    records: list[FlagRecord] = []
-    flag_rows: list[np.ndarray] = []
-    flag_cells: list[np.ndarray] = []
+    # per flagging subset, after an empty one: cell levels, supp, sigma, row, cell
+    parts = tuple([np.zeros(shape, dtype)] for shape, dtype in (
+        ((0, p), codes.dtype), (0, np.int64), (0, float), (0, np.intp), (0, np.intp)))
     prev: dict[int, np.ndarray] = {}  # kept rows per variable bitmask, one size
     for size in range(1, top + 1) if infrequent else range(top, 0, -1):
         cur: dict[int, np.ndarray] = {}
@@ -165,28 +177,22 @@ def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
             else:
                 flagged = decided | (counts.astype(float) >= sigma)
             pos = np.flatnonzero(flagged)
-            stats.cells_flagged += pos.size
             hit = flagged[inv]
             if pos.size:
-                cell_id = np.cumsum(flagged) - 1 + len(records)
-                for k, cell in zip(pos.tolist(), levels[pos].tolist()):
-                    records.append(FlagRecord(
-                        itemset=Itemset(tuple(zip(subset, cell))),
-                        supp=int(counts[k]),
-                        sigma=float(sigma[k]),
-                    ))
+                cell_id = np.cumsum(flagged) - 1 + stats.cells_flagged
+                block = np.zeros((pos.size, p), dtype=codes.dtype)
+                block[:, subset] = levels[pos]
                 hit_rows = np.flatnonzero(hit)
-                flag_rows.append(hit_rows)
-                flag_cells.append(cell_id[inv[hit_rows]])
+                for part, new in zip(parts, (block, counts[pos], sigma[pos], hit_rows,
+                                             cell_id[inv[hit_rows]])):
+                    part.append(new)
+            stats.cells_flagged += pos.size
             if prune:
                 cur[bits] = near | hit
         if not visited:
             break
         prev = cur
-
-    def cat(parts: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-    return Flags(tuple(records), cat(flag_rows), cat(flag_cells), ds.group), stats
+    return Flags(*map(np.concatenate, parts), ds.group), stats
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,

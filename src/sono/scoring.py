@@ -7,12 +7,12 @@ supp(d) / (sigma_d * (maxlen - |d| + 1)^r), split equally across the |d|
 variables. Depth is the mean flagged length (infrequent) or its top-down
 complement maxlen - |d| + 1 (frequent); observations with no flags get 0.
 
-`build_report` reads the search's flagged-cell table (`lattice.Flags`) once:
-each flagged cell's term, share and depth length is computed a single time
-and scattered to the distinct rows that contain it. Each distinct row is
-scored once, and the report keeps the results at that size: a `ScoreReport`
-holds one score, depth and contribution row per distinct row plus the row map
-`group`, and builds the per-observation arrays only when they are read.
+`build_report` computes each flagged cell's term, share and depth length
+from the arrays of `lattice.Flags` and scatters them to the distinct rows
+that contain it. Each distinct row is scored once, and the report keeps the
+results at that size: a `ScoreReport` holds one score, depth and
+contribution row per distinct row plus the row map `group`, and builds the
+per-observation arrays only when they are read.
 """
 from __future__ import annotations
 
@@ -60,8 +60,13 @@ class ScoreReport:
         return self.distinct_contributions[self.group]
 
 
-def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
-                 ) -> ScoreReport:
+def _power(base: np.ndarray, e: float) -> np.ndarray:
+    """base ** e elementwise, as a Python float computed once per base value."""
+    values, inv = np.unique(base, return_inverse=True)
+    return np.array([v ** e for v in values.tolist()])[inv]
+
+
+def build_report(flags: Flags, r: float, mode: str, maxlen: int) -> ScoreReport:
     """Scores, depths and contributions of every row from the flagged-cell table.
 
     Scores are compensated sums (`math.fsum`, independent of order); depths
@@ -71,42 +76,39 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int, p: int
     computed and kept per distinct row, with `flags.group` as the row map.
     """
     validate_exponent(r)
-    terms, shares, lengths = [], [], []
-    for rec in flags.records:
-        d = rec.length
-        if rec.supp < 1:
-            raise InternalConsistencyError(f"flagged record with supp={rec.supp}")
-        if mode == "infrequent":
-            terms.append(rec.sigma / (rec.supp * d ** r))
-            shares.append(rec.sigma / (rec.supp * d ** (r + 1.0)))
-            lengths.append(d)
-        else:
-            if rec.sigma <= 0.0:
-                raise InternalConsistencyError(
-                    f"frequent-mode flagged record with sigma={rec.sigma}")
-            k = maxlen - d + 1
-            terms.append(rec.supp / (rec.sigma * k ** r))
-            shares.append(rec.supp / (rec.sigma * k ** r * d))
-            lengths.append(k)
-    distinct, row, cell = flags.distinct, flags.row, flags.cell
+    supp, sigma = flags.supp, flags.sigma
+    member = flags.levels > 0
+    d = member.sum(axis=1)
+    if (supp < 1).any():
+        raise InternalConsistencyError(f"flagged record with supp={supp[supp < 1][0]}")
+    if mode == "infrequent":
+        terms = sigma / (supp * _power(d, r))
+        shares = sigma / (supp * _power(d, r + 1.0))
+        lengths = d
+    else:
+        if (sigma <= 0.0).any():
+            raise InternalConsistencyError(
+                f"frequent-mode flagged record with sigma={sigma[sigma <= 0.0][0]}")
+        lengths = maxlen - d + 1
+        k_r = _power(lengths, r)
+        terms = supp / (sigma * k_r)
+        shares = supp / (sigma * k_r * d)
+    distinct, row, cell, p = flags.distinct, flags.row, flags.cell, member.shape[1]
 
     per_row = np.bincount(row, minlength=distinct)
     ends = np.cumsum(per_row).tolist()
     grouped = cell[np.argsort(row)].tolist()
-    scores = np.array([math.fsum([terms[k] for k in grouped[a:b]])
+    term_of = terms.tolist()
+    scores = np.array([math.fsum([term_of[k] for k in grouped[a:b]])
                        for a, b in zip([0] + ends[:-1], ends)])
 
-    depth_sum = np.bincount(row, weights=np.asarray(lengths, dtype=float)[cell],
-                            minlength=distinct)
+    depth_sum = np.bincount(row, weights=lengths.astype(float)[cell], minlength=distinct)
     depths = np.zeros(distinct)
     np.divide(depth_sum, per_row, out=depths, where=per_row > 0)
 
     # bincount adds its weights in incidence order, which is search order
     # within each row
-    member = np.zeros((len(flags.records), p), dtype=bool)
-    for k, rec in enumerate(flags.records):
-        member[k, list(rec.itemset.variables)] = True
-    weight = np.asarray(shares, dtype=float)[cell]
+    weight = shares[cell]
     contributions = np.zeros((distinct, p))
     for var in range(p):
         inside = member[cell, var]

@@ -59,6 +59,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,8 +89,9 @@ _BOUND_MARGIN = 1e-9
 class CellSpec:
     """A k-cell multinomial: cell probabilities and the sample size.
 
-    `m` holds the expected counts n * p_i, and `bounds(c)` the truncation
-    bounds at half-width c, each computed once per spec.
+    `m` holds the expected counts n * p_i, `bounds(c)` the truncation bounds
+    at half-width c and `log_norm` nu's normalizer log P(Poisson(n) = n),
+    each computed once per spec.
     """
 
     probs: np.ndarray
@@ -117,6 +119,10 @@ class CellSpec:
     @property
     def k(self) -> int:
         return self.probs.size
+
+    @cached_property
+    def log_norm(self) -> float:
+        return float(poisson_log_pmf(self.n, self.n))
 
     def bounds(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Truncation bounds (a, b) at half-width c, read-only.
@@ -370,7 +376,7 @@ def _coverage_convolution(spec: CellSpec, a: np.ndarray, b: np.ndarray) -> float
         log_scale += _log_product_entry(a[wide], m[wide], lens, target + 1)
         if not np.isfinite(log_scale):
             return 0.0
-    val = math.exp(log_scale - float(poisson_log_pmf(spec.n, spec.n)))
+    val = math.exp(log_scale - spec.log_norm)
     return min(max(val, 0.0), 1.0)
 
 
@@ -435,7 +441,7 @@ def _coverage_edgeworth(spec: CellSpec, a: np.ndarray, b: np.ndarray) -> float:
 
     if fw <= 0.0:
         return 0.0
-    log_ratio = sum_log_mass + math.log(fw) - float(poisson_log_pmf(spec.n, spec.n))
+    log_ratio = sum_log_mass + math.log(fw) - spec.log_norm
     return min(max(math.exp(log_ratio), 0.0), 1.0)
 
 

@@ -77,17 +77,22 @@ class StubProvider:
         return StubTable(tuple(sorted(subset)), self.sigma_by_levels, self.default_sigma)
 
 
-def flags_of(flag_sets) -> Flags:
-    """The flag table of handcrafted per-row lists of FlagRecords, each row
-    its own distinct row."""
+def flags_of(flag_sets, p) -> Flags:
+    """The flag table over p variables of handcrafted per-row lists of
+    FlagRecords, each row its own distinct row."""
     records: dict = {}
     rows, cells = [], []
     for i, recs in enumerate(flag_sets):
         for rec in recs:
             rows.append(i)
             cells.append(records.setdefault(rec, len(records)))
-    return Flags(tuple(records), np.array(rows, dtype=np.intp),
-                 np.array(cells, dtype=np.intp), np.arange(len(flag_sets)))
+    levels = np.zeros((len(records), p), dtype=np.int32)
+    for k, rec in enumerate(records):
+        levels[k, list(rec.itemset.variables)] = rec.itemset.levels
+    return Flags(levels, np.array([rec.supp for rec in records], dtype=np.int64),
+                 np.array([rec.sigma for rec in records], dtype=float),
+                 np.array(rows, dtype=np.intp), np.array(cells, dtype=np.intp),
+                 np.arange(len(flag_sets)))
 
 
 @pytest.fixture

@@ -327,12 +327,12 @@ def test_uci_empirical_frequencies_vs_independent_counter(tmp_path_factory):
 def test_criterion_8_depth_worked_examples():
     inf_flags = [[FlagRecord(Itemset.of((0, 1)), 1, 5.0),
                   FlagRecord(Itemset.of((0, 1), (1, 1), (2, 1)), 1, 4.0)]]
-    d_inf = build_report(flags_of(inf_flags), r=2.0, mode="infrequent", maxlen=3,
-                         p=3).depths[0]
+    d_inf = build_report(flags_of(inf_flags, 3), r=2.0, mode="infrequent",
+                         maxlen=3).depths[0]
     freq_flags = [[FlagRecord(Itemset.of((0, 1), (1, 1)), 9, 5.0),
                    FlagRecord(Itemset.of((2, 1)), 9, 4.0)]]
-    d_freq = build_report(flags_of(freq_flags), r=2.0, mode="frequent", maxlen=3,
-                          p=3).depths[0]
+    d_freq = build_report(flags_of(freq_flags, 3), r=2.0, mode="frequent",
+                          maxlen=3).depths[0]
     ok = d_inf == 2.0 and d_freq == 2.5
     _report_line(8, "depth worked examples", ok,
                  f"bottom-up {d_inf} (want 2), top-down {d_freq} (want 5/2), exact")

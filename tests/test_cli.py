@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import sono
 import sono.cli
 import sono.engine
+import sono.lattice
 import sono.scoring
 import sono.simci
 import sono.thresholds
@@ -260,6 +261,31 @@ class TestScoreCommand:
             assert doc["nonzero_scores"] == nonzero
             assert doc["max_score"] == float(report.scores.max())
 
+    @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
+    def test_score_builds_no_object_per_flag(self, tmp_path, monkeypatch, mode):
+        # the walk records flagged cells as arrays and scoring reads them, so a
+        # run that cannot build a FlagRecord or an Itemset writes the same bytes
+        patterns = [["a", "x", "u"]] * 900 + [["b", "y", "u"]] * 80 + [["a", "y", "v"]] * 15
+        patterns += [["c", "x", "v"]] * 4 + [["c", "y", "u"]]
+        path = tmp_path / "dup.csv"
+        write_csv(path, [patterns[i] for i in RNG.permutation(len(patterns))])
+
+        def built(*args, **kwargs):
+            raise AssertionError("sono score built an object per flagged cell")
+
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(sono.lattice, "FlagRecord", built)
+                monkeypatch.setattr(sono.lattice, "Itemset", built)
+            out = tmp_path / f"out-{patched}"
+            assert main(["score", "--input", str(path), "--mode", mode,
+                         "--out", str(out)]) == 0
+        for name in ("scores.csv", "contributions.csv"):
+            assert (tmp_path / "out-True" / name).read_bytes() == \
+                (tmp_path / "out-False" / name).read_bytes()
+        with open(tmp_path / "out-False" / "scores.csv", newline="") as fh:
+            assert any(float(row[1]) > 0 for row in list(csv.reader(fh))[1:])
+
     def test_run_json_contents(self, sample_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0
@@ -470,6 +496,27 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith("ingestion error: bad probability file")
         assert message in err
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
+    @pytest.mark.parametrize("doc, label", [
+        ({"A": {"x": 1.0, "y": 0.0}, "B": {"u": 1.0, "v": 0.0}}, "y"),
+        ({"A": {"x": 0.0, "y": 1.0}}, "x")])
+    def test_zero_probability_of_an_observed_level_exit_code(self, tmp_path, capsys,
+                                                             mode, doc, label):
+        # frequent mode used to flag such a level with sigma 0 and end in an
+        # internal error (exit 1)
+        path = tmp_path / "d.csv"
+        write_csv(path, [[a, b] for a in "xy" for b in "uv" for _ in range(10)],
+                  header=("A", "B"))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["score", "--input", str(path), "--probs", str(probs),
+                     "--mode", mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ingestion error: bad probability file: "
+                       f"observed level '{label}' of A has probability 0"]
         assert not (out / "scores.csv").exists()
 
     @pytest.mark.parametrize("doc, message", [

@@ -201,6 +201,17 @@ class TestUserModel:
         with pytest.raises(DomainError, match="misses"):
             user_model(toy_table, {"V1": {"a": 1.0}})
 
+    @pytest.mark.parametrize("spec", [{"a": 1.0, "b": 0.0}, {"a": 0.0, "b": 1}])
+    def test_zero_probability_of_an_observed_level_rejected(self, toy_table, spec):
+        # a level that occurs cannot have probability 0; frequent mode used to
+        # flag it with sigma 0 and end in an internal error
+        label = "b" if spec["b"] == 0 else "a"
+        with pytest.raises(DomainError, match=f"observed level '{label}' of V1 has probability 0"):
+            user_model(toy_table, {"V1": spec})
+        # a level the file adds, never observed, may have probability 0
+        ds, model = user_model(toy_table, {"V1": {"a": 0.5, "b": 0.5, "c": 0.0}})
+        assert model.pi[0].tolist() == [0.5, 0.5, 0.0]
+
     def test_unknown_variable_rejected(self, toy_table):
         with pytest.raises(DomainError, match="unknown"):
             user_model(toy_table, {"nope": {"a": 1.0}})

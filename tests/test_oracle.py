@@ -129,8 +129,9 @@ class TestDuplicateHeavyData:
     @given(patterns=st.lists(st.lists(st.sampled_from("abc"), min_size=3, max_size=3),
                              min_size=2, max_size=8),
            multiplicities=st.lists(st.integers(1, 37), min_size=8, max_size=8),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_walker_and_per_row_sums(self, patterns, multiplicities, seed):
+           seed=st.integers(0, 2 ** 32 - 1),
+           r=st.sampled_from([0.5, 1.0, 1.7, 2.5]))
+    def test_matches_walker_and_per_row_sums(self, patterns, multiplicities, seed, r):
         rows = [row for row, m in zip(patterns, multiplicities) for _ in range(m)]
         np.random.default_rng(seed).shuffle(rows)
         ds = load_dataset(rows, IngestionOptions(header=False))
@@ -138,13 +139,13 @@ class TestDuplicateHeavyData:
         for mode in ("infrequent", "frequent"):
             for prune in (True, False):
                 report, info, flags = run_analysis(
-                    ds, model, RunConfig(mode=mode, prune=prune, alpha=0.1, r=2.0))
-                ref = walker(ds, model, 0.1, 2.0, mode=mode, prune=prune)
+                    ds, model, RunConfig(mode=mode, prune=prune, alpha=0.1, r=r))
+                ref = walker(ds, model, 0.1, r, mode=mode, prune=prune)
                 assert info.maxlen == ref.maxlen
                 assert flags.n == ds.n == len(rows)
                 assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
                 scores, depths, contributions = per_row_report(
-                    flags, 2.0, mode, info.maxlen, ds.p)
+                    flags, r, mode, info.maxlen, ds.p)
                 assert report.scores.tolist() == scores
                 assert report.depths.tolist() == depths
                 assert report.contributions.tolist() == contributions

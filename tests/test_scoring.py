@@ -19,7 +19,7 @@ def rec(entries, supp, sigma):
 
 
 def report_of(flag_sets, r=2.0, mode="infrequent", maxlen=3, p=6):
-    return build_report(flags_of(flag_sets), r=r, mode=mode, maxlen=maxlen, p=p)
+    return build_report(flags_of(flag_sets, p), r=r, mode=mode, maxlen=maxlen)
 
 
 class TestScore:
@@ -216,7 +216,7 @@ class TestScaleFree:
 class TestBuildReport:
     def test_fields_round_trip(self):
         flags = [[rec([(0, 1)], 1, 3.0)], []]
-        report = build_report(flags_of(flags), r=2.0, mode="infrequent", maxlen=2, p=2)
+        report = build_report(flags_of(flags, 2), r=2.0, mode="infrequent", maxlen=2)
         assert report.mode == "infrequent"
         assert report.maxlen == 2
         assert report.scores.shape == (2,)
