@@ -4,7 +4,9 @@ Per-itemset support thresholds are derived from simultaneous multinomial
 confidence intervals; a pruned itemset-lattice search flags highly infrequent
 (or frequent) itemsets; flagged itemsets yield per-observation scores,
 outlyingness depths and a variable contribution matrix. A slow reference
-oracle ships alongside the fast path so every result can be audited.
+oracle ships alongside the fast path so every result can be audited; the
+flagged cells are kept only as the arrays of a `Flags` table, which the
+audits read per observation with `sono.oracle.flag_keys`.
 
 `import sono` is lazy: each public name loads its module on first access, so
 importing the package loads neither NumPy nor any submodule. `sono.cli` can
@@ -20,14 +22,12 @@ __version__ = "0.1.0"
 _LAZY = {name: module for module, names in (
     ("config", ("RunConfig",)),
     ("engine", ("RunInfo", "run_analysis")),
-    ("data", ("Dataset", "IngestionOptions", "Itemset", "ProbabilityModel",
-              "cell_probability", "empirical_model", "load_dataset", "read_csv",
-              "user_model")),
+    ("data", ("Dataset", "IngestionOptions", "ProbabilityModel", "empirical_model",
+              "load_dataset", "read_csv", "user_model")),
     ("errors", ("SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
                 "CISearchFailure", "TableExplosion", "OracleRefusal",
                 "InternalConsistencyError")),
-    ("lattice", ("FlagRecord", "Flags", "SearchStats", "search_infrequent",
-                 "search_frequent")),
+    ("lattice", ("Flags", "SearchStats", "search_infrequent", "search_frequent")),
     ("scoring", ("ScoreReport", "build_report", "max_score_bound")),
     ("simci", ("CellSpec", "coverage_probability", "find_c")),
     ("thresholds", ("MaxlenDecision", "ThresholdTable", "ThresholdProvider",

@@ -1,4 +1,4 @@
-"""Dataset container, level encoding, itemsets and the product-multinomial model.
+"""Dataset container, level encoding and the product-multinomial model.
 
 Levels are 1-based integer codes; a `Dataset` keeps each distinct row of codes
 once, with each observation's distinct row. The probability model holds one
@@ -134,38 +134,6 @@ class Dataset:
             if len(set(merged)) != len(merged):
                 raise DomainError(f"duplicate level label for {name}")
         return replace(self, level_counts=tuple(map(len, labels)), level_labels=labels)
-
-
-@dataclass(frozen=True)
-class Itemset:
-    """Canonical itemset: (variable_index, level_code) pairs, variables strictly increasing."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        vars_ = [v for v, _ in self.entries]
-        if not vars_:
-            raise DomainError("itemset must be non-empty")
-        if any(b <= a for a, b in zip(vars_, vars_[1:])):
-            raise DomainError("itemset variables must be strictly increasing")
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "Itemset":
-        return cls(tuple(sorted(pairs)))
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(l for _, l in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def contains(self, other: "Itemset") -> bool:
-        return set(other.entries) <= set(self.entries)
 
 
 @dataclass(frozen=True)
@@ -359,17 +327,6 @@ def cell_probs(pi: Sequence[np.ndarray], levels: np.ndarray) -> np.ndarray:
     for j, vec in enumerate(pi):
         prob = prob * vec[levels[:, j] - 1]
     return prob
-
-
-def cell_probability(model: ProbabilityModel, itemset: Itemset) -> float:
-    """Independence product of the per-variable level probabilities of an itemset."""
-    for var, level in itemset.entries:
-        if not (0 <= var < model.p):
-            raise DomainError(f"variable index {var} out of range")
-        if not (1 <= level <= model.pi[var].size):
-            raise DomainError(f"level {level} out of range for variable {var}")
-    pi = [model.pi[var] for var in itemset.variables]
-    return float(cell_probs(pi, np.array([itemset.levels]))[0])
 
 
 def subset_cell_probs(model: ProbabilityModel, subset: Sequence[int]) -> np.ndarray:

@@ -15,7 +15,9 @@ row) of the previous size, keyed by the subset's variable bitmask: the rows
 whose cell is decided (in infrequent mode it contains a flagged itemset, in
 frequent mode it lies under one) or flagged. A row's cell is its projection,
 so a subset's decided rows are the OR of the masks of its neighbours one
-variable away. Both searches return a `Flags` table of arrays.
+variable away. Both searches return a `Flags` table of arrays, the one form
+of a flagged cell; audits read it back per observation with
+`oracle.flag_keys`.
 
 A subset's observed cells are grouped by `subset_codes`, an integer key that
 only this module knows; each cell's levels, which price it and name its
@@ -29,24 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Itemset
+from .data import Dataset
 from .thresholds import ThresholdProvider
-
-
-@dataclass(frozen=True)
-class FlagRecord:
-    """One flagged itemset: the cell, its support and its threshold."""
-
-    itemset: Itemset
-    supp: int
-    sigma: float
-
-    @property
-    def length(self) -> int:
-        return len(self.itemset)
-
-    def key(self) -> tuple:
-        return (self.itemset.entries, self.supp, self.sigma)
 
 
 @dataclass
@@ -88,22 +74,6 @@ class Flags:
     def distinct(self) -> int:
         """Number of distinct rows."""
         return int(self.group.max(initial=-1)) + 1
-
-    @property
-    def records(self) -> tuple[FlagRecord, ...]:
-        """The flagged cells as `FlagRecord`s in search order, built on each
-        access for audits; scoring reads only the arrays."""
-        cells = zip(self.levels.tolist(), self.supp.tolist(), self.sigma.tolist())
-        return tuple(FlagRecord(Itemset(tuple((j, v) for j, v in enumerate(lv) if v)), s, g)
-                     for lv, s, g in cells)
-
-    def by_row(self) -> list[list[FlagRecord]]:
-        """Per-observation lists of flagged cells, each in search order."""
-        records = self.records
-        out: list[list[FlagRecord]] = [[] for _ in range(self.distinct)]
-        for i, k in zip(self.row.tolist(), self.cell.tolist()):
-            out[i].append(records[k])
-        return [list(out[d]) for d in self.group.tolist()]
 
 
 def subset_codes(codes: np.ndarray, level_counts: Sequence[int],

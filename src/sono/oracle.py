@@ -2,8 +2,10 @@
 
 These exist so every fast-path result can be audited: a nested-loop lattice
 walker that recomputes flags, scores, depths and contributions from the
-definitions; the maxlen rule by its definition (sigma_ref read from every
-subset's own threshold table); an exact coverage probability (a
+definitions, with `flag_keys` reading a fast-path `Flags` table back into the
+walker's per-observation sets of (entries, supp, sigma) keys, the one audit
+view of the flag arrays; the maxlen rule by its definition (sigma_ref read
+from every subset's own threshold table); an exact coverage probability (a
 cell-by-cell convolution of its own plus a multinomial enumeration
 self-check); the literal clamped sweep for the half-width c; the two-sided
 simultaneous intervals and their Monte Carlo coverage; truncated-Poisson
@@ -23,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import simci
-from .data import Dataset, Itemset, ProbabilityModel
+from .data import Dataset, ProbabilityModel
 from .errors import CISearchFailure, DomainError, OracleRefusal
-from .lattice import FlagRecord
+from .lattice import Flags
 from .scoring import ScoreReport
 from .simci import (CONVOLUTION_WORK_CAP, CellSpec, _computes_exactly,
                     coverage_probability, poisson_log_pmf)
@@ -293,8 +295,8 @@ def truncated_poisson_moments(lam: float, a: int, b: int) -> TruncatedPoissonMom
 # Nested-loop walker
 # ---------------------------------------------------------------------------
 
-def _row_contains(codes: np.ndarray, row: int, itemset: Itemset) -> bool:
-    return all(codes[row, var] == level for var, level in itemset.entries)
+def _row_contains(codes: np.ndarray, row: int, entries: tuple) -> bool:
+    return all(codes[row, var] == level for var, level in entries)
 
 
 def reference_subset_passes(model: ProbabilityModel, n: int, subset: Sequence[int],
@@ -331,8 +333,22 @@ def reference_maxlen(model: ProbabilityModel, n: int, alpha: float,
 @dataclass
 class WalkerResult:
     report: ScoreReport
-    flag_sets: list[list[FlagRecord]]
+    # per observation, its flagged cells as (entries, supp, sigma) in search order
+    flag_sets: list[list[tuple]]
     maxlen: int
+
+
+def flag_keys(flags: Flags) -> list[frozenset]:
+    """Each observation's flagged cells as a set of (entries, supp, sigma)
+    keys, the walker's form, read from the arrays of a `Flags` table. The
+    entries of a cell are its (variable, level) pairs, variables ascending."""
+    keys = [(tuple((j, v) for j, v in enumerate(lv) if v), s, g) for lv, s, g in
+            zip(flags.levels.tolist(), flags.supp.tolist(), flags.sigma.tolist())]
+    per_row: list[set] = [set() for _ in range(flags.distinct)]
+    for i, k in zip(flags.row.tolist(), flags.cell.tolist()):
+        per_row[i].add(keys[k])
+    sets = list(map(frozenset, per_row))
+    return [sets[d] for d in flags.group.tolist()]
 
 
 def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
@@ -341,7 +357,10 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     """Reference scorer: every subset and cell via nested loops, no caching.
 
     Applies the same flagging and pruning rules as the fast path and
-    recomputes scores, depths and contributions from their definitions.
+    recomputes scores, depths and contributions from their definitions. A
+    flagged cell is the plain tuple (entries, supp, sigma), its entries the
+    (variable, level) pairs; one itemset contains another iff its entries
+    include the other's.
     maxlen, unless given, is reference_maxlen's under the default rule and
     method. Refused above WALKER_MAX_N rows, WALKER_MAX_P variables or
     WALKER_MAX_CELLS cells in the full table.
@@ -359,7 +378,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
         maxlen = reference_maxlen(model, n, alpha).maxlen
     maxlen = min(maxlen, p)
 
-    flagged: list[FlagRecord] = []
+    flagged: list[tuple] = []
     if mode == "infrequent":
         sizes = range(1, maxlen + 1)
     elif mode == "frequent":
@@ -378,23 +397,23 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
             cells = sorted(seen)
             sigmas = table.sigma(np.array(cells), mode).tolist()
             for cell, sigma in zip(cells, sigmas):
-                itemset = Itemset(tuple(zip(subset, cell)))
+                entries = tuple(zip(subset, cell))
                 supp = seen[cell]
                 if mode == "infrequent":
-                    if prune and any(itemset.contains(f.itemset) for f in flagged):
+                    if prune and any(set(f[0]) <= set(entries) for f in flagged):
                         continue
                     if supp <= sigma:
-                        flagged.append(FlagRecord(itemset, supp, sigma))
+                        flagged.append((entries, supp, sigma))
                 else:
-                    if prune and any(f.itemset.contains(itemset) for f in flagged):
-                        flagged.append(FlagRecord(itemset, supp, sigma))
+                    if prune and any(set(entries) <= set(f[0]) for f in flagged):
+                        flagged.append((entries, supp, sigma))
                     elif supp >= sigma:
-                        flagged.append(FlagRecord(itemset, supp, sigma))
+                        flagged.append((entries, supp, sigma))
 
-    flag_sets: list[list[FlagRecord]] = [[] for _ in range(n)]
+    flag_sets: list[list[tuple]] = [[] for _ in range(n)]
     for rec in flagged:
         for i in range(n):
-            if _row_contains(codes, i, rec.itemset):
+            if _row_contains(codes, i, rec[0]):
                 flag_sets[i].append(rec)
 
     # literal score / depth / contribution recomputation
@@ -404,17 +423,17 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     for i in range(n):
         terms = []
         lengths = []
-        for rec in flag_sets[i]:
-            d = rec.length
+        for entries, supp, sigma in flag_sets[i]:
+            d = len(entries)
             if mode == "infrequent":
-                terms.append(rec.sigma / (rec.supp * d ** r))
-                share = rec.sigma / (rec.supp * d ** (r + 1.0))
+                terms.append(sigma / (supp * d ** r))
+                share = sigma / (supp * d ** (r + 1.0))
                 lengths.append(d)
             else:
-                terms.append(rec.supp / (rec.sigma * (maxlen - d + 1) ** r))
-                share = rec.supp / (rec.sigma * (maxlen - d + 1) ** r * d)
+                terms.append(supp / (sigma * (maxlen - d + 1) ** r))
+                share = supp / (sigma * (maxlen - d + 1) ** r * d)
                 lengths.append(maxlen - d + 1)
-            for var in rec.itemset.variables:
+            for var, _ in entries:
                 contrib[i, var] += share
         scores[i] = math.fsum(terms)
         depths[i] = math.fsum(lengths) / len(lengths) if lengths else 0.0

@@ -147,7 +147,8 @@ def prepare_dataset(name: str, raw_dir: str, out_path: str) -> tuple[int, int]:
                 f"raw file {path} not found; download it from {recipe.url}")
         expected = recipe.sha256.get(fname)
         if expected:
-            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             if digest != expected:
                 warnings.warn(
                     f"{fname}: checksum {digest[:12]}… differs from the recorded "
@@ -156,9 +157,11 @@ def prepare_dataset(name: str, raw_dir: str, out_path: str) -> tuple[int, int]:
 
     header: list[str] | None = None
     body: list[list[str]] = []
-    for table in tables:
-        rows = table
+    for fname, rows in zip(recipe.files, tables):
         if recipe.header:
+            if not rows:
+                raise IngestionError(f"{name}: raw file {fname} is empty, "
+                                     f"expected a header row")
             if header is None:
                 header = rows[0]
             rows = rows[1:]
@@ -180,6 +183,11 @@ def prepare_dataset(name: str, raw_dir: str, out_path: str) -> tuple[int, int]:
             raise IngestionError(f"{name}: columns {sorted(missing_cols)} not in header")
         keep = [i for i, h in enumerate(header) if h not in drop]
 
+    last = max(keep, default=-1)
+    narrow = next((row for row in body if len(row) <= last), None)
+    if narrow is not None:
+        raise IngestionError(f"{name}: a raw row has {len(narrow)} fields, but the "
+                             f"recipe keeps column {last + 1}")
     out_names = list(recipe.out_names) if recipe.out_names \
         else [header[i] for i in keep]
     markers = set(recipe.missing_markers)

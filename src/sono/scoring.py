@@ -12,7 +12,9 @@ from the arrays of `lattice.Flags` and scatters them to the distinct rows
 that contain it. Each distinct row is scored once, and the report keeps the
 results at that size: a `ScoreReport` holds one score, depth and
 contribution row per distinct row plus the row map `group`, and builds the
-per-observation arrays only when they are read.
+per-observation arrays only when they are read. The arrays are the only form
+of a flagged cell here; audits read them back per observation with
+`oracle.flag_keys`, which scoring never imports.
 """
 from __future__ import annotations
 
@@ -71,9 +73,10 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int) -> ScoreReport:
 
     Scores are compensated sums (`math.fsum`, independent of order); depths
     are exact integer sums over counts; contributions add each share per
-    (row, variable) in search order, starting from 0.0. The results are
-    bit-identical to summing the per-row lists of `flags.by_row()`. They are
-    computed and kept per distinct row, with `flags.group` as the row map.
+    (row, variable) in search order, starting from 0.0. So the results are
+    bit-identical to summing each row's flagged cells one by one in search
+    order. They are computed and kept per distinct row, with `flags.group`
+    as the row map.
     """
     validate_exponent(r)
     supp, sigma = flags.supp, flags.sigma
@@ -97,9 +100,8 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int) -> ScoreReport:
 
     per_row = np.bincount(row, minlength=distinct)
     ends = np.cumsum(per_row).tolist()
-    grouped = cell[np.argsort(row)].tolist()
-    term_of = terms.tolist()
-    scores = np.array([math.fsum([term_of[k] for k in grouped[a:b]])
+    ordered = terms[cell[np.argsort(row)]]  # each row's terms, rows in turn
+    scores = np.array([math.fsum(ordered[a:b].tolist())
                        for a, b in zip([0] + ends[:-1], ends)])
 
     depth_sum = np.bincount(row, weights=lengths.astype(float)[cell], minlength=distinct)

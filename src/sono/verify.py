@@ -14,8 +14,9 @@ import numpy as np
 from .config import RunConfig
 from .data import empirical_model
 from .engine import run_analysis
-from .oracle import (check_propositions, exact_nu, random_dataset, reference_maxlen,
-                     simulated_coverage, sweep_find_c, truncated_poisson_moments, walker)
+from .oracle import (check_propositions, exact_nu, flag_keys, random_dataset,
+                     reference_maxlen, simulated_coverage, sweep_find_c,
+                     truncated_poisson_moments, walker)
 from .simci import (CellSpec, _binomial_bounds, _bonferroni_start, _cell_moment_arrays,
                     _computes_exactly, _coverage_edgeworth, _hoeffding_point, c_at_most,
                     coverage_probability, find_c)
@@ -254,10 +255,6 @@ def suite_propositions(p_max: int = 60) -> list[Check]:
     return [("propositions", not unexpected, detail)]
 
 
-def _flag_key_sets(flag_sets):
-    return [frozenset(rec.key() for rec in recs) for recs in flag_sets]
-
-
 def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list[Check]:
     """Fast path vs nested-loop walker on seeded random datasets.
 
@@ -283,7 +280,7 @@ def suite_walker_equivalence(n_datasets: int = 12, seed: int = 20240901) -> list
                                 f"{info.maxlen} != {maxlen}")
                 continue
             ref = walker(ds, model, alpha, r, mode=mode, prune=prune, max_len=maxlen)
-            if _flag_key_sets(flags.by_row()) != _flag_key_sets(ref.flag_sets):
+            if flag_keys(flags) != list(map(frozenset, ref.flag_sets)):
                 failures.append(f"ds{i} {mode} prune={prune}: flag sets differ")
                 continue
             for name in ("scores", "depths", "contributions"):

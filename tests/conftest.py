@@ -79,19 +79,21 @@ class StubProvider:
 
 def flags_of(flag_sets, p) -> Flags:
     """The flag table over p variables of handcrafted per-row lists of
-    FlagRecords, each row its own distinct row."""
-    records: dict = {}
-    rows, cells = [], []
+    (entries, supp, sigma) cells, entries the (variable, level) pairs; each
+    row is its own distinct row."""
+    cells: dict = {}
+    rows, ids = [], []
     for i, recs in enumerate(flag_sets):
         for rec in recs:
             rows.append(i)
-            cells.append(records.setdefault(rec, len(records)))
-    levels = np.zeros((len(records), p), dtype=np.int32)
-    for k, rec in enumerate(records):
-        levels[k, list(rec.itemset.variables)] = rec.itemset.levels
-    return Flags(levels, np.array([rec.supp for rec in records], dtype=np.int64),
-                 np.array([rec.sigma for rec in records], dtype=float),
-                 np.array(rows, dtype=np.intp), np.array(cells, dtype=np.intp),
+            ids.append(cells.setdefault(rec, len(cells)))
+    levels = np.zeros((len(cells), p), dtype=np.int32)
+    for k, (entries, _, _) in enumerate(cells):
+        for var, level in entries:
+            levels[k, var] = level
+    return Flags(levels, np.array([supp for _, supp, _ in cells], dtype=np.int64),
+                 np.array([sigma for _, _, sigma in cells], dtype=float),
+                 np.array(rows, dtype=np.intp), np.array(ids, dtype=np.intp),
                  np.arange(len(flag_sets)))
 
 

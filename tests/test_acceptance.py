@@ -23,13 +23,10 @@ import scipy.stats as st_stats
 from sono import (RunConfig, ThresholdProvider, build_report, check_propositions,
                   empirical_model, max_score_bound, random_dataset, read_csv,
                   run_analysis, walker)
-from sono.lattice import FlagRecord
-from sono.oracle import reference_maxlen
-from sono.data import Itemset
+from sono.oracle import flag_keys, reference_maxlen
 from sono.prepare import prepare_dataset
 from sono.verify import (ARGMAX_OFF_BY_ONE, SINGLETON_GAP,
-                         suite_coverage_simulation, suite_nu_accuracy,
-                         _flag_key_sets)
+                         suite_coverage_simulation, suite_nu_accuracy)
 
 from conftest import flags_of, require_uci
 
@@ -84,8 +81,7 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
     for run in runs:
         tag = f"ds{run['i']} {run['mode']} prune={run['prune']}"
         assert run["info"].maxlen == run["ref"].maxlen, tag
-        assert _flag_key_sets(run["flags"].by_row()) \
-            == _flag_key_sets(run["ref"].flag_sets), tag
+        assert flag_keys(run["flags"]) == list(map(frozenset, run["ref"].flag_sets)), tag
         for field in ("scores", "depths", "contributions"):
             assert np.array_equal(getattr(run["report"], field),
                                   getattr(run["ref"].report, field)), (tag, field)
@@ -325,12 +321,10 @@ def test_uci_empirical_frequencies_vs_independent_counter(tmp_path_factory):
 
 
 def test_criterion_8_depth_worked_examples():
-    inf_flags = [[FlagRecord(Itemset.of((0, 1)), 1, 5.0),
-                  FlagRecord(Itemset.of((0, 1), (1, 1), (2, 1)), 1, 4.0)]]
+    inf_flags = [[(((0, 1),), 1, 5.0), (((0, 1), (1, 1), (2, 1)), 1, 4.0)]]
     d_inf = build_report(flags_of(inf_flags, 3), r=2.0, mode="infrequent",
                          maxlen=3).depths[0]
-    freq_flags = [[FlagRecord(Itemset.of((0, 1), (1, 1)), 9, 5.0),
-                   FlagRecord(Itemset.of((2, 1)), 9, 4.0)]]
+    freq_flags = [[(((0, 1), (1, 1)), 9, 5.0), (((2, 1),), 9, 4.0)]]
     d_freq = build_report(flags_of(freq_flags, 3), r=2.0, mode="frequent",
                           maxlen=3).depths[0]
     ok = d_inf == 2.0 and d_freq == 2.5

@@ -261,31 +261,6 @@ class TestScoreCommand:
             assert doc["nonzero_scores"] == nonzero
             assert doc["max_score"] == float(report.scores.max())
 
-    @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
-    def test_score_builds_no_object_per_flag(self, tmp_path, monkeypatch, mode):
-        # the walk records flagged cells as arrays and scoring reads them, so a
-        # run that cannot build a FlagRecord or an Itemset writes the same bytes
-        patterns = [["a", "x", "u"]] * 900 + [["b", "y", "u"]] * 80 + [["a", "y", "v"]] * 15
-        patterns += [["c", "x", "v"]] * 4 + [["c", "y", "u"]]
-        path = tmp_path / "dup.csv"
-        write_csv(path, [patterns[i] for i in RNG.permutation(len(patterns))])
-
-        def built(*args, **kwargs):
-            raise AssertionError("sono score built an object per flagged cell")
-
-        for patched in (False, True):
-            if patched:
-                monkeypatch.setattr(sono.lattice, "FlagRecord", built)
-                monkeypatch.setattr(sono.lattice, "Itemset", built)
-            out = tmp_path / f"out-{patched}"
-            assert main(["score", "--input", str(path), "--mode", mode,
-                         "--out", str(out)]) == 0
-        for name in ("scores.csv", "contributions.csv"):
-            assert (tmp_path / "out-True" / name).read_bytes() == \
-                (tmp_path / "out-False" / name).read_bytes()
-        with open(tmp_path / "out-False" / "scores.csv", newline="") as fh:
-            assert any(float(row[1]) > 0 for row in list(csv.reader(fh))[1:])
-
     def test_run_json_contents(self, sample_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out)]) == 0

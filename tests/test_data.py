@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sono import (Dataset, DomainError, EmptyDatasetError, IngestionError,
-                  IngestionOptions, Itemset, ProbabilityModel, cell_probability,
-                  empirical_model, load_dataset, read_csv, user_model)
-from sono.data import _group_rows
+                  IngestionOptions, ProbabilityModel, empirical_model, load_dataset,
+                  read_csv, user_model)
+from sono.data import _group_rows, cell_probs
 
 from conftest import make_dataset
 
@@ -137,48 +137,22 @@ class TestProbabilityModel:
 
 
 class TestCellProbability:
+    """`cell_probs`, the independence product of each row of a cell matrix."""
+
     def test_product_of_two(self):
-        model = ProbabilityModel(
-            pi=(np.array([0.5, 0.5]), np.array([0.2, 0.8])), source="user")
-        d = Itemset.of((0, 1), (1, 2))
-        assert cell_probability(model, d) == pytest.approx(0.4)
+        pi = (np.array([0.5, 0.5]), np.array([0.2, 0.8]))
+        assert cell_probs(pi, np.array([[1, 2]])).tolist() == [pytest.approx(0.4)]
 
     def test_identity_single(self):
-        model = ProbabilityModel(pi=(np.array([0.3, 0.7]),), source="user")
-        assert cell_probability(model, Itemset.of((0, 2))) == pytest.approx(0.7)
-
-    def test_out_of_range_level(self):
-        model = ProbabilityModel(pi=(np.array([0.3, 0.7]),), source="user")
-        with pytest.raises(DomainError):
-            cell_probability(model, Itemset.of((0, 3)))
+        pi = (np.array([0.3, 0.7]),)
+        assert cell_probs(pi, np.array([[2]])).tolist() == [0.7]
 
     def test_full_cells_sum_to_one(self):
         import itertools
         rng = np.random.default_rng(11)
         pi = tuple(rng.dirichlet(np.ones(l)) for l in (2, 3, 2, 4))
-        model = ProbabilityModel(pi=pi, source="user")
-        total = 0.0
-        for cell in itertools.product(*(range(1, l + 1) for l in (2, 3, 2, 4))):
-            total += cell_probability(
-                model, Itemset(tuple(zip(range(4), cell))))
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-
-class TestItemset:
-    def test_canonical_sorting(self):
-        assert Itemset.of((2, 1), (0, 3)).entries == ((0, 3), (2, 1))
-
-    def test_equality_is_canonical(self):
-        assert Itemset.of((1, 2), (3, 1)) == Itemset.of((3, 1), (1, 2))
-
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(DomainError):
-            Itemset(((1, 1), (1, 2)))
-
-    def test_contains(self):
-        big = Itemset.of((0, 1), (1, 2), (3, 1))
-        assert big.contains(Itemset.of((1, 2)))
-        assert not big.contains(Itemset.of((1, 1)))
+        cells = np.array(list(itertools.product(*(range(1, l + 1) for l in (2, 3, 2, 4)))))
+        assert cell_probs(pi, cells).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestUserModel:

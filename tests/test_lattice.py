@@ -10,19 +10,14 @@ from sono import (Dataset, IngestionOptions, RunConfig, ThresholdProvider, empir
                   load_dataset, random_dataset, run_analysis, search_frequent,
                   search_infrequent)
 from sono.lattice import _observed_cells
+from sono.oracle import flag_keys
 
 from conftest import StubProvider, make_dataset
 
 
-def flag_keys(flags):
-    return [frozenset(rec.key() for rec in recs) for recs in flags.by_row()]
-
-
 def flagged_itemsets(flags):
-    out = set()
-    for recs in flags.by_row():
-        out.update(rec.itemset for rec in recs)
-    return out
+    """The entries, (variable, level) pairs, of every flagged cell."""
+    return {entries for keys in flag_keys(flags) for entries, _, _ in keys}
 
 
 def support(codes, subset):
@@ -91,12 +86,12 @@ class TestFigureScenarios:
             default_sigma=-1.0)
         flags_on, stats_on = search_infrequent(ds, provider, maxlen=3, prune=True)
         flagged_on = flagged_itemsets(flags_on)
-        assert any(i.entries == ((0, 1), (1, 1)) for i in flagged_on)
+        assert ((0, 1), (1, 1)) in flagged_on
         assert not any(len(i) == 3 for i in flagged_on)
 
         flags_off, _ = search_infrequent(ds, provider, maxlen=3, prune=False)
         flagged_off = flagged_itemsets(flags_off)
-        assert any(i.entries == ((0, 1), (1, 1), (2, 1)) for i in flagged_off)
+        assert ((0, 1), (1, 1), (2, 1)) in flagged_off
         # pruned flags are a subset of unpruned flags
         assert flagged_on <= flagged_off
 
@@ -109,15 +104,13 @@ class TestFigureScenarios:
             default_sigma=1e9)
         flags, stats = search_frequent(ds, provider, maxlen=2, prune=True)
         flagged = flagged_itemsets(flags)
-        assert any(i.entries == ((0, 1), (2, 1)) for i in flagged)
-        assert any(i.entries == ((0, 1),) for i in flagged)
-        assert any(i.entries == ((2, 1),) for i in flagged)
+        assert {((0, 1), (2, 1)), ((0, 1),), ((2, 1),)} <= flagged
         assert stats.cells_pruned >= 2
-        # implied records carry their true support
-        for recs in flags.by_row():
-            for rec in recs:
-                if rec.itemset.entries == ((0, 1),):
-                    assert rec.supp == 3
+        # implied cells carry their true support
+        for keys in flag_keys(flags):
+            for entries, supp, _ in keys:
+                if entries == ((0, 1),):
+                    assert supp == 3
 
     def test_top_down_implied_flags_reach_two_levels_down(self):
         # only the length-3 cell (1, 1, 1) can flag by test; its pairs and
@@ -125,11 +118,10 @@ class TestFigureScenarios:
         ds = make_dataset([[1, 1, 1]] * 2 + [[1, 2, 2]] + [[2, 2, 2]] * 5)
         provider = StubProvider({((0, 1, 2), (1, 1, 1)): 2.0}, default_sigma=1e9)
         flags, stats = search_frequent(ds, provider, maxlen=3, prune=True)
-        rows = flags.by_row()
-        assert sorted((rec.length, rec.supp) for rec in rows[0]) == [
+        rows = flag_keys(flags)
+        assert sorted((len(entries), supp) for entries, supp, _ in rows[0]) == [
             (1, 2), (1, 2), (1, 3), (2, 2), (2, 2), (2, 2), (3, 2)]
-        assert [(rec.itemset.entries, rec.supp) for rec in rows[2]] \
-            == [(((0, 1),), 3)]
+        assert [(entries, supp) for entries, supp, _ in rows[2]] == [(((0, 1),), 3)]
         assert (stats.cells_tested, stats.cells_pruned, stats.cells_flagged) \
             == (11, 6, 7)
 
@@ -138,7 +130,7 @@ class TestFigureScenarios:
         provider = StubProvider({((0, 2), (1, 1)): 2.0}, default_sigma=1e9)
         flags, _ = search_frequent(ds, provider, maxlen=2, prune=False)
         flagged = flagged_itemsets(flags)
-        assert any(i.entries == ((0, 1), (2, 1)) for i in flagged)
+        assert ((0, 1), (2, 1)) in flagged
         # without pruning the impossible singleton thresholds flag nothing
         assert not any(len(i) == 1 for i in flagged)
 
@@ -148,14 +140,15 @@ class TestSearchSemantics:
         ds = make_dataset([[1, 1], [2, 2], [1, 2], [2, 1]] * 5)
         provider = StubProvider({}, default_sigma=-1.0)
         flags, stats = search_infrequent(ds, provider, maxlen=2, prune=True)
-        assert all(not recs for recs in flags.by_row())
+        assert flags.cell.size == 0
+        assert all(not keys for keys in flag_keys(flags))
         assert stats.cells_flagged == 0
 
     def test_identical_rows_flag_full_chain_frequent(self):
         ds = make_dataset([[1, 1, 1]] * 8)
         provider = StubProvider({}, default_sigma=4.0)
         flags, _ = search_frequent(ds, provider, maxlen=3, prune=True)
-        lengths = sorted(len(rec.itemset) for rec in flags.by_row()[0])
+        lengths = sorted(len(entries) for entries, _, _ in flag_keys(flags)[0])
         assert lengths == [1, 1, 1, 2, 2, 2, 3]
 
     def test_tie_flags_in_both_modes(self):
@@ -163,8 +156,8 @@ class TestSearchSemantics:
         provider = StubProvider({}, default_sigma=2.0)
         flags_inf, _ = search_infrequent(ds, provider, maxlen=1, prune=True)
         flags_freq, _ = search_frequent(ds, provider, maxlen=1, prune=True)
-        assert all(len(recs) == 1 for recs in flags_inf.by_row())  # supp 2 <= sigma 2
-        assert all(len(recs) == 1 for recs in flags_freq.by_row())  # supp 2 >= sigma 2
+        assert all(len(keys) == 1 for keys in flag_keys(flags_inf))  # supp 2 <= sigma 2
+        assert all(len(keys) == 1 for keys in flag_keys(flags_freq))  # supp 2 >= sigma 2
 
     def test_fully_pruned_subsets_not_materialized(self):
         # every singleton cell of X1 is flagged, so every superset containing
@@ -195,8 +188,8 @@ class TestSearchSemantics:
             items = flagged_itemsets(flags)
             for a in items:
                 for b in items:
-                    if a is not b:
-                        assert not a.contains(b)
+                    if a != b:
+                        assert not set(b) <= set(a)
 
     def test_prune_subset_of_no_prune(self):
         # Metamorphic: with one provider both searches read the same tables
@@ -210,8 +203,8 @@ class TestSearchSemantics:
             _, _, flags_off = run_analysis(ds, model, RunConfig(prune=False), provider)
             for on, off in zip(flag_keys(flags_on), flag_keys(flags_off)):
                 assert on <= off
-            with_flags += bool(flags_on.records)
-            pruned_away += len(flags_on.records) < len(flags_off.records)
+            with_flags += bool(flags_on.supp.size)
+            pruned_away += flags_on.supp.size < flags_off.supp.size
         # the inclusion is tested on flagged rows, and is strict on some
         assert with_flags >= 10 and pruned_away >= 1
 
@@ -260,8 +253,8 @@ class TestRowPermutation:
 
 def labelled_flags(ds, flags):
     """{flagged itemset by (variable, level label): (supp, sigma)}."""
-    return {tuple((j, ds.level_labels[j][lev - 1]) for j, lev in rec.itemset.entries):
-            (rec.supp, rec.sigma) for rec in flags.records}
+    return {tuple((j, ds.level_labels[j][lev - 1]) for j, lev in entries): (supp, sigma)
+            for keys in flag_keys(flags) for entries, supp, sigma in keys}
 
 
 class TestLevelRelabelling:
@@ -312,8 +305,8 @@ class TestLevelRelabelling:
 def named_flags(ds, flags):
     """{flagged itemset by (variable name, level label): (supp, sigma)}."""
     return {frozenset((ds.variable_names[j], ds.level_labels[j][lev - 1])
-                      for j, lev in rec.itemset.entries): (rec.supp, rec.sigma)
-            for rec in flags.records}
+                      for j, lev in entries): (supp, sigma)
+            for keys in flag_keys(flags) for entries, supp, sigma in keys}
 
 
 class TestColumnPermutation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 from sono import (CellSpec, IngestionOptions, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
-from sono.oracle import _best_configuration
-from sono.verify import _flag_key_sets
+from sono.oracle import _best_configuration, flag_keys
 
-from conftest import make_dataset
+from conftest import flags_of, make_dataset
 
 
 class TestExactNu:
@@ -60,7 +60,7 @@ class TestWalker:
         model = empirical_model(ds)
         report, info, flags = run_analysis(ds, model, RunConfig(alpha=0.05))
         ref = walker(ds, model, 0.05, 2.0)
-        assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
+        assert flag_keys(flags) == list(map(frozenset, ref.flag_sets))
         np.testing.assert_allclose(report.scores, ref.report.scores, rtol=1e-9)
 
     def test_prune_off_strictly_larger_on_engineered_fixture(self):
@@ -72,9 +72,9 @@ class TestWalker:
             ds, {"X1": {"1": 0.5, "2": 0.5}, "X2": {"1": 0.5, "2": 0.5}})
         res_on = walker(ds_ext, model, 0.05, 2.0, prune=True)
         res_off = walker(ds_ext, model, 0.05, 2.0, prune=False)
-        flagged_on = {rec.itemset for recs in res_on.flag_sets for rec in recs}
-        flagged_off = {rec.itemset for recs in res_off.flag_sets for rec in recs}
-        assert any(i.entries == ((0, 1),) for i in flagged_on)
+        flagged_on = {entries for recs in res_on.flag_sets for entries, _, _ in recs}
+        flagged_off = {entries for recs in res_off.flag_sets for entries, _, _ in recs}
+        assert ((0, 1),) in flagged_on
         assert not any(len(i) == 2 for i in flagged_on)
         assert any(len(i) == 2 for i in flagged_off)
         # per-observation scores strictly larger wherever a pair was added
@@ -83,7 +83,7 @@ class TestWalker:
         for prune, ref in ((True, res_on), (False, res_off)):
             rep, _, flags = run_analysis(
                 ds_ext, model, RunConfig(prune=prune, alpha=0.05, r=2.0))
-            assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
+            assert flag_keys(flags) == list(map(frozenset, ref.flag_sets))
             np.testing.assert_allclose(rep.scores, ref.report.scores, rtol=1e-9)
 
     def test_walker_is_deterministic(self):
@@ -92,33 +92,55 @@ class TestWalker:
         model = empirical_model(ds)
         a = walker(ds, model, 0.1, 1.0, mode="frequent")
         b = walker(ds, model, 0.1, 1.0, mode="frequent")
-        assert _flag_key_sets(a.flag_sets) == _flag_key_sets(b.flag_sets)
+        assert a.flag_sets == b.flag_sets
         assert a.report.scores.tolist() == b.report.scores.tolist()
 
 
+class TestFlagKeys:
+    def test_round_trip_of_handcrafted_sets(self):
+        # cells shared across rows, a row with no flags, and one cell that
+        # differs from another only in its threshold
+        a = (((0, 1),), 3, 2.5)
+        b = (((0, 1), (2, 2)), 1, 4.0)
+        c = (((1, 3), (2, 2), (3, 1)), 2, 0.75)
+        d = (((0, 1),), 3, 2.75)
+        sets = [[a, b], [], [b, c, a], [c], [d, a]]
+        assert flag_keys(flags_of(sets, 4)) == [frozenset(s) for s in sets]
+
+    def test_keys_follow_the_row_map(self):
+        # four observations over the two distinct rows of a table
+        cell = (((1, 2),), 4, 1.0)
+        flags = dataclasses.replace(flags_of([[cell], []], 2),
+                                    group=np.array([1, 0, 0, 1]))
+        assert flag_keys(flags) == [frozenset(), {cell}, {cell}, frozenset()]
+
+
 def per_row_report(flags, r, mode, maxlen, p):
-    """Scores, depths and contributions summed row by row over `flags.by_row()`."""
-    scores, depths, contributions = [], [], []
-    for recs in flags.by_row():
-        terms, lengths, row = [], [], [0.0] * p
-        for rec in recs:
-            d = rec.length
-            if mode == "infrequent":
-                k = d
-                term = rec.sigma / (rec.supp * d ** r)
-                share = rec.sigma / (rec.supp * d ** (r + 1.0))
-            else:
-                k = maxlen - d + 1
-                term = rec.supp / (rec.sigma * k ** r)
-                share = rec.supp / (rec.sigma * k ** r * d)
-            terms.append(term)
-            lengths.append(k)
-            for var in rec.itemset.variables:
-                row[var] += share
-        scores.append(math.fsum(terms))
-        depths.append(sum(lengths) / len(lengths) if lengths else 0.0)
-        contributions.append(row)
-    return scores, depths, contributions
+    """Scores, depths and contributions summed cell by cell, walking the
+    incidences `flags.row`/`flags.cell` in order (search order in each row)."""
+    levels, supp, sigma = flags.levels.tolist(), flags.supp.tolist(), flags.sigma.tolist()
+    terms = [[] for _ in range(flags.distinct)]
+    lengths = [[] for _ in range(flags.distinct)]
+    contributions = [[0.0] * p for _ in range(flags.distinct)]
+    for i, k in zip(flags.row.tolist(), flags.cell.tolist()):
+        variables = [j for j, v in enumerate(levels[k]) if v]
+        d = len(variables)
+        if mode == "infrequent":
+            length = d
+            term = sigma[k] / (supp[k] * d ** r)
+            share = sigma[k] / (supp[k] * d ** (r + 1.0))
+        else:
+            length = maxlen - d + 1
+            term = supp[k] / (sigma[k] * length ** r)
+            share = supp[k] / (sigma[k] * length ** r * d)
+        terms[i].append(term)
+        lengths[i].append(length)
+        for var in variables:
+            contributions[i][var] += share
+    rows = flags.group.tolist()
+    return ([math.fsum(terms[i]) for i in rows],
+            [sum(lengths[i]) / len(lengths[i]) if lengths[i] else 0.0 for i in rows],
+            [list(contributions[i]) for i in rows])
 
 
 class TestDuplicateHeavyData:
@@ -143,7 +165,7 @@ class TestDuplicateHeavyData:
                 ref = walker(ds, model, 0.1, r, mode=mode, prune=prune)
                 assert info.maxlen == ref.maxlen
                 assert flags.n == ds.n == len(rows)
-                assert _flag_key_sets(flags.by_row()) == _flag_key_sets(ref.flag_sets)
+                assert flag_keys(flags) == list(map(frozenset, ref.flag_sets))
                 scores, depths, contributions = per_row_report(
                     flags, r, mode, info.maxlen, ds.p)
                 assert report.scores.tolist() == scores

@@ -117,3 +117,25 @@ def test_cli_prepare_runs_recipe(tmp_path, capsys, recwarn):
                "--out", str(tmp_path / "ly.csv")])
     assert rc == 0
     assert "wrote 1x18" in capsys.readouterr().out
+
+
+def test_cli_prepare_empty_header_file_is_ingestion_error(tmp_path, capsys):
+    (tmp_path / "Thyroid_Diff.csv").write_text("")
+    rc = main(["prepare", "thyroid", "--raw", str(tmp_path),
+               "--out", str(tmp_path / "thy.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ingestion error: thyroid: raw file Thyroid_Diff.csv is empty, "
+                   "expected a header row"]
+
+
+def test_cli_prepare_narrow_rows_are_ingestion_error(tmp_path, capsys):
+    (tmp_path / "flare.data1").write_text("1 2\n")
+    (tmp_path / "flare.data2").write_text("H K C 1 1 1 1 2 1 2 1 0 0\n")
+    rc = main(["prepare", "solar-flare", "--raw", str(tmp_path),
+               "--out", str(tmp_path / "flare.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ingestion error: solar-flare: a raw row has 2 fields, but the "
+                   "recipe keeps column 10"]
+    assert not (tmp_path / "flare.csv").exists()

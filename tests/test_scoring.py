@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import sono.engine
-from sono import (DomainError, FlagRecord, InternalConsistencyError, Itemset,
-                  RunConfig, build_report, empirical_model, max_score_bound,
-                  random_dataset, run_analysis)
+from sono import (DomainError, InternalConsistencyError, RunConfig, build_report,
+                  empirical_model, max_score_bound, random_dataset, run_analysis)
 
 from conftest import flags_of, make_dataset
 
 
 def rec(entries, supp, sigma):
-    return FlagRecord(itemset=Itemset.of(*entries), supp=supp, sigma=sigma)
+    """A flagged cell as the tuple (entries, supp, sigma), variables ascending."""
+    return tuple(sorted(entries)), supp, sigma
 
 
 def report_of(flag_sets, r=2.0, mode="infrequent", maxlen=3, p=6):
@@ -42,10 +42,9 @@ class TestScore:
             ds = random_dataset(rng, n_max=80, p_max=4)
             model = empirical_model(ds)
             _, _, flags = run_analysis(ds, model, RunConfig(r=2.0))
-            for recs in flags.by_row():
-                for record in recs:
-                    term = record.sigma / (record.supp * record.length ** 2.0)
-                    assert term >= 1.0 / record.length ** 2.0 - 1e-12
+            length = (flags.levels > 0).sum(axis=1)
+            terms = flags.sigma / (flags.supp * length ** 2.0)
+            assert np.all(terms >= 1.0 / length ** 2.0 - 1e-12)
 
     def test_frequent_nonpositive_sigma_is_internal_error(self):
         flags = [[rec([(0, 1)], supp=5, sigma=0.0)]]
