@@ -18,24 +18,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from sono import RunConfig, empirical_model, read_csv, run_analysis
 from sono.plots import score_depth_scatter_svg
-from sono.prepare import prepare_dataset
-
-EXPECTED = {
-    # dataset: (maxlen, nonzero scores, n)
-    "solar-flare": (9, 1203, 1389),
-    "thyroid": (6, 335, 383),
-    "primary-tumor": (6, 129, 132),
-    "lymphography": (10, 136, 148),
-    "diabetes": (9, 520, 520),
-}
+from sono.prepare import RECIPES, TABLE1, prepare_dataset
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--raw", required=True, help="directory with raw UCI files")
     parser.add_argument("--out", default="uci-results", help="output directory")
-    parser.add_argument("--datasets", nargs="*", default=sorted(EXPECTED),
-                        choices=sorted(EXPECTED))
+    parser.add_argument("--datasets", nargs="*", default=sorted(TABLE1),
+                        choices=sorted(TABLE1))
     args = parser.parse_args()
 
     failures = 0
@@ -54,7 +45,8 @@ def main() -> int:
         nonzero = int((report.scores > 0).sum())
         score_depth_scatter_svg(report.depths, report.scores,
                                 os.path.join(out_dir, "score_vs_depth.svg"))
-        want_maxlen, want_nonzero, want_n = EXPECTED[name]
+        want_maxlen, want_nonzero = TABLE1[name]
+        want_n = RECIPES[name].expected_shape[0]
         ok = (shape[0] == want_n and info.maxlen == want_maxlen
               and abs(nonzero - want_nonzero) <= 2)
         failures += 0 if ok else 1

@@ -135,19 +135,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         delimiter=cfg.delimiter, header=cfg.header,
         missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
         level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
-    try:  # before the input is read, so a bad --out costs no search
-        os.makedirs(cfg.out, exist_ok=True)
-    except OSError as exc:
-        print(f"output failure: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    t_start = time.perf_counter()
-    try:
-        ds = read_csv(cfg.input, opts)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestionError(f"cannot read input file: {exc}") from exc
-    t_read = time.perf_counter()
-    if ds.dropped_rows:
-        print(f"dropped {ds.dropped_rows} rows with missing values", file=sys.stderr)
+    mapping = None  # the probability file's, checked against the data in user_model
     if cfg.probs:
         try:
             with open(cfg.probs) as fh:
@@ -162,17 +150,29 @@ def cmd_score(args: argparse.Namespace) -> int:
                   else spec)
             for var, spec in doc.items()
         }
-        if mapping:
-            try:
-                ds, model = user_model(ds, mapping)
-            except DomainError as exc:
-                raise IngestionError(f"bad probability file: {exc}") from exc
-            print(f"probabilities for {sorted(mapping)} taken from {cfg.probs}; "
-                  "other variables empirical", file=sys.stderr)
-        else:
-            model = empirical_model(ds)
-            print("empty probability file; using the empirical model", file=sys.stderr)
+    try:  # before the input is read, so a bad --out costs no search
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    t_start = time.perf_counter()
+    try:
+        ds = read_csv(cfg.input, opts)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read input file: {exc}") from exc
+    t_read = time.perf_counter()
+    if ds.dropped_rows:
+        print(f"dropped {ds.dropped_rows} rows with missing values", file=sys.stderr)
+    if mapping:
+        try:
+            ds, model = user_model(ds, mapping)
+        except DomainError as exc:
+            raise IngestionError(f"bad probability file: {exc}") from exc
+        print(f"probabilities for {sorted(mapping)} taken from {cfg.probs}; "
+              "other variables empirical", file=sys.stderr)
     else:
+        if mapping is not None:
+            print("empty probability file; using the empirical model", file=sys.stderr)
         model = empirical_model(ds)
     t_model = time.perf_counter()
 

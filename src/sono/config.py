@@ -26,6 +26,8 @@ CONVOLUTION_AUTO_CAP = 1e5
 # The convolution is also used whenever its estimated work (bounded by the
 # squared sum of truncation widths) stays below this.
 CONVOLUTION_AUTO_WORK = 4e7
+# Largest table, in cells, that a threshold may be computed for.
+DEFAULT_MAX_CELLS = 1e7
 
 
 @dataclass
@@ -49,7 +51,7 @@ class RunConfig:
     missing_markers: tuple[str, ...] = ("?", "")
     level_order: str = "first"
     maxlen_rule: str = "any-cell"
-    max_cells: float = 1e7
+    max_cells: float = DEFAULT_MAX_CELLS
 
     def validate(self, p: int | None = None) -> None:
         if self.mode not in ("infrequent", "frequent"):
@@ -76,8 +78,6 @@ class RunConfig:
         bad = set(self.format) - set(FORMATS)
         if bad:
             raise DomainError(f"unknown output formats {sorted(bad)}")
-        if self.missing not in ("drop", "level"):
-            raise DomainError("missing policy must be drop or level")
         if self.maxlen_rule not in ("any-cell", "all-cells"):
             raise DomainError("maxlen-rule must be any-cell or all-cells")
         if math.isnan(self.max_cells):

@@ -1,11 +1,14 @@
 """Dataset container, level encoding and the product-multinomial model.
 
 Levels are 1-based integer codes; a `Dataset` keeps each distinct row of codes
-once, with each observation's distinct row. The probability model holds one
-probability vector per variable; under independence the probability of a cell
-(an itemset) is the product of its per-variable level probabilities. This
-module is the one home of that product: `cell_probs` for given cells
-(row-wise), `subset_cell_probs` for the full grid of a table.
+once, with each observation's distinct row. Rows are grouped one way,
+numbered by first appearance (`_first_appearance`), whether they arrive as
+raw strings (`load_dataset`) or as codes (`Dataset.from_codes`). The
+probability model holds one probability vector per variable; under
+independence the probability of a cell (an itemset) is the product of its
+per-variable level probabilities. This module is the one home of that
+product: `cell_probs` for given cells (row-wise), `subset_cell_probs` for the
+full grid of a table.
 """
 from __future__ import annotations
 
@@ -42,16 +45,12 @@ class IngestionOptions:
             raise IngestionError(f"unknown level order {self.level_order!r}")
 
 
-def _group_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a C-contiguous code matrix, numbered by first
-    appearance, and each row's distinct-row index. Rows are grouped by their
-    bytes, one opaque key per row, which sorts faster than rows."""
-    keys = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return codes[first[order]], rank[inverse]
+def _first_appearance(keys: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct keys, in first-appearance order, and each key's index
+    among them."""
+    index: dict = {}
+    group = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp)
+    return list(index), group
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,13 @@ class Dataset:
     @classmethod
     def from_codes(cls, codes, level_counts: tuple[int, ...],
                    variable_names: tuple[str, ...],
-                   level_labels: tuple[tuple[str, ...], ...], dropped_rows: int = 0
-                   ) -> "Dataset":
+                   level_labels: tuple[tuple[str, ...], ...]) -> "Dataset":
         """A Dataset from a full (n, p) code matrix, its identical rows grouped."""
-        codes = np.ascontiguousarray(codes, dtype=np.int32)
-        # an empty matrix is passed on as it is, for the rows check to reject
-        rows, group = _group_rows(codes) if codes.ndim == 2 and codes.size else (codes, [])
-        return cls(rows, group, level_counts, variable_names, level_labels, dropped_rows)
+        codes = np.asarray(codes, dtype=np.int32)
+        # a matrix of another rank is passed on as it is, for the rows check to reject
+        rows, group = (_first_appearance(map(tuple, codes.tolist())) if codes.ndim == 2
+                       else (codes, []))
+        return cls(rows, group, level_counts, variable_names, level_labels)
 
     @property
     def codes(self) -> np.ndarray:
@@ -141,7 +140,6 @@ class ProbabilityModel:
     """Per-variable level probability vectors (empirical or user supplied)."""
 
     pi: tuple[np.ndarray, ...]
-    source: str  # "empirical" or "user"
     level_counts: tuple[int, ...] = field(init=False)  # from pi, in __post_init__
 
     def __post_init__(self):
@@ -191,10 +189,9 @@ def load_dataset(rows: Iterable[Sequence[str]],
     else:
         names = None
         rows = itertools.chain([first], rows)
-    index: dict[tuple, int] = {}
-    group = np.fromiter((index.setdefault(tuple(r), len(index)) for r in rows),
-                        dtype=np.intp)
-    distinct = list(index)
+    distinct, group = _first_appearance(map(tuple, rows))
+    if not distinct:
+        raise EmptyDatasetError("the table has no data rows")
     width = len(names) if opts.header else len(distinct[0])
     if width == 0:
         raise EmptyDatasetError("empty input table")
@@ -213,10 +210,8 @@ def load_dataset(rows: Iterable[Sequence[str]],
         raise EmptyDatasetError("all columns dropped")
     names = [names[j] for j in keep]
     if len(keep) < width:  # rows that differ only in dropped columns become one
-        index = {}
-        merged = np.array([index.setdefault(tuple(r[j] for j in keep), len(index))
-                           for r in distinct], dtype=np.intp)
-        distinct, group = list(index), merged[group]
+        distinct, merged = _first_appearance(tuple(r[j] for j in keep) for r in distinct)
+        group = merged[group]
 
     markers = set(opts.missing_markers)
     kept = np.array([opts.missing_policy != "drop" or not any(v in markers for v in r)
@@ -267,7 +262,7 @@ def empirical_model(ds: Dataset) -> ProbabilityModel:
     the distinct rows with their weights (integer sums, so exact)."""
     return ProbabilityModel(pi=tuple(
         np.bincount(ds.rows[:, i] - 1, weights=ds.weight, minlength=l) / ds.n
-        for i, l in enumerate(ds.level_counts)), source="empirical")
+        for i, l in enumerate(ds.level_counts)))
 
 
 def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
@@ -316,7 +311,7 @@ def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
                 vecs.append(np.array(values, dtype=float))
             except OverflowError as exc:  # an integer beyond float range
                 raise DomainError(f"probabilities of {name} must lie in [0, 1]: {exc}") from exc
-    return ds2, ProbabilityModel(pi=tuple(vecs), source="user")
+    return ds2, ProbabilityModel(pi=tuple(vecs))
 
 
 def cell_probs(pi: Sequence[np.ndarray], levels: np.ndarray) -> np.ndarray:

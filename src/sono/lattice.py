@@ -66,11 +66,6 @@ class Flags:
     group: np.ndarray
 
     @property
-    def n(self) -> int:
-        """Number of observations."""
-        return self.group.size
-
-    @property
     def distinct(self) -> int:
         """Number of distinct rows."""
         return int(self.group.max(initial=-1)) + 1

@@ -438,8 +438,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
         scores[i] = math.fsum(terms)
         depths[i] = math.fsum(lengths) / len(lengths) if lengths else 0.0
     report = ScoreReport(distinct_scores=scores, distinct_depths=depths,
-                         distinct_contributions=contrib, group=np.arange(n),
-                         mode=mode, r=r, maxlen=maxlen)
+                         distinct_contributions=contrib, group=np.arange(n))
     return WalkerResult(report=report, flag_sets=flag_sets, maxlen=maxlen)
 
 

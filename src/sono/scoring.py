@@ -45,9 +45,6 @@ class ScoreReport:
     distinct_depths: np.ndarray
     distinct_contributions: np.ndarray
     group: np.ndarray
-    mode: str
-    r: float
-    maxlen: int
 
     @property
     def scores(self) -> np.ndarray:
@@ -117,8 +114,7 @@ def build_report(flags: Flags, r: float, mode: str, maxlen: int) -> ScoreReport:
         contributions[:, var] = np.bincount(row[inside], weights=weight[inside],
                                             minlength=distinct)
     return ScoreReport(distinct_scores=scores, distinct_depths=depths,
-                       distinct_contributions=contributions, group=flags.group,
-                       mode=mode, r=r, maxlen=maxlen)
+                       distinct_contributions=contributions, group=flags.group)
 
 
 def max_score_bound(n: int, p: int, r: float, maxlen: int) -> float:

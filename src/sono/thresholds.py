@@ -7,8 +7,8 @@ confidence level 1-2*alpha; the infrequent-mode threshold of a cell with
 probability p_d is then n*p_d - c and the frequent-mode threshold is
 n*p_d + c + 2*gamma. A `ThresholdTable` keeps only (c, gamma) and the
 subset's probability vectors: `sigma` prices the cells it is shown, with p_d
-from `data.cell_probs`, and `max_sigma` the most probable cell, which the
-maxlen rule also uses. The maxlen rule itself asks one question per subset,
+from `data.cell_probs`, and `max_sigma` the infrequent threshold of the most
+probable cell. The maxlen rule itself asks one question per subset,
 "is c <= t = floor(n*p_ref - 2)?", which sono.simci.c_at_most answers from
 c's definition, mostly from the binomial bracket at t+1 or, where t+1 is
 past the exact prefix, at the Hoeffding point c_h; this module only supplies
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK
+from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, DEFAULT_MAX_CELLS
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
 
@@ -44,7 +44,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_CELLS = 1e7
 SIGMA_FLOOR = 2.0
 # Part of the spill-file key: bump it whenever a change to the nu or find_c
 # numerics may move a spilled (c, gamma), or a change to the maxlen rule may
@@ -91,9 +90,9 @@ class ThresholdTable:
         """Thresholds of the cells given as rows of 1-based levels (cells x |subset|)."""
         return self._sigma(cell_probs(self.pi, levels), mode)
 
-    def max_sigma(self, mode: str = "infrequent") -> float:
-        """Threshold of the table's most probable cell, observed or not."""
-        return self._sigma(_extreme_cell_prob(self.pi, True), mode)
+    def max_sigma(self) -> float:
+        """Infrequent threshold of the table's most probable cell, observed or not."""
+        return self._sigma(_extreme_cell_prob(self.pi, True), "infrequent")
 
 
 @dataclass(frozen=True)
@@ -341,4 +340,4 @@ class ThresholdProvider:
 
     def saturated_tables(self) -> int:
         """Tables whose largest infrequent threshold reaches n (every cell scores)."""
-        return sum(1 for t in self._tables.values() if t.max_sigma("infrequent") >= t.n)
+        return sum(1 for t in self._tables.values() if t.max_sigma() >= t.n)

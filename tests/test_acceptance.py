@@ -24,7 +24,7 @@ from sono import (RunConfig, ThresholdProvider, build_report, check_propositions
                   empirical_model, max_score_bound, random_dataset, read_csv,
                   run_analysis, walker)
 from sono.oracle import flag_keys, reference_maxlen
-from sono.prepare import prepare_dataset
+from sono.prepare import RECIPES, TABLE1, prepare_dataset
 from sono.verify import (ARGMAX_OFF_BY_ONE, SINGLETON_GAP,
                          suite_coverage_simulation, suite_nu_accuracy)
 
@@ -32,11 +32,6 @@ from conftest import flags_of, require_uci
 
 SEED = 20240901
 
-TABLE1_MAXLEN = {"solar-flare": 9, "thyroid": 6, "primary-tumor": 6,
-                 "lymphography": 10, "diabetes": 9}
-NONZERO_COUNTS = {"solar-flare": (1203, 1389), "thyroid": (335, 383),
-                  "primary-tumor": (129, 132), "lymphography": (136, 148),
-                  "diabetes": (520, 520)}
 
 
 def _report_line(num: int, name: str, ok: bool, detail: str) -> None:
@@ -239,26 +234,24 @@ def uci_run(name: str, tmp_path_factory) -> tuple:
     return _uci_cache[name]
 
 
-@pytest.mark.parametrize("name", sorted(TABLE1_MAXLEN))
+@pytest.mark.parametrize("name", sorted(TABLE1))
 def test_criterion_5_table1_maxlen(name, tmp_path_factory):
     shape, ds, report, info, elapsed = uci_run(name, tmp_path_factory)
-    expected_shape = {"solar-flare": (1389, 10), "thyroid": (383, 15),
-                      "primary-tumor": (132, 17), "lymphography": (148, 18),
-                      "diabetes": (520, 15)}[name]
-    ok = shape == expected_shape and info.maxlen == TABLE1_MAXLEN[name] \
-        and elapsed < 600.0
+    expected_shape = RECIPES[name].expected_shape
+    expect_maxlen = TABLE1[name][0]
+    ok = shape == expected_shape and info.maxlen == expect_maxlen and elapsed < 600.0
     _report_line(5, f"maxlen {name}", ok,
                  f"shape {shape}, maxlen {info.maxlen} "
-                 f"(expected {TABLE1_MAXLEN[name]}), {elapsed:.0f}s")
+                 f"(expected {expect_maxlen}), {elapsed:.0f}s")
     assert shape == expected_shape
-    assert info.maxlen == TABLE1_MAXLEN[name]
+    assert info.maxlen == expect_maxlen
     assert elapsed < 600.0
 
 
-@pytest.mark.parametrize("name", sorted(NONZERO_COUNTS))
+@pytest.mark.parametrize("name", sorted(TABLE1))
 def test_criterion_6_nonzero_counts(name, tmp_path_factory):
     _, ds, report, info, _ = uci_run(name, tmp_path_factory)
-    expect_nonzero, expect_n = NONZERO_COUNTS[name]
+    expect_nonzero, expect_n = TABLE1[name][1], RECIPES[name].expected_shape[0]
     nonzero = int((report.scores > 0).sum())
     ok = ds.n == expect_n and abs(nonzero - expect_nonzero) <= 2
     _report_line(6, f"nonzero scores {name}", ok,
@@ -340,7 +333,7 @@ def test_criterion_9_row_sum_identity(oracle_sweep, tmp_path_factory):
         np.testing.assert_allclose(run["report"].contributions.sum(axis=1),
                                    run["report"].scores, rtol=1e-9, atol=1e-12)
     checked = [f"{len(runs)} randomized runs"]
-    for name in sorted(TABLE1_MAXLEN):
+    for name in sorted(TABLE1):
         if name in _uci_cache:
             _, _, report, _, _ = _uci_cache[name]
             np.testing.assert_allclose(report.contributions.sum(axis=1),

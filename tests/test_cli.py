@@ -557,7 +557,9 @@ class TestScoreCommand:
         ({"level_order": "sideways"}, "unknown level order 'sideways'"),
         ({"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
         (["--delimiter", ";;"], "delimiter must be one character, got ';;'"),
-    ], ids=["config-level-order", "config-delimiter", "delimiter"])
+        # this one exited 1, from a second check in RunConfig.validate
+        ({"missing": "zap"}, "unknown missing policy 'zap'"),
+    ], ids=["config-level-order", "config-delimiter", "delimiter", "config-missing"])
     def test_ingestion_option_rejected_before_out(self, sample_csv, tmp_path, capsys,
                                                   monkeypatch, options, message):
         if isinstance(options, dict):
@@ -573,6 +575,36 @@ class TestScoreCommand:
         assert main(["score", "--input", sample_csv, "--out", str(out), *options]) == 2
         assert capsys.readouterr().err.splitlines() == [f"ingestion error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        (None, "cannot read probability file: "),
+        ("[1, 2]", "bad probability file: it must hold a JSON object"),
+        ("{", "cannot read probability file: "),
+    ], ids=["missing-file", "not-an-object", "not-json"])
+    def test_probability_file_checked_before_out(self, sample_csv, tmp_path, capsys,
+                                                 monkeypatch, doc, message):
+        # these used to exit 2 only after the input was read into a new --out
+        def reached(*args, **kwargs):
+            raise AssertionError("the input was read before --probs was checked")
+
+        monkeypatch.setattr(sono.cli, "read_csv", reached)
+        probs = tmp_path / "probs.json"
+        if doc is not None:
+            probs.write_text(doc)
+        out = tmp_path / "out"
+        assert main(["score", "--input", sample_csv, "--probs", str(probs),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ingestion error: {message}")
+        assert not out.exists()
+
+    def test_header_only_input_exit_code(self, tmp_path, capsys):
+        # used to say "no rows left after missing-value cleaning"
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n")
+        assert main(["score", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ingestion error: the table has no data rows"]
 
     def test_output_path_checked_before_the_input_is_read(self, sample_csv, tmp_path,
                                                            capsys, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sono import (Dataset, DomainError, EmptyDatasetError, IngestionError,
                   IngestionOptions, ProbabilityModel, empirical_model, load_dataset,
                   read_csv, user_model)
-from sono.data import _group_rows, cell_probs
+from sono.data import cell_probs
 
 from conftest import make_dataset
 
@@ -85,7 +85,6 @@ class TestEmpiricalModel:
         ds = make_dataset([[1], [1], [2]])
         model = empirical_model(ds)
         assert model.pi[0].tolist() == pytest.approx([2 / 3, 1 / 3])
-        assert model.source == "empirical"
 
     def test_single_level(self):
         ds = make_dataset([[1]] * 5, level_counts=(1,))
@@ -117,22 +116,22 @@ class TestEmpiricalModel:
 class TestProbabilityModel:
     def test_rejects_bad_sum(self):
         with pytest.raises(DomainError, match="sum"):
-            ProbabilityModel(pi=(np.array([0.5, 0.4]),), source="user")
+            ProbabilityModel(pi=(np.array([0.5, 0.4]),))
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            ProbabilityModel(pi=(np.array([-0.1, 1.1]),), source="user")
+            ProbabilityModel(pi=(np.array([-0.1, 1.1]),))
 
     def test_rejects_nan(self):
         # NaN passes both range comparisons and the sum check
         with pytest.raises(DomainError, match="not in"):
-            ProbabilityModel(pi=(np.array([np.nan, 0.5]),), source="user")
+            ProbabilityModel(pi=(np.array([np.nan, 0.5]),))
 
     def test_level_counts_come_from_pi_only(self):
         # a passed level_counts used to be accepted and silently overwritten
         with pytest.raises(TypeError, match="level_counts"):
-            ProbabilityModel(pi=(np.array([0.5, 0.5]),), source="user", level_counts=(3,))
-        model = ProbabilityModel(pi=(np.array([0.2, 0.8]), np.full(3, 1 / 3)), source="user")
+            ProbabilityModel(pi=(np.array([0.5, 0.5]),), level_counts=(3,))
+        model = ProbabilityModel(pi=(np.array([0.2, 0.8]), np.full(3, 1 / 3)))
         assert model.level_counts == (2, 3)
 
 
@@ -160,7 +159,6 @@ class TestUserModel:
         ds, model = user_model(toy_table, {"V1": {"a": 0.9, "b": 0.1}})
         assert model.pi[0].tolist() == [0.9, 0.1]
         assert model.pi[1].tolist() == pytest.approx([2 / 3, 1 / 3])
-        assert model.source == "user"
 
     def test_unseen_level_extends_vocabulary(self, toy_table):
         ds, model = user_model(
@@ -449,9 +447,10 @@ class TestRowGroups:
             ds = load_dataset(body, opts)
         except EmptyDatasetError:
             return
-        rows, group = _group_rows(ds.codes)
-        assert np.array_equal(ds.rows, rows) and np.array_equal(ds.group, group)
-        assert np.array_equal(ds.weight, np.bincount(group))
+        regrouped = Dataset.from_codes(ds.codes, ds.level_counts, ds.variable_names,
+                                       ds.level_labels)
+        for name in ("rows", "group", "weight"):
+            assert np.array_equal(getattr(ds, name), getattr(regrouped, name))
 
     def test_replaced_codes_are_regrouped(self):
         ds = load_dataset([["a"], ["b"], ["a"]], IngestionOptions(header=False))

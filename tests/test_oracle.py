@@ -164,7 +164,7 @@ class TestDuplicateHeavyData:
                     ds, model, RunConfig(mode=mode, prune=prune, alpha=0.1, r=r))
                 ref = walker(ds, model, 0.1, r, mode=mode, prune=prune)
                 assert info.maxlen == ref.maxlen
-                assert flags.n == ds.n == len(rows)
+                assert flags.group.size == ds.n == len(rows)
                 assert flag_keys(flags) == list(map(frozenset, ref.flag_sets))
                 scores, depths, contributions = per_row_report(
                     flags, r, mode, info.maxlen, ds.p)

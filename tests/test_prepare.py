@@ -4,7 +4,7 @@ import pytest
 
 from sono.cli import main
 from sono.errors import IngestionError
-from sono.prepare import RECIPES, prepare_dataset
+from sono.prepare import RECIPES, TABLE1, prepare_dataset
 
 
 def test_all_recipes_documented():
@@ -12,7 +12,14 @@ def test_all_recipes_documented():
                             "lymphography", "diabetes"}
     for recipe in RECIPES.values():
         assert recipe.url.startswith("https://archive.ics.uci.edu/")
-        assert recipe.expected_shape is not None
+
+
+def test_table1_values():
+    # the paper's Table 1: maxlen, nonzero scores and n of each corpus
+    assert {name: (*TABLE1[name], RECIPES[name].expected_shape[0]) for name in RECIPES} \
+        == {"solar-flare": (9, 1203, 1389), "thyroid": (6, 335, 383),
+            "primary-tumor": (6, 129, 132), "lymphography": (10, 136, 148),
+            "diabetes": (9, 520, 520)}
 
 
 def test_solar_flare_recipe_concatenates_and_drops_counts(tmp_path):
@@ -72,21 +79,6 @@ def test_header_recipes_drop_by_name(tmp_path):
     assert shape == (2, 2)
 
 
-def test_checksum_mismatch_warns_but_applies(tmp_path, monkeypatch):
-    import dataclasses
-    recipe = dataclasses.replace(
-        RECIPES["lymphography"],
-        sha256={"lymphography.data": "0" * 64})
-    monkeypatch.setitem(RECIPES, "lymphography", recipe)
-    (tmp_path / "lymphography.data").write_text(
-        "3,4,2,1,1,1,1,1,1,2,2,2,2,4,8,1,1,2,2\n")
-    with pytest.warns(UserWarning) as caught:
-        shape = prepare_dataset("lymphography", str(tmp_path),
-                                str(tmp_path / "out.csv"))
-    assert shape == (1, 18)
-    assert any("checksum" in str(w.message) for w in caught)
-
-
 def test_unknown_dataset_rejected(tmp_path):
     with pytest.raises(IngestionError, match="unknown dataset"):
         prepare_dataset("nope", str(tmp_path), str(tmp_path / "x.csv"))
@@ -139,3 +131,24 @@ def test_cli_prepare_narrow_rows_are_ingestion_error(tmp_path, capsys):
     assert err == ["ingestion error: solar-flare: a raw row has 2 fields, but the "
                    "recipe keeps column 10"]
     assert not (tmp_path / "flare.csv").exists()
+
+
+@pytest.mark.parametrize("recipe, files, message", [
+    ("solar-flare", {"flare.data1": "", "flare.data2": ""},
+     "solar-flare: the raw files hold no data rows"),
+    ("thyroid", {"Thyroid_Diff.csv": "Age,Gender,Recurred\n"},
+     "thyroid: the raw files hold no data rows"),
+    ("primary-tumor", {"primary-tumor.data": "1,?" + ",2" * 16 + "\n"},
+     "primary-tumor: every data row has a missing value"),
+], ids=["empty", "header-only", "all-missing"])
+def test_cli_prepare_no_data_rows_is_ingestion_error(tmp_path, capsys, recipe, files,
+                                                     message):
+    # two empty flare files used to exit 0 with a header-only CSV and a
+    # shape warning
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    rc = main(["prepare", recipe, "--raw", str(tmp_path),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"ingestion error: {message}"]
+    assert not (tmp_path / "out.csv").exists()

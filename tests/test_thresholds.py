@@ -20,8 +20,7 @@ from sono.thresholds import SIGMA_FLOOR
 
 
 def model_of(*vectors):
-    return ProbabilityModel(pi=tuple(np.array(v, dtype=float) for v in vectors),
-                            source="user")
+    return ProbabilityModel(pi=tuple(np.array(v, dtype=float) for v in vectors))
 
 
 def manual_table(pi_vectors, c, gamma, n):
@@ -129,13 +128,12 @@ class TestSigmaForSubset:
             # full-grid Kronecker vector that find_c is given
             assert np.array_equal(sig, table._sigma(subset_cell_probs(model, (0, 1)), mode))
             assert min(sig) == table._sigma(0.01 * 0.5, mode)
-            assert table.max_sigma(mode) == max(sig)
             # one cell at a time gives the same bits as the whole grid
             assert [sigma_of(table, cell, mode) for cell in cells.tolist()] == sig.tolist()
-        # an unknown mode raises everywhere instead of falling back
-        for call in (lambda m: table.sigma(cells, m), table.max_sigma):
-            with pytest.raises(ValueError, match="unknown mode"):
-                call("bogus")
+        assert table.max_sigma() == max(table.sigma(cells, "infrequent"))
+        # an unknown mode raises instead of falling back
+        with pytest.raises(ValueError, match="unknown mode"):
+            table.sigma(cells, "bogus")
 
     def test_table_explosion(self):
         model = model_of(*[[0.25, 0.25, 0.25, 0.25]] * 4)
@@ -189,7 +187,7 @@ class TestDetermineMaxlen:
         for size in range(1, decision.maxlen + 1):
             for subset in itertools.combinations(range(4), size):
                 table = subset_thresholds(model, n, subset, 0.05)
-                assert table.max_sigma("infrequent") >= 2.0
+                assert table.max_sigma() >= 2.0
         # and the rule's shortcuts agree with its definition on seeded random
         # models, skewed and flat, under both rules (they stop at sizes 1 to 5
         # or never)
