@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _LAZY = {name: module for module, names in (
     ("config", ("RunConfig",)),
     ("engine", ("RunInfo", "run_analysis")),
-    ("data", ("Dataset", "IngestionOptions", "ProbabilityModel", "empirical_model",
+    ("data", ("Dataset", "ProbabilityModel", "empirical_model",
               "load_dataset", "read_csv", "user_model")),
     ("errors", ("SonoError", "IngestionError", "EmptyDatasetError", "DomainError",
                 "CISearchFailure", "TableExplosion", "OracleRefusal",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config_file, merge_config
-from .data import IngestionOptions, empirical_model, read_csv, user_model
+from .data import empirical_model, read_csv, user_model
 from .engine import run_analysis
 from .errors import (CISearchFailure, DomainError, EmptyDatasetError,
                      IngestionError, SonoError, TableExplosion)
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="output directory")
     ps.add_argument("--format", help="comma list from csv,json,svg")
     ps.add_argument("--drop-cols", dest="drop_cols", help="comma list of columns to drop")
-    ps.add_argument("--missing", choices=("drop", "level"))
+    ps.add_argument("--missing", metavar="{drop,level}")
     ps.add_argument("--oracle-nu", action="store_const", const=True, dest="oracle_nu",
                     default=None, help="use exact-convolution coverage everywhere")
     ps.add_argument("--delimiter")
@@ -83,8 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None)
     ps.add_argument("--missing-markers", dest="missing_markers",
                     help="comma list of missing-value markers")
-    ps.add_argument("--level-order", dest="level_order",
-                    choices=("first", "lexicographic"))
+    ps.add_argument("--level-order", dest="level_order", metavar="{first,lexicographic}")
     ps.add_argument("--maxlen-rule", dest="maxlen_rule",
                     choices=("any-cell", "all-cells"))
     ps.add_argument("--max-cells", dest="max_cells", type=float)
@@ -131,10 +130,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not cfg.input:
         raise IngestionError("no --input file given")
     cfg.validate()  # the checks that need no data, before --out is made
-    opts = IngestionOptions(
-        delimiter=cfg.delimiter, header=cfg.header,
-        missing_markers=tuple(cfg.missing_markers), missing_policy=cfg.missing,
-        level_order=cfg.level_order, drop_cols=tuple(cfg.drop_cols))
     mapping = None  # the probability file's, checked against the data in user_model
     if cfg.probs:
         try:
@@ -157,7 +152,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         return EXIT_OUTPUT
     t_start = time.perf_counter()
     try:
-        ds = read_csv(cfg.input, opts)
+        ds = read_csv(cfg.input, cfg)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"cannot read input file: {exc}") from exc
     t_read = time.perf_counter()

@@ -84,10 +84,23 @@ class RunConfig:
             raise DomainError("max-cells must be a number")
         if self.max_cells < 1:
             raise DomainError("max-cells must be >= 1")
+        self.check_ingestion()
         if p is not None and self.r > R_SOFT_MAX:
             # given once, by run_analysis's check with p; it names that caller
             warnings.warn(f"r={self.r} strongly damps longer itemsets; values much "
                           f"above {R_SOFT_MAX} are not recommended", stacklevel=3)
+
+    def check_ingestion(self) -> None:
+        """The checks of how a raw table is read and coded, before any is read."""
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise IngestionError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.delimiter in '"\r\n':  # the reader would see one column
+            raise IngestionError(f"delimiter cannot be a quote or a line break, "
+                                 f"got {self.delimiter!r}")
+        if self.missing not in ("drop", "level"):
+            raise IngestionError(f"unknown missing policy {self.missing!r}")
+        if self.level_order not in ("first", "lexicographic"):
+            raise IngestionError(f"unknown level order {self.level_order!r}")
 
     def to_flat_dict(self) -> dict[str, Any]:
         d = asdict(self)

@@ -20,29 +20,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DomainError, EmptyDatasetError, IngestionError
 
 PROB_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IngestionOptions:
-    """How a raw string table is turned into coded data."""
-
-    delimiter: str = ","
-    header: bool = True
-    missing_markers: tuple[str, ...] = ("?", "")
-    missing_policy: str = "drop"  # "drop" (drop row) or "level" (own level)
-    level_order: str = "first"  # "first" (first appearance) or "lexicographic"
-    drop_cols: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
-            raise IngestionError(f"delimiter must be one character, got {self.delimiter!r}")
-        if self.missing_policy not in ("drop", "level"):
-            raise IngestionError(f"unknown missing policy {self.missing_policy!r}")
-        if self.level_order not in ("first", "lexicographic"):
-            raise IngestionError(f"unknown level order {self.level_order!r}")
 
 
 def _first_appearance(keys: Iterable) -> tuple[list, np.ndarray]:
@@ -162,16 +143,16 @@ class ProbabilityModel:
         return len(self.pi)
 
 
-def load_dataset(rows: Iterable[Sequence[str]],
-                 options: IngestionOptions | None = None) -> Dataset:
+def load_dataset(rows: Iterable[Sequence[str]], cfg: RunConfig | None = None) -> Dataset:
     """Encode a rectangular table of strings into a Dataset.
 
     With header=True the first row names the variables, and a record of
     another width is reported as ragged; without a header they are named
     V1..Vp. Levels are coded in first-appearance order unless
-    options.level_order == "lexicographic".
+    cfg.level_order == "lexicographic".
     Raw strings are matched exactly (no case or whitespace normalization).
-    Every name in options.drop_cols must name a column.
+    Every name in cfg.drop_cols must name a column. Of `cfg` (None means
+    `RunConfig()`), only the ingestion options are read.
 
     `rows` is read once, as a stream, and only its distinct rows are kept:
     they are checked, cleaned and encoded once each, in first-appearance
@@ -179,12 +160,13 @@ def load_dataset(rows: Iterable[Sequence[str]],
     the Dataset's `rows`, and each kept row's distinct-row index its `group`;
     no n x p matrix is built.
     """
-    opts = options or IngestionOptions()
+    cfg = cfg or RunConfig()
+    cfg.check_ingestion()
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         raise EmptyDatasetError("empty input table")
-    if opts.header:
+    if cfg.header:
         names = [str(c) for c in first]
     else:
         names = None
@@ -192,7 +174,7 @@ def load_dataset(rows: Iterable[Sequence[str]],
     distinct, group = _first_appearance(map(tuple, rows))
     if not distinct:
         raise EmptyDatasetError("the table has no data rows")
-    width = len(names) if opts.header else len(distinct[0])
+    width = len(names) if cfg.header else len(distinct[0])
     if width == 0:
         raise EmptyDatasetError("empty input table")
     for d, r in enumerate(distinct):
@@ -202,10 +184,11 @@ def load_dataset(rows: Iterable[Sequence[str]],
     if names is None:
         names = [f"V{i + 1}" for i in range(width)]
 
-    unknown = [nm for nm in dict.fromkeys(opts.drop_cols) if nm not in names]
+    unknown = [nm for nm in dict.fromkeys(cfg.drop_cols) if nm not in names]
     if unknown:
         raise IngestionError(f"cannot drop unknown column(s): {', '.join(unknown)}")
-    keep = [j for j, nm in enumerate(names) if nm not in set(opts.drop_cols)]
+    drop = set(cfg.drop_cols)
+    keep = [j for j, nm in enumerate(names) if nm not in drop]
     if not keep:
         raise EmptyDatasetError("all columns dropped")
     names = [names[j] for j in keep]
@@ -213,15 +196,15 @@ def load_dataset(rows: Iterable[Sequence[str]],
         distinct, merged = _first_appearance(tuple(r[j] for j in keep) for r in distinct)
         group = merged[group]
 
-    markers = set(opts.missing_markers)
-    kept = np.array([opts.missing_policy != "drop" or not any(v in markers for v in r)
+    markers = set(cfg.missing_markers)
+    kept = np.array([cfg.missing != "drop" or not any(v in markers for v in r)
                      for r in distinct], dtype=bool)
     cleaned = [r for r, k in zip(distinct, kept) if k]
     if not cleaned:
         raise EmptyDatasetError("no rows left after missing-value cleaning")
 
     p = len(names)
-    if opts.level_order == "lexicographic":
+    if cfg.level_order == "lexicographic":
         vocab = [sorted({r[j] for r in cleaned}) for j in range(p)]
         maps = [{lab: k + 1 for k, lab in enumerate(v)} for v in vocab]
     else:
@@ -245,16 +228,17 @@ def load_dataset(rows: Iterable[Sequence[str]],
     )
 
 
-def read_csv(path, options: IngestionOptions | None = None) -> Dataset:
+def read_csv(path, cfg: RunConfig | None = None) -> Dataset:
     """Read a delimited UTF-8 text file and encode it; blank lines are skipped.
 
     The records stream into `load_dataset`, which keeps each distinct one
-    once; a record ended by LF, CRLF or CR is the same record.
+    once; a record ended by LF, CRLF or CR is the same record. The ingestion
+    options of `cfg` are checked before the file is opened.
     """
-    opts = options or IngestionOptions()
+    cfg = cfg or RunConfig()
+    cfg.check_ingestion()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return load_dataset((r for r in csv.reader(fh, delimiter=opts.delimiter) if r),
-                            opts)
+        return load_dataset((r for r in csv.reader(fh, delimiter=cfg.delimiter) if r), cfg)
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:

@@ -157,7 +157,11 @@ def _walk(ds: Dataset, provider: ThresholdProvider, maxlen: int, prune: bool,
         if not visited:
             break
         prev = cur
-    return Flags(*map(np.concatenate, parts), ds.group), stats
+    joined = []
+    for part in parts:
+        joined.append(np.concatenate(part))
+        part.clear()  # at most one array's parts stay alive beside the joined arrays
+    return Flags(*joined, ds.group), stats
 
 
 def search_infrequent(ds: Dataset, provider: ThresholdProvider, maxlen: int,

@@ -14,6 +14,7 @@ import os
 import warnings
 from dataclasses import dataclass
 
+from .config import RunConfig
 from .errors import IngestionError
 
 _FLARE_NAMES = (
@@ -33,10 +34,6 @@ _LYMPHO_NAMES = (
     "changes_in_node", "changes_in_stru", "special_forms", "dislocation_of",
     "exclusion_of_no", "no_of_nodes_in",
 )
-
-
-# Raw values that mark a missing value, in every corpus.
-MISSING_MARKERS = frozenset(("?", ""))
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,11 @@ def prepare_dataset(name: str, raw_dir: str, out_path: str) -> tuple[int, int]:
                              f"recipe keeps column {last + 1}")
     out_names = list(recipe.out_names) if recipe.out_names \
         else [header[i] for i in keep]
+    markers = set(RunConfig.missing_markers)  # sono score's defaults, in every corpus
     cleaned = []
     for row in body:
         vals = [row[i] for i in keep]
-        if recipe.drop_missing and any(v in MISSING_MARKERS for v in vals):
+        if recipe.drop_missing and any(v in markers for v in vals):
             continue
         cleaned.append(vals)
     if not cleaned:

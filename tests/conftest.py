@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sono
-from sono import Dataset, Flags, IngestionOptions, load_dataset
+from sono import Dataset, Flags, RunConfig, load_dataset
 from sono.prepare import RECIPES
 
 UCI_ENV = "SONO_DATA_DIR"
@@ -101,7 +101,7 @@ def flags_of(flag_sets, p) -> Flags:
 def toy_table():
     """The 3x2 first-appearance encoding example."""
     return load_dataset([["a", "x"], ["b", "x"], ["a", "y"]],
-                        IngestionOptions(header=False))
+                        RunConfig(header=False))
 
 
 def make_dataset(codes, level_counts=None) -> Dataset:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -559,7 +560,16 @@ class TestScoreCommand:
         (["--delimiter", ";;"], "delimiter must be one character, got ';;'"),
         # this one exited 1, from a second check in RunConfig.validate
         ({"missing": "zap"}, "unknown missing policy 'zap'"),
-    ], ids=["config-level-order", "config-delimiter", "delimiter", "config-missing"])
+        # these were read as one column and scored
+        (["--delimiter", '"'], "delimiter cannot be a quote or a line break, got '\"'"),
+        (["--delimiter", "\r"], "delimiter cannot be a quote or a line break, got '\\r'"),
+        ({"delimiter": "\n"}, "delimiter cannot be a quote or a line break, got '\\n'"),
+        # these ended in argparse's usage message
+        (["--missing", "zap"], "unknown missing policy 'zap'"),
+        (["--level-order", "sideways"], "unknown level order 'sideways'"),
+    ], ids=["config-level-order", "config-delimiter", "delimiter", "config-missing",
+            "quote-delimiter", "cr-delimiter", "config-lf-delimiter", "missing",
+            "level-order"])
     def test_ingestion_option_rejected_before_out(self, sample_csv, tmp_path, capsys,
                                                   monkeypatch, options, message):
         if isinstance(options, dict):
@@ -1074,3 +1084,122 @@ def test_no_input_ends_in_a_traceback(monkeypatch, case):
     assert status in (0, 1, 2, 3), text
     if status:
         assert text.splitlines()[-1].startswith(_FAILURE_PREFIXES[status]), text
+
+
+# Any JSON value: NaN and +-Infinity among the numbers, nested lists and objects.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+# Per config key, values that are right or nearly so, so that many runs score.
+_CONFIG_VALUES = {
+    "input": st.text(max_size=3), "out": st.text(max_size=3),
+    "probs": st.sampled_from(["", "nope.json", "probs.json"]),
+    "mode": st.sampled_from(["infrequent", "frequent", "both"]),
+    "alpha": st.sampled_from([0.05, 0.2, 0.5, 0, 1e-300, -1.0]),
+    "r": st.sampled_from([0.5, 2, 3.5, 0, 1e300]),
+    "prune": st.booleans(),
+    "max_len": st.integers(-1, 4),
+    "format": st.sampled_from(["csv", "csv,json", ["csv", "json"], [], "xml", ["csv", 1]]),
+    "drop_cols": st.sampled_from([[], ["C"], "A,B,C", ["Z"], "C,C"]),
+    "missing": st.sampled_from(["drop", "level", "zap"]),
+    "oracle_nu": st.booleans(),
+    "delimiter": st.sampled_from([",", ";", ";;", "", '"', "\n", "\r"]),
+    "header": st.booleans(),
+    "missing_markers": st.sampled_from([[], ["?"], "?,", ["a1"]]),
+    "level_order": st.sampled_from(["first", "lexicographic", "sideways"]),
+    "maxlen_rule": st.sampled_from(["any-cell", "all-cells", "some"]),
+    "max_cells": st.sampled_from([1e7, 100, 1, 0.5]),
+    "threads": st.integers(0, 4),  # retired: ignored with a warning
+}
+
+# The levels of _SCORED_ROWS, and a variable that it does not have.
+_LEVELS = {"A": ["a1", "a2", "a3"], "B": ["b1", "b2"], "C": ["c1", "c2"], "Z": ["z1"]}
+# B mostly follows A, so that some rows score.
+_rng = np.random.default_rng(9)
+_SCORED_ROWS = [[f"a{a}", f"b{1 + (a > 1) if r < 0.9 else 1}", f"c{c}"]
+                for a, r, c in zip(_rng.integers(1, 4, size=150).tolist(),
+                                   _rng.random(150).tolist(),
+                                   _rng.integers(1, 3, size=150).tolist())]
+
+
+@st.composite
+def _config_docs(draw):
+    """A config file: most hold an object of known keys, each with a likely
+    value or any JSON value, some an unknown key or the object nested
+    under "config" as in run.json; the rest any JSON document."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), unique=True, max_size=4))
+    doc = {key: draw(_CONFIG_VALUES[key] if draw(st.integers(0, 5)) else _JSON)
+           for key in keys}
+    if draw(st.integers(0, 7)) == 0:
+        doc[draw(st.text(max_size=5))] = draw(_JSON)
+    return {"config": doc} if draw(st.integers(0, 5)) == 0 else doc
+
+
+@st.composite
+def _probability_docs(draw):
+    """A probability file: most map variables to their levels' probabilities,
+    as an object or as a list of one-entry objects, equal shares or any
+    number, now and then with a level or a variable too few or too many; the
+    rest any JSON document."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = {}
+    names = ["A", "B", "C"] + (["Z"] if draw(st.integers(0, 7)) == 0 else [])
+    for var in draw(st.lists(st.sampled_from(names), unique=True, max_size=3)):
+        if draw(st.integers(0, 7)) == 0:
+            doc[var] = draw(_JSON)
+            continue
+        labels = _LEVELS[var] + (["new"] if draw(st.booleans()) else [])
+        if draw(st.integers(0, 7)) == 0:
+            labels.remove(draw(st.sampled_from(labels)))
+        number = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                           st.booleans(), st.text(max_size=2))
+        spec = {lab: draw(number) if draw(st.integers(0, 7)) == 0 else 1 / len(labels)
+                for lab in labels}
+        doc[var] = [{k: v} for k, v in spec.items()] if draw(st.booleans()) else spec
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:r=.* strongly damps longer itemsets")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.none() | _config_docs(), probs=st.none() | _probability_docs())
+def test_no_config_or_probability_file_ends_in_a_traceback(monkeypatch, config, probs):
+    # any --config and --probs documents end in exit 0 or in one documented
+    # error line, in-process; on exit 0 each contributions row sums to its score
+    monkeypatch.delenv("SONO_CACHE_DIR", raising=False)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths in a config file land here
+        try:
+            write_csv("in.csv", _SCORED_ROWS)
+            argv = ["score", "--input", "in.csv", "--out", "out"]
+            for flag, name, doc in (("--config", "config.json", config),
+                                    ("--probs", "probs.json", probs)):
+                if doc is not None:
+                    with open(name, "w") as fh:
+                        json.dump(doc, fh)
+                    argv += [flag, name]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(argv)
+            text = err.getvalue()
+            assert "Traceback" not in text
+            assert status in (0, 1, 2, 3), text
+            if status:
+                assert text.splitlines()[-1].startswith(_FAILURE_PREFIXES[status]), text
+            elif os.path.exists(os.path.join("out", "contributions.csv")):
+                with open(os.path.join("out", "scores.csv"), newline="") as fs, \
+                        open(os.path.join("out", "contributions.csv"), newline="") as fc:
+                    for s_row, c_row in zip(list(csv.reader(fs))[1:],
+                                            list(csv.reader(fc))[1:]):
+                        assert math.isclose(math.fsum(map(float, c_row[1:])),
+                                            float(s_row[1]), rel_tol=1e-9, abs_tol=1e-12)
+        finally:
+            os.chdir(cwd)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sono import (Dataset, DomainError, EmptyDatasetError, IngestionError,
-                  IngestionOptions, ProbabilityModel, empirical_model, load_dataset,
+                  ProbabilityModel, RunConfig, empirical_model, load_dataset,
                   read_csv, user_model)
 from sono.data import cell_probs
 
@@ -23,56 +23,75 @@ class TestLoadDataset:
         assert toy_table.codes.tolist() == [[1, 1], [2, 1], [1, 2]]
 
     def test_degenerate_single_cell(self):
-        ds = load_dataset([["a"]], IngestionOptions(header=False))
+        ds = load_dataset([["a"]], RunConfig(header=False))
         assert ds.level_counts == (1,)
         assert ds.codes.tolist() == [[1]]
 
     def test_ragged_raises(self):
         with pytest.raises(IngestionError, match="ragged"):
-            load_dataset([["a", "b"], ["c"]], IngestionOptions(header=False))
+            load_dataset([["a", "b"], ["c"]], RunConfig(header=False))
 
     def test_all_rows_missing_raises(self):
         with pytest.raises(EmptyDatasetError):
-            load_dataset([["?", "a"], ["b", ""]], IngestionOptions(header=False))
+            load_dataset([["?", "a"], ["b", ""]], RunConfig(header=False))
 
     def test_missing_drop_counts_dropped(self):
         ds = load_dataset([["a", "x"], ["?", "x"], ["b", "y"]],
-                          IngestionOptions(header=False))
+                          RunConfig(header=False))
         assert ds.n == 2
         assert ds.dropped_rows == 1
 
     def test_missing_as_level(self):
         ds = load_dataset([["a"], ["?"], ["a"]],
-                          IngestionOptions(header=False, missing_policy="level"))
+                          RunConfig(header=False, missing="level"))
         assert ds.n == 3
         assert ds.level_counts == (2,)
         assert ds.level_labels[0] == ("a", "?")
 
     def test_lexicographic_order(self):
         ds = load_dataset([["b"], ["a"]],
-                          IngestionOptions(header=False, level_order="lexicographic"))
+                          RunConfig(header=False, level_order="lexicographic"))
         assert ds.level_labels[0] == ("a", "b")
         assert ds.codes.tolist() == [[2], [1]]
 
     def test_header_and_drop_cols(self):
         ds = load_dataset([["id", "color"], ["1", "red"], ["2", "blue"]],
-                          IngestionOptions(drop_cols=("id",)))
+                          RunConfig(drop_cols=("id",)))
         assert ds.variable_names == ("color",)
         assert ds.level_counts == (2,)
 
     def test_unknown_drop_cols_raise(self):
         rows = [["id", "color"], ["1", "red"], ["2", "blue"]]
         with pytest.raises(IngestionError, match="unknown column.*: NOPE, size$"):
-            load_dataset(rows, IngestionOptions(drop_cols=("id", "NOPE", "size", "NOPE")))
+            load_dataset(rows, RunConfig(drop_cols=("id", "NOPE", "size", "NOPE")))
 
     def test_exact_string_matching(self):
         # no whitespace/case normalization: "A" and "a " are distinct levels
-        ds = load_dataset([["A"], ["a "], ["A"]], IngestionOptions(header=False))
+        ds = load_dataset([["A"], ["a "], ["A"]], RunConfig(header=False))
         assert ds.level_counts == (2,)
 
     def test_duplicate_names_raise(self):
         with pytest.raises(IngestionError, match="unique"):
-            load_dataset([["x", "x"], ["a", "b"]], IngestionOptions())
+            load_dataset([["x", "x"], ["a", "b"]], RunConfig())
+
+    @pytest.mark.parametrize("options, message", [
+        ({"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
+        ({"delimiter": '"'}, "delimiter cannot be a quote or a line break, got '\"'"),
+        ({"delimiter": "\r"}, "delimiter cannot be a quote or a line break, got '\\r'"),
+        ({"delimiter": "\n"}, "delimiter cannot be a quote or a line break, got '\\n'"),
+        ({"missing": "zap"}, "unknown missing policy 'zap'"),
+        ({"level_order": "sideways"}, "unknown level order 'sideways'"),
+    ], ids=["long-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter",
+            "missing", "level-order"])
+    def test_bad_ingestion_option_raises(self, tmp_path, options, message):
+        cfg = RunConfig(**options)
+        with pytest.raises(IngestionError) as got:
+            load_dataset([["A", "B"], ["a", "b"]], cfg)
+        assert str(got.value) == message
+        # checked before the file is opened: this one does not exist
+        with pytest.raises(IngestionError) as got:
+            read_csv(tmp_path / "nope.csv", cfg)
+        assert str(got.value) == message
 
     def test_too_few_level_label_sets_raise(self, toy_table):
         # zip would stop at the shorter tuple and decode_row fail much later
@@ -210,7 +229,7 @@ class TestUserModel:
 def test_encoding_round_trip(raw):
     width = len(raw[0])
     rows = [r[:width] + ["z"] * (width - len(r)) for r in raw]
-    opts = IngestionOptions(header=False, missing_markers=(), missing_policy="drop")
+    opts = RunConfig(header=False, missing_markers=(), missing="drop")
     ds = load_dataset(rows, opts)
     decoded = [list(ds.decode_row(i)) for i in range(ds.n)]
     assert decoded == rows
@@ -229,7 +248,7 @@ def reference_load(rows, opts):
     cleaned, dropped = [], 0
     for r in body:
         vals = [r[j] for j in keep]
-        if opts.missing_policy == "drop" and any(v in opts.missing_markers for v in vals):
+        if opts.missing == "drop" and any(v in opts.missing_markers for v in vals):
             dropped += 1
         else:
             cleaned.append(vals)
@@ -268,8 +287,7 @@ class TestIngestionOfRepeatedRows:
     def test_matches_row_by_row_encoding(self, patterns, picks, policy, order,
                                          drop_cols):
         rows = [["V1", "V2", "V3"]] + [list(patterns[k % len(patterns)]) for k in picks]
-        opts = IngestionOptions(missing_policy=policy, level_order=order,
-                                drop_cols=drop_cols)
+        opts = RunConfig(missing=policy, level_order=order, drop_cols=drop_cols)
         try:
             want = reference_load(rows, opts)
         except EmptyDatasetError:
@@ -280,7 +298,7 @@ class TestIngestionOfRepeatedRows:
 
     def test_dropped_rows_counted_with_multiplicity(self):
         rows = [["A", "B"]] + [["a", "?"]] * 7 + [["a", "x"]] * 3 + [["", "y"]] * 2
-        opts = IngestionOptions()
+        opts = RunConfig()
         assert loaded_fields(rows, opts) == reference_load(rows, opts)
         assert load_dataset(rows, opts).dropped_rows == 9
 
@@ -293,9 +311,9 @@ class TestIngestionOfRepeatedRows:
     def test_ragged_row_after_duplicates_names_its_index(self, body, idx):
         rows = [["A", "B"]] + body
         with pytest.raises(IngestionError) as want:
-            reference_load(rows, IngestionOptions())
+            reference_load(rows, RunConfig())
         with pytest.raises(IngestionError, match=f"row {idx} has") as got:
-            load_dataset(rows, IngestionOptions())
+            load_dataset(rows, RunConfig())
         assert str(got.value) == str(want.value)
 
 
@@ -370,8 +388,8 @@ class TestReadCsv:
            order=st.sampled_from(["first", "lexicographic"]),
            drop_cols=st.sampled_from([(), ("V2",), ("V1", "V3")]))
     def test_matches_whole_file_reading(self, text, header, policy, order, drop_cols):
-        opts = IngestionOptions(header=header, missing_policy=policy, level_order=order,
-                                drop_cols=drop_cols)
+        opts = RunConfig(header=header, missing=policy, level_order=order,
+                         drop_cols=drop_cols)
         assert_reads_like_whole_file(text, opts)
 
     def test_line_ending_variants_are_one_row_group(self):
@@ -390,7 +408,7 @@ class TestReadCsv:
         'A,B\nx,"1,2"\nx,1\n',
     ])
     def test_quoted_records(self, text):
-        assert_reads_like_whole_file(text, IngestionOptions())
+        assert_reads_like_whole_file(text, RunConfig())
 
     @pytest.mark.parametrize("text, idx", [
         ("A,B\na,b\na,b\n\nc\na,b\n", 2),
@@ -398,7 +416,7 @@ class TestReadCsv:
         ("A,B\r\na,b\r\na,b\na,b,c\r\nd\n", 2),
     ])
     def test_ragged_row_names_its_index(self, text, idx):
-        assert_reads_like_whole_file(text, IngestionOptions())
+        assert_reads_like_whole_file(text, RunConfig())
         path = write_text(text)
         try:
             with pytest.raises(IngestionError,
@@ -408,7 +426,7 @@ class TestReadCsv:
             os.remove(path)
 
     def test_nul_byte_reads_alike(self):
-        assert_reads_like_whole_file("A,B\na\x00,b\na,b\na\x00,b\n", IngestionOptions())
+        assert_reads_like_whole_file("A,B\na\x00,b\na,b\na\x00,b\n", RunConfig())
 
     def test_oversized_field_raises_the_same_csv_error(self):
         text = "A,B\n" + "x" * (csv.field_size_limit() + 1) + ",b\n"
@@ -417,15 +435,15 @@ class TestReadCsv:
             with pytest.raises(csv.Error) as got:
                 read_csv(path)
             with pytest.raises(csv.Error) as want:
-                read_rows(path, IngestionOptions())
+                read_rows(path, RunConfig())
         finally:
             os.remove(path)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("text", ["", "\n\r\n", "A,B\n", "A,B\n\n"])
     def test_empty_files(self, text):
-        assert_reads_like_whole_file(text, IngestionOptions())
-        assert_reads_like_whole_file(text, IngestionOptions(header=False))
+        assert_reads_like_whole_file(text, RunConfig())
+        assert_reads_like_whole_file(text, RunConfig(header=False))
 
 
 class TestRowGroups:
@@ -442,7 +460,7 @@ class TestRowGroups:
            st.sampled_from([(), ("V2",)]), st.sampled_from(["drop", "level"]))
     def test_loader_grouping_is_the_codes_grouping(self, body, drop_cols, policy):
         # rows that differ only in a dropped column, or in nothing, are one group
-        opts = IngestionOptions(header=False, drop_cols=drop_cols, missing_policy=policy)
+        opts = RunConfig(header=False, drop_cols=drop_cols, missing=policy)
         try:
             ds = load_dataset(body, opts)
         except EmptyDatasetError:
@@ -453,7 +471,7 @@ class TestRowGroups:
             assert np.array_equal(getattr(ds, name), getattr(regrouped, name))
 
     def test_replaced_codes_are_regrouped(self):
-        ds = load_dataset([["a"], ["b"], ["a"]], IngestionOptions(header=False))
+        ds = load_dataset([["a"], ["b"], ["a"]], RunConfig(header=False))
         assert ds.weight.tolist() == [2, 1]
         moved = Dataset.from_codes([[2], [2], [1]], ds.level_counts, ds.variable_names,
                                    ds.level_labels)

@@ -1,4 +1,6 @@
 import itertools
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (Dataset, IngestionOptions, RunConfig, ThresholdProvider, empirical_model,
-                  load_dataset, random_dataset, run_analysis, search_frequent,
+from sono import (Dataset, RunConfig, ThresholdProvider, empirical_model,
+                  load_dataset, random_dataset, read_csv, run_analysis, search_frequent,
                   search_infrequent)
 from sono.lattice import _observed_cells
 from sono.oracle import flag_keys
 
 from conftest import StubProvider, make_dataset
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def flagged_itemsets(flags):
@@ -233,6 +238,30 @@ class TestSearchSemantics:
         assert r1.scores.tolist() == r2.scores.tolist()
 
 
+def test_search_peak_stays_near_its_flag_table(tmp_path, monkeypatch):
+    # The 520 x 9 binary frequent input of the benchmark's generator, warm:
+    # keeping every per-subset part list until all five arrays were joined
+    # peaked at 2.7 times the flag table; emptying each as it is joined, 1.85.
+    monkeypatch.delenv("SONO_CACHE_DIR", raising=False)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import Workload, write_csv
+    path = tmp_path / "deep.csv"
+    write_csv(Workload("deep-frequent", 520, (2,) * 9, "frequent", False, 3, 0.03, 1009),
+              1, str(path))
+    ds = read_csv(path)
+    model, cfg = empirical_model(ds), RunConfig(mode="frequent")
+    provider = ThresholdProvider(model, ds.n, cfg.alpha, max_cells=cfg.max_cells)
+    _, info, _ = run_analysis(ds, model, cfg, provider)  # computes every table
+    tracemalloc.start()
+    try:
+        flags, _ = search_frequent(ds, provider, info.maxlen)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flags.cell.size == 27323
+    assert peak < 2.2 * retained, (peak, retained)
+
+
 class TestRowPermutation:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("infrequent", "frequent")),
@@ -266,8 +295,8 @@ class TestLevelRelabelling:
         # with a drawn per-variable permutation of the codes and their labels
         ds = random_dataset(np.random.default_rng(seed), n_max=80, p_max=4)
         table = [list(ds.variable_names)] + [list(ds.decode_row(i)) for i in range(ds.n)]
-        first = load_dataset(table, IngestionOptions(level_order="first"))
-        lexicographic = load_dataset(table, IngestionOptions(level_order="lexicographic"))
+        first = load_dataset(table, RunConfig(level_order="first"))
+        lexicographic = load_dataset(table, RunConfig(level_order="lexicographic"))
         perms = [np.array(data.draw(st.permutations(range(l)))) for l in first.level_counts]
         codes = first.codes
         drawn = Dataset.from_codes(

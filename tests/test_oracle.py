@@ -8,7 +8,7 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, IngestionOptions, OracleRefusal, RunConfig,
+from sono import (CellSpec, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
 from sono.oracle import _best_configuration, flag_keys
@@ -156,7 +156,7 @@ class TestDuplicateHeavyData:
     def test_matches_walker_and_per_row_sums(self, patterns, multiplicities, seed, r):
         rows = [row for row, m in zip(patterns, multiplicities) for _ in range(m)]
         np.random.default_rng(seed).shuffle(rows)
-        ds = load_dataset(rows, IngestionOptions(header=False))
+        ds = load_dataset(rows, RunConfig(header=False))
         model = empirical_model(ds)
         for mode in ("infrequent", "frequent"):
             for prune in (True, False):

@@ -30,7 +30,8 @@ def test_solar_flare_recipe_concatenates_and_drops_counts(tmp_path):
     with pytest.warns(UserWarning, match="differs from the expected"):
         shape = prepare_dataset("solar-flare", str(tmp_path), str(out))
     assert shape == (3, 10)
-    rows = list(csv.reader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "zurich_class"
     assert len(rows) == 4
     assert rows[1] == ["C", "S", "O", "1", "2", "1", "1", "2", "1", "2"]
@@ -48,7 +49,8 @@ def test_primary_tumor_recipe_drops_class_then_missing(tmp_path):
     with pytest.warns(UserWarning):
         shape = prepare_dataset("primary-tumor", str(tmp_path), str(out))
     assert shape == (2, 17)  # row 3 dropped (missing in a kept column)
-    rows = list(csv.reader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "age"
 
 
@@ -69,7 +71,8 @@ def test_header_recipes_drop_by_name(tmp_path):
     with pytest.warns(UserWarning):
         shape = prepare_dataset("thyroid", str(tmp_path), str(out))
     assert shape == (2, 2)
-    rows = list(csv.reader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["Gender", "Smoking"]
 
     (tmp_path / "diabetes_data_upload.csv").write_text(
