@@ -9,9 +9,12 @@ them), with the empirical model, `find_c` runs at LEVEL (0.9, the level the
 threshold layer uses at the default alpha 0.05) on the subset's product
 table. One JSON line per
 subset gives c, gamma as `float.hex`, the number of nu evaluations
-(`coverage_probability` calls) and the find_c wall seconds; where method
-`exact` refuses, the line has `"refused": true` instead. A last line sums the
-subsets, refusals, nu evaluations and seconds. The cyclic collector is off,
+(`coverage_probability` calls), how many of them took each path
+(`exact_nu`, exact convolutions; `edgeworth_nu`, Edgeworth approximations;
+a nu with a trivial answer, 0 or 1, takes neither) and the find_c wall
+seconds; where method `exact` refuses, the line has `"refused": true`
+instead. A last line sums the subsets, refusals, nu evaluations by path and
+seconds. The cyclic collector is off,
 as in `sono score`. `--src` names the source tree to import `sono` from
 (default: this checkout's `src`), so two trees can be compared on one input:
 the lines without `find_c_s` must then be equal.
@@ -70,26 +73,29 @@ def main() -> int:
     from sono.data import empirical_model, read_csv, subset_cell_probs
     from sono.errors import OracleRefusal
 
-    calls = 0
-    coverage_probability = simci.coverage_probability
+    # nu evaluations and the path each took; find_c and coverage_probability
+    # look these functions up in their module
+    counts = dict.fromkeys(("nu_calls", "exact_nu", "edgeworth_nu"), 0)
+    for name, key in (("coverage_probability", "nu_calls"),
+                      ("_coverage_convolution", "exact_nu"),
+                      ("_coverage_edgeworth", "edgeworth_nu")):
+        def counted(*a, _run=getattr(simci, name), _key=key, **kw):
+            counts[_key] += 1
+            return _run(*a, **kw)
 
-    def counted(*a, **kw):
-        nonlocal calls
-        calls += 1
-        return coverage_probability(*a, **kw)
-
-    simci.coverage_probability = counted  # find_c looks it up in its module
+        setattr(simci, name, counted)
     ds = read_csv(args.csv)
     model = empirical_model(ds)
     max_size = ds.p if args.max_size is None else min(args.max_size, ds.p)
     simci.find_c(simci.CellSpec(probs=[0.5, 0.5], n=10), LEVEL, args.method)  # load SciPy
 
     gc.disable()
-    total = {"subsets": 0, "refused": 0, "nu_calls": 0, "find_c_s": 0.0}
+    total = {"subsets": 0, "refused": 0, "nu_calls": 0, "exact_nu": 0, "edgeworth_nu": 0,
+             "find_c_s": 0.0}
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(range(ds.p), size):
             spec = simci.CellSpec(probs=subset_cell_probs(model, subset), n=ds.n)
-            calls = 0
+            counts.update(dict.fromkeys(counts, 0))
             t0 = time.perf_counter()
             try:
                 c, gamma = simci.find_c(spec, LEVEL, args.method)
@@ -98,10 +104,11 @@ def main() -> int:
                 line = {"subset": list(subset), "refused": True}
                 total["refused"] += 1
             wall = time.perf_counter() - t0
-            line.update(nu_calls=calls, find_c_s=round(wall, 6))
+            line.update(counts, find_c_s=round(wall, 6))
             print(json.dumps(line))
             total["subsets"] += 1
-            total["nu_calls"] += calls
+            for key, count in counts.items():
+                total[key] += count
             total["find_c_s"] += wall
     total["find_c_s"] = round(total["find_c_s"], 4)
     print(json.dumps({"file": os.path.basename(args.csv), "method": args.method,

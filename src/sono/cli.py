@@ -135,7 +135,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         try:
             with open(cfg.probs) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
             raise IngestionError(f"cannot read probability file: {exc}") from exc
         if not isinstance(doc, dict):
             raise IngestionError("bad probability file: it must hold a JSON object")

@@ -18,14 +18,6 @@ FORMATS = ("csv", "json", "svg")
 RETIRED_FILE_KEYS = ("threads",)
 # Larger length exponents are allowed but advised against.
 R_SOFT_MAX = 3.0
-# The caps of method "auto"'s nu path rule (sono.simci._computes_exactly),
-# kept here so that the threshold spill key can hash them without loading
-# sono.simci. Below this product of truncation widths, "auto" computes nu
-# exactly by convolution instead of the Edgeworth approximation.
-CONVOLUTION_AUTO_CAP = 1e5
-# The convolution is also used whenever its estimated work (bounded by the
-# squared sum of truncation widths) stays below this.
-CONVOLUTION_AUTO_WORK = 4e7
 # Largest table, in cells, that a threshold may be computed for.
 DEFAULT_MAX_CELLS = 1e7
 
@@ -52,6 +44,14 @@ class RunConfig:
     level_order: str = "first"
     maxlen_rule: str = "any-cell"
     max_cells: float = DEFAULT_MAX_CELLS
+
+    def __post_init__(self):
+        # A string names a comma list; only a marker may be empty.
+        for name in ("format", "drop_cols", "missing_markers"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                value = [v for v in value.split(",") if v or name == "missing_markers"]
+            setattr(self, name, tuple(value))
 
     def validate(self, p: int | None = None) -> None:
         if self.mode not in ("infrequent", "frequent"):
@@ -123,20 +123,10 @@ def _check_type(name: str, value: Any, key: str, tag: str) -> None:
         raise IngestionError(f"{tag} option {key!r} must be of type {kind}, got {value!r}")
 
 
-def _coerce(name: str, value: Any) -> Any:
-    if _FIELD_TYPES[name] == "tuple[str, ...]":
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v != ""] if name != "missing_markers" \
-                else value.split(",")
-        return tuple(value)
-    return value
-
-
 def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
                  cli_values: Mapping[str, Any] | None) -> RunConfig:
     """Apply config-file values then CLI values on top of the defaults."""
-    known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**asdict(defaults))
+    values = asdict(defaults)
     for source, tag in ((file_values, "config file"), (cli_values, "command line")):
         if not source:
             continue
@@ -145,13 +135,13 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
             if source is file_values and name in RETIRED_FILE_KEYS:
                 log.warning("config file option %r is retired and ignored", key)
                 continue
-            if name not in known:
+            if name not in values:
                 raise IngestionError(f"unknown {tag} option {key!r}")
             if value is None:
                 continue
             _check_type(name, value, key, tag)
-            setattr(cfg, name, _coerce(name, value))
-    return cfg
+            values[name] = value
+    return RunConfig(**values)
 
 
 def load_config_file(path: str) -> dict[str, Any]:
@@ -159,7 +149,7 @@ def load_config_file(path: str) -> dict[str, Any]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise IngestionError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise IngestionError(f"config file {path} must hold a JSON object")

@@ -31,9 +31,6 @@ usually far above c: the bracket at t + 1 settles most questions with no nu
 at all, and where t + 1 is past the exact prefix, the question is asked
 first at c_h, by its bracket or by one nu on a window about c_h wide.
 
-The caps of method auto's path rule are defined in sono.config, so that the
-threshold spill key can read them without loading this module.
-
 Expected counts m_i = n * p_i (possibly non-integer) are used both as Poisson
 rates and as interval centers; truncation bounds are a_i = max(0, ceil(m_i-c))
 and b_i = min(floor(m_i+c), n). A CellSpec computes m once and the bounds
@@ -63,11 +60,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK  # the path rule's caps
 from .errors import CISearchFailure, DomainError, OracleRefusal
 
 # Array-work cap of method "exact", which refuses beyond it.
 CONVOLUTION_WORK_CAP = 2e8
+# Method "auto" convolves (else uses Edgeworth) while the product of truncation
+# widths, or the squared sum of widths that bounds the work, is within these.
+CONVOLUTION_AUTO_CAP = 1e5
+CONVOLUTION_AUTO_WORK = 4e7
 _SNAP = 1e-9
 _VAR_EPS = 1e-9
 _LOG_TINY_TAIL = -45.0  # ~1e-20: treat the truncation as a no-op above this

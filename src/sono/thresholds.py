@@ -19,8 +19,7 @@ which loads no OpenSSL.
 
 sono.simci is imported inside the functions that compute (and is looked up
 there at each call), so a run whose tables and maxlen all come from the
-spill file never loads it; the path-rule caps that the spill key hashes are
-read from sono.config.
+spill file never loads it; the spill key reads the sources as files.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .config import CONVOLUTION_AUTO_CAP, CONVOLUTION_AUTO_WORK, DEFAULT_MAX_CELLS
+from .config import DEFAULT_MAX_CELLS
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
 from .errors import TableExplosion
 
@@ -45,17 +44,6 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 2.0
-# Part of the spill-file key: bump it whenever a change to the nu or find_c
-# numerics may move a spilled (c, gamma), or a change to the maxlen rule may
-# move a spilled decision, so no stale entry is ever served.
-# 2: exact nu by a rescaled product tree, find_c by galloping and bisection.
-# 3: the maxlen rule decides by its definition where raw nu does not settle it.
-# The binomial bracket in simci.c_at_most needs no bump: it answers only where
-# exact nu gives the same answer, so no spilled value can move. Nor does its
-# first question at the Hoeffding point c_h <= t: a raw nu(c_h), or a lower
-# bound on exact nu(c_h), above the level means that the clamped sweep has
-# crossed by c_h, so the "c <= t" it answers is what find_c's c gives.
-_ALGORITHM_VERSION = 3
 
 
 def _extreme_cell_prob(pi: Sequence[np.ndarray], largest: bool) -> float:
@@ -207,6 +195,25 @@ def _valid_spill_entry(key: str, value, p: int, n: int) -> bool:
     return type(c) is int and 0 <= c < n and type(gamma) in (int, float) and 0 <= gamma <= 1
 
 
+def _hash_code(digest) -> None:
+    """Add the code that computes spilled values to a spill key: this package's
+    `*.py` files and SciPy's version file, read without importing them.
+    OSError where simci.py, thresholds.py or that file are missing."""
+    from importlib.util import find_spec
+    package = os.path.dirname(__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    if not {"simci.py", "thresholds.py"} <= set(names):
+        raise OSError(f"no sono sources in {package}")
+    scipy = find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise OSError("SciPy not found")
+    for path in [*(os.path.join(package, name) for name in names),
+                 os.path.join(scipy.submodule_search_locations[0], "version.py")]:
+        with open(path, "rb") as fh:
+            code = fh.read()
+        digest.update(f"|{os.path.basename(path)}|{len(code)}|".encode() + code)
+
+
 class ThresholdProvider:
     """Caches ThresholdTables per subset and maxlen decisions per rule;
     optionally spills (c, gamma) and the decisions to one file on disk.
@@ -233,12 +240,12 @@ class ThresholdProvider:
         self._unsaved = False
         if cache_dir:
             from _blake2 import blake2b  # hashlib would load OpenSSL's libcrypto
-            digest = blake2b(digest_size=8)
+            digest = blake2b(digest_size=32)  # wide enough that no two keys collide
             for v in model.pi:
                 digest.update(v.tobytes())
-            digest.update(f"{n}|{alpha}|{method}|{model.level_counts}|{_ALGORITHM_VERSION}|"
-                          f"{CONVOLUTION_AUTO_CAP}|{CONVOLUTION_AUTO_WORK}".encode())
+            digest.update(f"{n}|{alpha}|{method}|{model.level_counts}|{np.__version__}".encode())
             try:
+                _hash_code(digest)
                 os.makedirs(cache_dir, exist_ok=True)
             except OSError as exc:
                 log.warning("cannot use threshold cache directory %s (%s); "
@@ -252,11 +259,11 @@ class ThresholdProvider:
     def _load_spill(self) -> dict[str, list]:
         """The spill file's well-formed entries; what cannot be used is reported."""
         try:
-            with open(self._spill_path) as fh:
+            with open(self._spill_path, encoding="utf-8") as fh:
                 spilled = json.load(fh)
             if not isinstance(spilled, dict):
                 raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
             log.warning("ignoring threshold cache %s (%s); recomputing",
                         self._spill_path, exc)
             self._unsaved = True
@@ -264,9 +271,11 @@ class ThresholdProvider:
         bad = {key: value for key, value in spilled.items()
                if not _valid_spill_entry(key, value, self.model.p, self.n)}
         if bad:
+            import reprlib  # a short repr, however long or deeply nested the entry
             key = next(iter(bad))
-            log.warning("ignoring threshold cache %s: %d malformed entries (first: %r: %r); "
-                        "recomputing them", self._spill_path, len(bad), key, bad[key])
+            log.warning("ignoring threshold cache %s: %d malformed entries (first: %s: %s); "
+                        "recomputing them", self._spill_path, len(bad),
+                        reprlib.repr(key), reprlib.repr(bad[key]))
             self._unsaved = True
         return {key: value for key, value in spilled.items() if key not in bad}
 

@@ -17,9 +17,10 @@ UCI_ENV = "SONO_DATA_DIR"
 SONO_PATH = os.path.dirname(os.path.dirname(os.path.abspath(sono.__file__)))
 
 
-def run_python(code, *args, env=None):
-    """Run `code` in a fresh interpreter that imports sono from this checkout.
-    `env` sets environment variables; a variable it maps to None is removed."""
+def run_python(code, *args, env=None, path=SONO_PATH):
+    """Run `code` in a fresh interpreter that imports sono from `path` (by
+    default this checkout's). `env` sets environment variables; a variable it
+    maps to None is removed."""
     full = dict(os.environ)
     for name, value in (env or {}).items():
         if value is None:
@@ -27,7 +28,7 @@ def run_python(code, *args, env=None):
         else:
             full[name] = value
     full["PYTHONPATH"] = os.pathsep.join(
-        [SONO_PATH, *filter(None, [full.get("PYTHONPATH")])])
+        [path, *filter(None, [full.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, "-c", code, *args], env=full,
                           capture_output=True, text=True, timeout=120)
 

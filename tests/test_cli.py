@@ -1,3 +1,4 @@
+import compileall
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sono
@@ -103,6 +105,16 @@ from sono.cli import main
 status = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(*sorted(m for m in sys.modules
               if m.startswith(("sono.", "xml.", "hashlib", "_hashlib"))))
+sys.exit(status)
+"""
+
+# Runs `sono` with the given arguments, then prints the file that `sono` was
+# imported from as the last line of standard output.
+SCORE_AND_NAME_PACKAGE = """
+import sys, sono
+from sono.cli import main
+status = main(sys.argv[1:])
+print(sono.__file__)
 sys.exit(status)
 """
 
@@ -866,7 +878,7 @@ class TestStartup:
         assert not loaded & {"hashlib", "_hashlib"}
         if command == "score-cached":
             [spill] = cache.iterdir()
-            assert re.fullmatch(r"thresholds-[0-9a-f]{16}\.json", spill.name)
+            assert re.fullmatch(r"thresholds-[0-9a-f]{64}\.json", spill.name)
             out = tmp_path / "warm"
             proc, loaded = self.run_listing_modules([*argv[:-1], str(out)], env)
             assert proc.returncode == 0, proc.stderr
@@ -944,6 +956,74 @@ class TestStartup:
         proc = run_python(GC_POLICY)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "1 True"
+
+
+def copy_package(root):
+    """A copy of the sono package under root, for a fresh interpreter."""
+    shutil.copytree(os.path.dirname(os.path.abspath(sono.__file__)), root / "sono",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root / "sono"
+
+
+def same_scores(out1, out2):
+    return all((out1 / name).read_bytes() == (out2 / name).read_bytes()
+               for name in ("scores.csv", "contributions.csv"))
+
+
+def table_counts(out):
+    return json.loads((out / "run.json").read_text())["results"]["tables"]
+
+
+class TestSpillKey:
+    """The spill file is named by the code that computes its values too."""
+
+    def test_edited_source_gets_its_own_spill_file(self, sample_csv, tmp_path,
+                                                   monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o")]) == 0
+        (original,) = cache.iterdir()
+        spilled = original.read_bytes()
+        package = copy_package(tmp_path / "copy")
+        with open(package / "simci.py", "a") as fh:
+            fh.write("# an edit that moves no value\n")
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            proc = run_python(SCORE_AND_NAME_PACKAGE, "score", "--input", sample_csv,
+                              "--out", str(out), path=str(package.parent))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == str(package / "__init__.py")
+            assert same_scores(tmp_path / "o", out)
+            tables = table_counts(out)
+            if run == "cold":  # the original's file is not read
+                assert tables["computed"] > 0 and tables["from_spill"] == 0
+            else:  # the copy's own file serves every table
+                assert tables["computed"] == 0 and tables["from_spill"] > 0
+        (edited,) = set(cache.iterdir()) - {original}
+        assert re.fullmatch(r"thresholds-[0-9a-f]{64}\.json", edited.name)
+        assert original.read_bytes() == spilled
+
+    def test_sourceless_install_runs_without_a_spill_file(self, sample_csv, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.delenv("SONO_CACHE_DIR", raising=False)
+        plain = tmp_path / "plain"
+        assert main(["score", "--input", sample_csv, "--out", str(plain)]) == 0
+        package = copy_package(tmp_path / "copy")
+        assert compileall.compile_dir(package, legacy=True, quiet=1)
+        for source in package.glob("*.py"):
+            source.unlink()
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        proc = run_python(SCORE_AND_NAME_PACKAGE, "score", "--input", sample_csv,
+                          "--out", str(out), env={"SONO_CACHE_DIR": str(cache)},
+                          path=str(package.parent))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(package / "__init__.pyc")
+        warnings = [line for line in proc.stderr.splitlines() if "threshold cache" in line]
+        assert warnings == [f"cannot use threshold cache directory {cache} (no sono "
+                            f"sources in {package}); running without a spill file"]
+        assert not cache.exists()
+        assert same_scores(plain, out)
+        assert table_counts(out)["from_spill"] == 0
 
 
 @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
@@ -1166,13 +1246,20 @@ def _probability_docs(draw):
     return doc
 
 
+# A document too deeply nested for the JSON reader, written as these bytes.
+_NESTED = b"[" * 100000 + b"]" * 100000
+
+
 @pytest.mark.filterwarnings("ignore:r=.* strongly damps longer itemsets")
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=st.none() | _config_docs(), probs=st.none() | _probability_docs())
+@example(config=_NESTED, probs=None)
+@example(config=None, probs=_NESTED)
 def test_no_config_or_probability_file_ends_in_a_traceback(monkeypatch, config, probs):
     # any --config and --probs documents end in exit 0 or in one documented
-    # error line, in-process; on exit 0 each contributions row sums to its score
+    # error line, in-process; on exit 0 each contributions row sums to its
+    # score. A document given as bytes cannot be read: exit 2, one line.
     monkeypatch.delenv("SONO_CACHE_DIR", raising=False)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -1182,9 +1269,13 @@ def test_no_config_or_probability_file_ends_in_a_traceback(monkeypatch, config, 
             argv = ["score", "--input", "in.csv", "--out", "out"]
             for flag, name, doc in (("--config", "config.json", config),
                                     ("--probs", "probs.json", probs)):
-                if doc is not None:
+                if isinstance(doc, bytes):
+                    with open(name, "wb") as fh:
+                        fh.write(doc)
+                elif doc is not None:
                     with open(name, "w") as fh:
                         json.dump(doc, fh)
+                if doc is not None:
                     argv += [flag, name]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -1192,6 +1283,8 @@ def test_no_config_or_probability_file_ends_in_a_traceback(monkeypatch, config, 
             text = err.getvalue()
             assert "Traceback" not in text
             assert status in (0, 1, 2, 3), text
+            if isinstance(config, bytes) or isinstance(probs, bytes):
+                assert status == 2 and len(text.splitlines()) == 1, text
             if status:
                 assert text.splitlines()[-1].startswith(_FAILURE_PREFIXES[status]), text
             elif os.path.exists(os.path.join("out", "contributions.csv")):
@@ -1203,3 +1296,108 @@ def test_no_config_or_probability_file_ends_in_a_traceback(monkeypatch, config, 
                                             float(s_row[1]), rel_tol=1e-9, abs_tol=1e-12)
         finally:
             os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def cold_spill(tmp_path_factory):
+    """A cold run on _SCORED_ROWS: its input, spill file name, spill entries
+    and output files."""
+    tmp = tmp_path_factory.mktemp("cold-spill")
+    write_csv(tmp / "in.csv", _SCORED_ROWS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SONO_CACHE_DIR", str(tmp / "cache"))
+        assert main(["score", "--input", str(tmp / "in.csv"), "--out", str(tmp / "out")]) == 0
+    (spill,) = (tmp / "cache").iterdir()
+    return {"input": str(tmp / "in.csv"), "name": spill.name,
+            "entries": json.loads(spill.read_text()),
+            "outputs": {name: (tmp / "out" / name).read_bytes()
+                        for name in ("scores.csv", "contributions.csv")}}
+
+
+# The n and p of _SCORED_ROWS; a spilled c must lie in [0, n), a maxlen in [1, p].
+_N, _P = 150, 3
+_NOT_A_PAIR = st.one_of(_JSON.filter(lambda v: not isinstance(v, list)),
+                        st.lists(_JSON, max_size=4).filter(lambda v: len(v) != 2))
+_NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                          st.lists(st.integers(), max_size=2),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# (c, gamma) entries that find_c cannot return: wrong types, NaN and
+# +-Infinity, c outside [0, n), gamma outside [0, 1].
+_BAD_TABLE_ENTRIES = st.one_of(
+    _NOT_A_PAIR,
+    st.tuples(st.one_of(_NOT_A_NUMBER, st.floats()), _JSON),
+    st.tuples(st.integers(0, _N - 1), st.one_of(_NOT_A_NUMBER, st.sampled_from(
+        [math.nan, math.inf, -math.inf]))),
+    st.tuples(st.integers(max_value=-1) | st.integers(min_value=_N), st.floats(0, 1)),
+    st.tuples(st.integers(0, _N - 1),
+              st.floats(max_value=0, exclude_max=True) | st.floats(min_value=1, exclude_min=True)))
+# maxlen decisions that determine_maxlen cannot return at p = 3.
+_BAD_DECISIONS = st.one_of(
+    _NOT_A_PAIR,
+    st.tuples(st.integers(max_value=0) | st.integers(min_value=_P + 1) | _NOT_A_NUMBER
+              | st.floats(), st.none() | st.lists(st.integers(0, _P - 1), max_size=3)),
+    st.tuples(st.integers(1, _P - 1), st.none()),
+    st.tuples(st.just(2), st.lists(st.integers(0, _P - 1), max_size=2) | _NOT_A_NUMBER),
+    st.sampled_from([[2, [0, 2, 1]], [2, [0, 0, 1]], [2, [0, 1, 3]], [2, [-1, 0, 1]],
+                     [2, [0, 1, 2.0]], [3, [0, 1, 2]]]))
+
+
+@st.composite
+def _spill_files(draw, entries):
+    """The bytes of a spill file: the true entries, some dropped and some
+    replaced by malformed ones, with malformed extra keys now and then; or a
+    document that cannot be used as a whole: one that is not a JSON object,
+    one too deeply nested, or the true file with an undecodable byte or cut
+    short. No entry holds an in-range value other than the true one."""
+    whole = draw(st.integers(0, 7))
+    if whole == 0:
+        return json.dumps(draw(_NOT_A_PAIR.filter(lambda v: not isinstance(v, dict)))).encode()
+    if whole == 1:
+        return _NESTED
+    doc = {}
+    for key, value in entries.items():
+        fate = draw(st.sampled_from(["keep", "keep", "drop", "spoil"]))
+        if fate == "keep":
+            doc[key] = value
+        elif fate == "spoil":
+            doc[key] = draw(_BAD_DECISIONS if key.startswith("maxlen:") else _BAD_TABLE_ENTRIES)
+    for key in draw(st.lists(st.text(max_size=4), max_size=2)):
+        doc[key] = draw(_BAD_TABLE_ENTRIES)
+    raw = json.dumps(doc).encode()
+    if whole == 2:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + raw[at:]
+    elif whole == 3:
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    return raw
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_spill_file_ends_in_a_traceback_or_a_stale_entry(monkeypatch, cold_spill, data):
+    # whatever the spill file holds, a run recomputes what it cannot use and
+    # scores as a cold run does; it rewrites the file with the true entries
+    # only, which then serve a further run entirely
+    raw = data.draw(_spill_files(cold_spill["entries"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.setenv("SONO_CACHE_DIR", os.path.join(tmp, "cache"))
+        os.mkdir(os.path.join(tmp, "cache"))
+        spill = os.path.join(tmp, "cache", cold_spill["name"])
+        with open(spill, "wb") as fh:
+            fh.write(raw)
+        for run in ("first", "further"):
+            out = os.path.join(tmp, run)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(["score", "--input", cold_spill["input"], "--out", out])
+            assert "Traceback" not in err.getvalue()
+            assert status == 0, err.getvalue()
+            for name, expected in cold_spill["outputs"].items():
+                with open(os.path.join(out, name), "rb") as fh:
+                    assert fh.read() == expected, name
+            with open(spill) as fh:
+                assert json.load(fh) == cold_spill["entries"]
+            assert os.listdir(os.path.join(tmp, "cache")) == [cold_spill["name"]]
+        with open(os.path.join(out, "run.json")) as fh:
+            assert json.load(fh)["results"]["tables"]["computed"] == 0

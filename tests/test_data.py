@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sono import (Dataset, DomainError, EmptyDatasetError, IngestionError,
                   ProbabilityModel, RunConfig, empirical_model, load_dataset,
                   read_csv, user_model)
+from sono.config import merge_config
 from sono.data import cell_probs
 
 from conftest import make_dataset
@@ -59,6 +60,20 @@ class TestLoadDataset:
                           RunConfig(drop_cols=("id",)))
         assert ds.variable_names == ("color",)
         assert ds.level_counts == (2,)
+        # a string names a comma list, as on the command line
+        ds = load_dataset([["id", "color"], ["1", "red"], ["2", "blue"]],
+                          RunConfig(drop_cols="id"))
+        assert ds.variable_names == ("color",)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("drop_cols", "id", ("id",)), ("drop_cols", "id,,size", ("id", "size")),
+        ("format", "csv", ("csv",)), ("format", "csv,json", ("csv", "json")),
+        ("missing_markers", "NA", ("NA",)), ("missing_markers", "?,", ("?", ""))])
+    def test_string_for_a_list_option_is_a_comma_list(self, field, value, expected):
+        # it used to be taken as a sequence of characters: "NA" as {"N", "A"}
+        cfg = RunConfig(**{field: value})
+        assert getattr(cfg, field) == expected
+        assert cfg == merge_config(RunConfig(), None, {field: value})
 
     def test_unknown_drop_cols_raise(self):
         rows = [["id", "color"], ["1", "red"], ["2", "blue"]]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -333,7 +334,10 @@ class TestThresholdProvider:
                                          '{"0,1": ["x", 1]}',
                                          # (c, gamma) that find_c cannot return at n = 60
                                          '{"0,1": [60, 0.5]}', '{"0,1": [3, 1.5]}',
-                                         '{"0,1": [3, -0.1]}'])
+                                         '{"0,1": [3, -0.1]}',
+                                         # too deeply nested for the JSON reader
+                                         pytest.param("[" * 100000 + "]" * 100000,
+                                                      id="nested")])
     def test_corrupt_spill_file_warns_and_recomputes(self, tmp_path, caplog, content):
         model = model_of([0.5, 0.5], [0.3, 0.7])
         pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
@@ -348,6 +352,28 @@ class TestThresholdProvider:
         pb.flush_spill()
         assert json.loads(spill.read_text()) == {"0,1": [ta.c, ta.gamma]}
         assert [p.name for p in tmp_path.iterdir()] == [spill.name]
+
+    def test_entries_nested_up_to_the_reader_limit_are_reported(self, tmp_path, caplog):
+        # the warning used to give the first malformed entry whole, and its
+        # repr raised inside logging for entries nested close to the depth
+        # at which the JSON reader itself gives up
+        model = model_of([0.5, 0.5])
+        pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        ta = pa.get((0,))
+        pa.flush_spill()
+        (spill,) = tmp_path.glob("thresholds-*.json")
+        for depth in range(sys.getrecursionlimit() // 2, sys.getrecursionlimit()):
+            spill.write_text('{"0": ' + "[" * depth + "]" * depth + "}")
+            caplog.clear()
+            pb = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+            assert caplog.text.count(f"ignoring threshold cache {spill}") == 1
+            assert len(caplog.text) < 1000
+            tb = pb.get((0,))
+            assert (tb.c, tb.gamma) == (ta.c, ta.gamma)
+            if "maximum recursion depth" in caplog.text:
+                break
+        else:
+            pytest.fail("the JSON reader read every depth")
 
     @pytest.mark.parametrize("entry", [
         [0, None], [4, None], [2, None], [True, None], [3.0, None], [1, [0, 1], 0],
