@@ -9,7 +9,10 @@ the objects alive at exit.
 Importing this module sets OPENBLAS_NUM_THREADS to 1 before NumPy loads,
 unless the caller set it to a non-empty value: the OpenBLAS builds in NumPy
 and SciPy each start a worker pool when loaded, and sono's only BLAS calls are
-short dot products. `import sono` alone loads no NumPy and sets nothing.
+short dot products. OpenBLAS reads the variable as it loads, so this takes
+effect only when this module is the first to import NumPy: a library caller
+that imports NumPy first keeps NumPy's pool unless it sets the variable
+itself. `import sono` alone loads no NumPy and sets nothing.
 """
 from __future__ import annotations
 

@@ -2,15 +2,12 @@
 from __future__ import annotations
 
 import json
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
-from .errors import DomainError, IngestionError
-
-log = logging.getLogger(__name__)
+from .errors import DomainError, IngestionError, log_warning
 
 FORMATS = ("csv", "json", "svg")
 # Options that run.json files of earlier versions hold but that no longer
@@ -133,7 +130,7 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
         for key, value in source.items():
             name = key.replace("-", "_")
             if source is file_values and name in RETIRED_FILE_KEYS:
-                log.warning("config file option %r is retired and ignored", key)
+                log_warning(__name__, "config file option %r is retired and ignored", key)
                 continue
             if name not in values:
                 raise IngestionError(f"unknown {tag} option {key!r}")

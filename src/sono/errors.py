@@ -1,4 +1,14 @@
-"""Exception hierarchy. Every error the library raises derives from SonoError."""
+"""Exception hierarchy. Every error the library raises derives from SonoError.
+
+Problems a run works around are logged as warnings through log_warning.
+"""
+
+
+def log_warning(logger: str, msg: str, *args) -> None:
+    """Log a warning under the named logger. logging is imported here, on
+    the first warning, so a run that warns of nothing never loads it."""
+    import logging
+    logging.getLogger(logger).warning(msg, *args, stacklevel=2)
 
 
 class SonoError(Exception):

@@ -41,13 +41,14 @@ SciPy is loaded only when nu or a binomial bound is first evaluated: importing
 sono never loads it, and a run whose thresholds and maxlen all come from the
 spill file loads neither it nor this module. Even then the fast path needs
 only three compiled ufuncs (gammaln, pdtr, bdtr), and _ufuncs loads the
-compiled module that holds them without running scipy.special's package
-init, whose array-API layer imports NumPy submodules sono never uses. A
-later `import scipy.special` gets the same ufunc objects; if the direct load
-fails, _ufuncs imports scipy.special as usual. The Edgeworth kernel's
-dominant-cell branch normalizes each dominant cell's truncated pmf with
-_logsumexp, which follows scipy.special.logsumexp's formula bit for bit, so
-no scoring path imports the package.
+compiled module that holds them, with its compiled helpers, without running
+the package inits of scipy, scipy._lib or scipy.special: they import
+subprocess, sysconfig, SciPy's test utilities and NumPy submodules sono
+never uses. A later `import scipy.special` runs those inits and gets the same
+ufunc objects; if the direct load fails, _ufuncs imports scipy.special as
+usual. The Edgeworth kernel's dominant-cell branch normalizes each dominant
+cell's truncated pmf with _logsumexp, which follows scipy.special.logsumexp's
+formula bit for bit, so no scoring path imports the package.
 """
 from __future__ import annotations
 
@@ -151,29 +152,33 @@ def _snap_int(x: np.ndarray) -> np.ndarray:
 def _ufuncs():
     """scipy.special's compiled ufunc module, which holds gammaln, pdtr and bdtr.
 
-    The module is imported while an unexecuted module made from
-    scipy.special's own spec stands in for the package, so
-    scipy/special/__init__.py does not run; the stand-in is removed
-    afterwards, and a later `import scipy.special` runs the package init and
-    picks up this same module. Once the module is loaded, by this or by the
-    package, it is returned from sys.modules. If the direct import fails, the
-    package is imported as usual.
+    The module is imported while unexecuted modules made from the specs of
+    scipy, scipy._lib and scipy.special (each found once its parent's
+    stand-in is in place) stand in for the packages that are not loaded yet,
+    so none of their __init__.py files run: the module loads with only its
+    helper extensions. The stand-ins are removed afterwards, and a later
+    `import scipy.special` runs the package inits and picks up this same
+    module. Once the module is loaded, by this or by the package, it is
+    returned from sys.modules. If the direct import fails, the package is
+    imported as usual.
     """
     ufuncs = sys.modules.get("scipy.special._ufuncs")
     if ufuncs is not None:
         return ufuncs
     if "scipy.special" not in sys.modules:
+        stand_ins = {}
         try:
-            spec = importlib.util.find_spec("scipy.special")  # imports scipy itself
-            stand_in = importlib.util.module_from_spec(spec)
-            sys.modules["scipy.special"] = stand_in
-            try:
-                return importlib.import_module("scipy.special._ufuncs")
-            finally:
-                if sys.modules.get("scipy.special") is stand_in:
-                    del sys.modules["scipy.special"]
+            for name in ("scipy", "scipy._lib", "scipy.special"):
+                if name not in sys.modules:
+                    spec = importlib.util.find_spec(name)
+                    sys.modules[name] = stand_ins[name] = importlib.util.module_from_spec(spec)
+            return importlib.import_module("scipy.special._ufuncs")
         except (ImportError, AttributeError):  # a SciPy whose layout differs
             pass
+        finally:
+            for name, stand_in in stand_ins.items():
+                if sys.modules.get(name) is stand_in:
+                    del sys.modules[name]
     import scipy.special
     return scipy.special._ufuncs
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 import os
 import tempfile
@@ -36,12 +35,10 @@ import numpy as np
 
 from .config import DEFAULT_MAX_CELLS
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
-from .errors import TableExplosion
+from .errors import TableExplosion, log_warning
 
 if TYPE_CHECKING:
     from .simci import CellSpec
-
-log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 2.0
 
@@ -172,14 +169,33 @@ def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
 _DECISION_PREFIX = "maxlen:"
 
 
+def _valid_spill_key(key: str, p: int) -> bool:
+    """A key in the form the provider writes: a subset's strictly increasing
+    column indices in [0, p), comma-joined, or a decision's prefix, rule and
+    max_cells, a float >= 1 in its repr."""
+    if key.startswith(_DECISION_PREFIX):
+        rule, _, cap = key[len(_DECISION_PREFIX):].partition(":")
+        try:
+            max_cells = float(cap)
+        except ValueError:
+            return False
+        return rule in ("any-cell", "all-cells") and repr(max_cells) == cap and max_cells >= 1
+    try:
+        subset = [int(j) for j in key.split(",")]
+    except ValueError:
+        return False
+    return (",".join(map(str, subset)) == key and 0 <= subset[0] and subset[-1] < p
+            and all(a < b for a, b in zip(subset, subset[1:])))
+
+
 def _valid_spill_entry(key: str, value, p: int, n: int) -> bool:
-    """A spilled (c, gamma) pair that find_c can return: an integer c in
-    [0, n) and a gamma in [0, 1]. A spilled maxlen decision, [maxlen,
-    violating_subset]: an integer maxlen in [1, p] and a violating subset
-    that determine_maxlen can return with it, None only at maxlen p, else
-    strictly increasing column indices, maxlen + 1 of them (or one, when size
-    1 already fails)."""
-    if not isinstance(value, list) or len(value) != 2:
+    """An entry under a key in the form the provider writes. A spilled (c,
+    gamma) pair that find_c can return: an integer c in [0, n) and a gamma
+    in [0, 1]. A spilled maxlen decision, [maxlen, violating_subset]: an
+    integer maxlen in [1, p] and a violating subset that determine_maxlen can
+    return with it, None only at maxlen p, else strictly increasing column
+    indices, maxlen + 1 of them (or one, when size 1 already fails)."""
+    if not isinstance(value, list) or len(value) != 2 or not _valid_spill_key(key, p):
         return False
     if key.startswith(_DECISION_PREFIX):
         maxlen, subset = value
@@ -248,8 +264,8 @@ class ThresholdProvider:
                 _hash_code(digest)
                 os.makedirs(cache_dir, exist_ok=True)
             except OSError as exc:
-                log.warning("cannot use threshold cache directory %s (%s); "
-                            "running without a spill file", cache_dir, exc)
+                log_warning(__name__, "cannot use threshold cache directory %s (%s); "
+                                      "running without a spill file", cache_dir, exc)
             else:
                 self._spill_path = os.path.join(
                     cache_dir, f"thresholds-{digest.hexdigest()}.json")
@@ -264,7 +280,7 @@ class ThresholdProvider:
             if not isinstance(spilled, dict):
                 raise ValueError("not a JSON object")
         except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
-            log.warning("ignoring threshold cache %s (%s); recomputing",
+            log_warning(__name__, "ignoring threshold cache %s (%s); recomputing",
                         self._spill_path, exc)
             self._unsaved = True
             return {}
@@ -273,9 +289,9 @@ class ThresholdProvider:
         if bad:
             import reprlib  # a short repr, however long or deeply nested the entry
             key = next(iter(bad))
-            log.warning("ignoring threshold cache %s: %d malformed entries (first: %s: %s); "
-                        "recomputing them", self._spill_path, len(bad),
-                        reprlib.repr(key), reprlib.repr(bad[key]))
+            log_warning(__name__, "ignoring threshold cache %s: %d malformed entries "
+                                  "(first: %s: %s); recomputing them", self._spill_path,
+                        len(bad), reprlib.repr(key), reprlib.repr(bad[key]))
             self._unsaved = True
         return {key: value for key, value in spilled.items() if key not in bad}
 
@@ -333,7 +349,7 @@ class ThresholdProvider:
             os.replace(tmp, self._spill_path)
             self._unsaved = False
         except OSError as exc:
-            log.warning("cannot write threshold cache %s: %s", self._spill_path, exc)
+            log_warning(__name__, "cannot write threshold cache %s: %s", self._spill_path, exc)
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 

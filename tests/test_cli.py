@@ -45,9 +45,10 @@ sys.exit(status)
 """
 
 # Runs a cold `sono` with the given arguments and checks that every nu was
-# exact and that the run loaded SciPy's compiled ufuncs but not the
-# scipy.special package; then that scipy.special and scipy.stats import and
-# work, the package holding the very ufuncs the run used.
+# exact and that the run loaded SciPy's compiled ufuncs but none of the
+# scipy, scipy._lib and scipy.special packages, nor logging or subprocess;
+# then that SciPy's packages import and work, scipy.special holding the very
+# ufuncs the run used.
 COLD_SCORE_WITHOUT_SCIPY_SPECIAL = """
 import os, sys
 os.environ.pop("SONO_CACHE_DIR", None)
@@ -59,8 +60,10 @@ simci._coverage_edgeworth = lambda *a: edgeworth.append(a) or run_edgeworth(*a)
 assert main(sys.argv[1:]) == 0
 assert not edgeworth, "nu left the exact path"
 assert "scipy.special._ufuncs" in sys.modules
-assert "scipy.special" not in sys.modules, "scipy.special was imported"
-import scipy.special, scipy.stats
+loaded = {"scipy", "scipy._lib", "scipy.special", "logging", "subprocess"} & set(sys.modules)
+assert not loaded, f"loaded {loaded}"
+import scipy, scipy.special, scipy.stats
+from scipy import LowLevelCallable
 assert simci._ufuncs() is scipy.special._ufuncs
 assert all(getattr(scipy.special, f) is getattr(simci._ufuncs(), f)
            for f in ("gammaln", "pdtr", "bdtr"))
@@ -1340,6 +1343,25 @@ _BAD_DECISIONS = st.one_of(
     st.tuples(st.just(2), st.lists(st.integers(0, _P - 1), max_size=2) | _NOT_A_NUMBER),
     st.sampled_from([[2, [0, 2, 1]], [2, [0, 0, 1]], [2, [0, 1, 3]], [2, [-1, 0, 1]],
                      [2, [0, 1, 2.0]], [3, [0, 1, 2]]]))
+# Keys in a form the provider never writes at p = 3: column indices that are
+# not strictly increasing in [0, p) or not in str(int) form, other text, and
+# decision keys with an unknown rule or a max_cells that is not the repr of
+# a float >= 1.
+_BAD_KEYS = st.one_of(
+    st.text(max_size=4).filter(lambda key: not set(key) <= set("0123456789,")),
+    st.lists(st.integers(0, 9), min_size=1, max_size=3)
+    .filter(lambda js: js[-1] >= _P or any(a >= b for a, b in zip(js, js[1:])))
+    .map(lambda js: ",".join(map(str, js))),
+    st.sampled_from(["", "0,", ",1", "0,,1", "00", "01", " 0", "+1", "-1", "1_0"]),
+    st.builds("maxlen:{}:{}".format, st.sampled_from(["bogus-rule", "", "any_cell"]),
+              st.floats(1, 1e8).map(repr)),
+    st.builds("maxlen:{}:{}".format, st.sampled_from(["any-cell", "all-cells"]),
+              st.floats(max_value=1, exclude_max=True).map(repr)
+              | st.sampled_from(["nan", "1e7", "10000000", "", " 1.0", "1.0:x"])))
+# Entries the provider could write at n = 150 and p = 3.
+_IN_RANGE_ENTRIES = st.one_of(
+    st.tuples(st.integers(0, _N - 1), st.floats(0, 1)).map(list),
+    st.sampled_from([[3, None], [1, [0]], [1, [1, 2]], [2, [0, 1, 2]]]))
 
 
 @st.composite
@@ -1348,7 +1370,8 @@ def _spill_files(draw, entries):
     replaced by malformed ones, with malformed extra keys now and then; or a
     document that cannot be used as a whole: one that is not a JSON object,
     one too deeply nested, or the true file with an undecodable byte or cut
-    short. No entry holds an in-range value other than the true one."""
+    short. No entry under a key the provider writes holds an in-range value
+    other than the true one; extra keys in a form it never writes may."""
     whole = draw(st.integers(0, 7))
     if whole == 0:
         return json.dumps(draw(_NOT_A_PAIR.filter(lambda v: not isinstance(v, dict)))).encode()
@@ -1363,6 +1386,8 @@ def _spill_files(draw, entries):
             doc[key] = draw(_BAD_DECISIONS if key.startswith("maxlen:") else _BAD_TABLE_ENTRIES)
     for key in draw(st.lists(st.text(max_size=4), max_size=2)):
         doc[key] = draw(_BAD_TABLE_ENTRIES)
+    for key in draw(st.lists(_BAD_KEYS, max_size=2)):
+        doc[key] = draw(_IN_RANGE_ENTRIES)
     raw = json.dumps(doc).encode()
     if whole == 2:
         at = draw(st.integers(0, len(raw)))

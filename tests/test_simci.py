@@ -479,15 +479,18 @@ class TestSimultaneousIntervals:
         assert ci.lower.min() < 0.0
 
 
-# Loads the ufuncs through simci._ufuncs in a fresh process, then checks that
-# scipy.special, imported after it, exports the same objects, whose values on
-# a grid are bit-identical.
+# Loads the ufuncs through simci._ufuncs in a fresh process and checks that no
+# SciPy package init ran and no stand-in was left; then that scipy.special,
+# imported after it, exports the same objects, whose values on a grid are
+# bit-identical.
 DIRECT_UFUNCS = """
 import sys
 import numpy as np
 from sono.simci import _ufuncs
 u = _ufuncs()
-assert "scipy" in sys.modules and "scipy.special" not in sys.modules
+assert sys.modules["scipy.special._ufuncs"] is u
+left = {"scipy", "scipy._lib", "scipy.special"} & set(sys.modules)
+assert not left, f"a package init ran or a stand-in was left: {left}"
 k = np.arange(-2.0, 60.0, 0.5)
 lam = np.array([0.0, 1e-3, 0.5, 3.0, 17.25, 59.0])
 p = np.array([0.0, 1e-4, 0.05, 0.3, 0.5, 0.99, 1.0])
@@ -502,24 +505,33 @@ for f, args in grid.items():
     assert public(*args).tobytes() == values[f].tobytes(), f
 """
 
-# Makes the direct import of the ufunc module fail, then checks that
-# simci._ufuncs imported the scipy.special package instead and left the
-# package itself, not a stand-in, in sys.modules.
+# Makes the direct load fail, by the import of the ufunc module raising
+# ImportError ("import") or by find_spec finding no scipy._lib ("spec"), then
+# checks that simci._ufuncs imported the scipy.special package instead and
+# left the packages themselves, not stand-ins, in sys.modules.
 FALLBACK_UFUNCS = """
-import importlib, sys
-import_module = importlib.import_module
+import importlib, importlib.util, sys
+import_module, find_spec = importlib.import_module, importlib.util.find_spec
 
 def refuse(name, *args):
     if name == "scipy.special._ufuncs":
         raise ImportError("moved in this SciPy")
     return import_module(name, *args)
 
-importlib.import_module = refuse
+def find_no_lib(name, *args):
+    return None if name == "scipy._lib" else find_spec(name, *args)
+
+if sys.argv[1] == "import":
+    importlib.import_module = refuse
+else:
+    importlib.util.find_spec = find_no_lib
 from sono.simci import _ufuncs
 u = _ufuncs()
-importlib.import_module = import_module
+importlib.import_module, importlib.util.find_spec = import_module, find_spec
+for name, attr in (("scipy", "__version__"), ("scipy._lib", "test"),
+                   ("scipy.special", "logsumexp")):
+    assert attr in vars(sys.modules[name]), f"a stand-in for {name} was left in sys.modules"
 special = sys.modules["scipy.special"]
-assert "logsumexp" in vars(special), "a stand-in was left in sys.modules"
 import scipy.special
 assert scipy.special is special and u is special._ufuncs
 assert special.gammaln is u.gammaln
@@ -527,7 +539,7 @@ assert special.gammaln is u.gammaln
 
 
 class TestUfuncLoader:
-    """simci._ufuncs: scipy.special's compiled ufuncs without the package init."""
+    """simci._ufuncs: scipy.special's compiled ufuncs without the package inits."""
 
     def test_after_the_package_it_returns_the_package_module(self):
         import scipy.special
@@ -538,7 +550,11 @@ class TestUfuncLoader:
         assert proc.returncode == 0, proc.stderr
 
     def test_failed_direct_load_falls_back_to_the_package(self):
-        proc = run_python(FALLBACK_UFUNCS)
+        proc = run_python(FALLBACK_UFUNCS, "import")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_package_spec_falls_back_to_the_package(self):
+        proc = run_python(FALLBACK_UFUNCS, "spec")
         assert proc.returncode == 0, proc.stderr
 
 

@@ -403,6 +403,36 @@ class TestThresholdProvider:
         pb.flush_spill()
         assert json.loads(spill.read_text()) == good
 
+    @pytest.mark.parametrize("key, entry", [
+        ("0,7", [3, 0.5]), ("0,3", [3, 0.5]), ("x", [3, 0.5]), ("2,1", [3, 0.5]),
+        ("0,0", [3, 0.5]), ("00", [3, 0.5]), ("0, 1", [3, 0.5]), ("-1", [3, 0.5]),
+        ("", [3, 0.5]), ("0,", [3, 0.5]), ("1_0", [3, 0.5]),
+        ("maxlen:bogus-rule:1.0", [3, None]), ("maxlen:any-cell:1e7", [3, None]),
+        ("maxlen:any-cell:10000000", [3, None]), ("maxlen:all-cells:0.5", [3, None]),
+        ("maxlen:all-cells:nan", [3, None]), ("maxlen:any-cell", [3, None]),
+        ("maxlen:any-cell:1.0:x", [3, None])])
+    def test_entry_under_a_key_never_written_warns_and_is_dropped(self, tmp_path, caplog,
+                                                                  key, entry):
+        # the entry's value is one the provider could have written, but under
+        # no key that it writes: strictly increasing column indices in [0, p),
+        # or maxlen:<rule>:<repr of a float >= 1>
+        model = model_of([0.5, 0.5], [0.3, 0.7], [0.2, 0.8])
+        pa = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        pa.maxlen("any-cell")
+        pa.get((0, 2))
+        pa.flush_spill()
+        (spill,) = tmp_path.glob("thresholds-*.json")
+        good = json.loads(spill.read_text())
+        assert key not in good
+        spill.write_text(json.dumps({**good, key: entry}))
+        pb = ThresholdProvider(model, 60, 0.05, cache_dir=str(tmp_path))
+        assert caplog.text.count(f"ignoring threshold cache {spill}: 1 malformed") == 1
+        assert pb.maxlen("any-cell") == pa.maxlen("any-cell")
+        assert pb.get((0, 2)) == pa.get((0, 2))
+        assert pb.tables_computed == 0
+        pb.flush_spill()
+        assert json.loads(spill.read_text()) == good
+
     def test_spilled_decision_is_served(self, tmp_path, monkeypatch):
         model = model_of([0.9, 0.1], [0.9, 0.1], [0.9, 0.1])
         pa = ThresholdProvider(model, 200, 0.05, cache_dir=str(tmp_path))
