@@ -136,7 +136,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     mapping = None  # the probability file's, checked against the data in user_model
     if cfg.probs:
         try:
-            with open(cfg.probs) as fh:
+            with open(cfg.probs, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
             raise IngestionError(f"cannot read probability file: {exc}") from exc

@@ -144,7 +144,7 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
 def load_config_file(path: str) -> dict[str, Any]:
     """Flat key-value JSON; a run.json (config nested under "config") also works."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise IngestionError(f"cannot read config file {path}: {exc}") from exc

@@ -231,13 +231,14 @@ def load_dataset(rows: Iterable[Sequence[str]], cfg: RunConfig | None = None) ->
 def read_csv(path, cfg: RunConfig | None = None) -> Dataset:
     """Read a delimited UTF-8 text file and encode it; blank lines are skipped.
 
-    The records stream into `load_dataset`, which keeps each distinct one
-    once; a record ended by LF, CRLF or CR is the same record. The ingestion
-    options of `cfg` are checked before the file is opened.
+    It is decoded as UTF-8 whatever the locale, and a leading byte-order mark
+    is dropped. The records stream into `load_dataset`, which keeps each
+    distinct one once; a record ended by LF, CRLF or CR is the same record.
+    The ingestion options of `cfg` are checked before the file is opened.
     """
     cfg = cfg or RunConfig()
     cfg.check_ingestion()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return load_dataset((r for r in csv.reader(fh, delimiter=cfg.delimiter) if r), cfg)
 
 

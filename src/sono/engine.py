@@ -12,13 +12,6 @@ from .scoring import ScoreReport, build_report
 from .thresholds import MaxlenDecision, ThresholdProvider
 
 CACHE_ENV = "SONO_CACHE_DIR"
-if not os.environ.get(CACHE_ENV):
-    # Without a spill file every run computes its tables, so sono.simci is
-    # loaded here with the rest of the scoring path, before any input is
-    # read: loaded on top of the input, where sono.thresholds would load it,
-    # it raised a cold run's peak memory by 0.1 to 0.3 MiB. With a spill file
-    # it waits for a table or a maxlen decision that the file does not hold.
-    from . import simci  # noqa: F401
 
 
 @dataclass

@@ -124,7 +124,7 @@ TABLE1: dict[str, tuple[int, int]] = {
 
 def _read_raw(path: str, delimiter: str) -> list[list[str]]:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         if delimiter == " ":
             for line in fh:
                 parts = line.split()

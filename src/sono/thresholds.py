@@ -17,9 +17,12 @@ and the maxlen decision, from memory or from its spill file. A provider with
 a spill file names it by a BLAKE2b digest from CPython's `_blake2` module,
 which loads no OpenSSL.
 
-sono.simci is imported inside the functions that compute (and is looked up
-there at each call), so a run whose tables and maxlen all come from the
-spill file never loads it; the spill key reads the sources as files.
+sono.simci, and SciPy's ufunc module behind it, are imported inside the
+functions that compute (and looked up there at each call), at a run's first
+table or maxlen question that must be computed. That is the one load order:
+no import of the scoring path loads them, and a run whose tables and maxlen
+all come from the spill file never does; the spill key reads the sources as
+files.
 """
 from __future__ import annotations
 

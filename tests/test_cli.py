@@ -100,14 +100,15 @@ assert "OPENBLAS_NUM_THREADS" not in os.environ
 """
 
 # Runs `sono` with the given arguments (or only imports it, given none), then
-# prints the sono, xml and hashlib modules loaded as the last line of standard
-# output.
+# prints the sono, xml, hashlib, SciPy and logging modules loaded as the last
+# line of standard output.
 RUN_AND_LIST_MODULES = """
 import sys
 from sono.cli import main
 status = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(*sorted(m for m in sys.modules
-              if m.startswith(("sono.", "xml.", "hashlib", "_hashlib"))))
+              if m.startswith(("sono.", "xml.", "hashlib", "_hashlib", "scipy"))
+              or m == "logging"))
 sys.exit(status)
 """
 
@@ -368,6 +369,56 @@ class TestScoreCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"ingestion error: {message}")
 
+    def test_byte_order_mark_is_not_part_of_the_table(self, sample_csv, tmp_path):
+        # a BOM used to become part of the first column's name, so that
+        # --drop-cols A failed and contributions.csv's header read "\ufeffA"
+        bom = tmp_path / "bom.csv"
+        with open(sample_csv, encoding="utf-8") as fh:
+            bom.write_text(fh.read(), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbfA,B,C")
+        for drop, header in (([], b"row,A,B,C\r\n"), (["--drop-cols", "A"], b"row,B,C\r\n")):
+            outs = []
+            for path in (sample_csv, bom):
+                out = tmp_path / f"out-{len(outs)}-{len(drop)}"
+                assert main(["score", "--input", str(path), "--out", str(out), *drop]) == 0
+                outs.append([(out / f).read_bytes() for f in ("scores.csv", "contributions.csv")])
+            assert outs[0] == outs[1]
+            assert outs[1][1].startswith(header)
+
+    def test_config_and_probability_files_are_read_as_utf8_in_any_locale(self, tmp_path):
+        # under an ASCII locale a --probs file with a non-ASCII label used to
+        # exit 2 with "'ascii' codec can't decode byte 0xc3", though the CSV
+        # holding the same label read fine
+        rng = np.random.default_rng(8)
+        rows = np.column_stack([rng.choice(["\u00e9", "x"], 300, p=[0.8, 0.2]),
+                                rng.choice(["\u00f1", "y", "z"], 300),
+                                rng.choice(["u", "v"], 300)])
+        path = tmp_path / "d.csv"
+        path.write_text("\u00c9,B,\u00d6\n" + "".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"\u00c9": {"\u00e9": 0.7, "x": 0.3}}, ensure_ascii=False),
+                         encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"drop_cols": ["\u00d6"], "missing_markers": ["\u00f1"]},
+                                     ensure_ascii=False), encoding="utf-8")
+        argv = ["score", "--input", str(path), "--probs", str(probs), "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "utf8")]) == 0
+        code = ("import locale, sys\n"
+                "from sono.cli import main\n"
+                "print(locale.getpreferredencoding(False))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = run_python(code, *argv, "--out", str(tmp_path / "ascii"),
+                          env={"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+                               "PYTHONIOENCODING": None, "SONO_CACHE_DIR": None})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0].lower().replace("-", "") != "utf8"
+        for name in ("scores.csv", "contributions.csv"):
+            assert ((tmp_path / "utf8" / name).read_bytes()
+                    == (tmp_path / "ascii" / name).read_bytes())
+        assert (tmp_path / "ascii" / "contributions.csv").read_bytes().startswith(
+            "row,\u00c9,B\r\n".encode())
+
     def test_no_input_given(self):
         assert main(["score"]) == 2
 
@@ -392,11 +443,15 @@ class TestScoreCommand:
         assert doc["dataset"]["p"] == 2
         assert doc["config"]["prune"] is False
 
-    def test_unknown_drop_cols_exit_code(self, sample_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("drop, message", [
+        ("NOPE", "cannot drop unknown column(s): NOPE"),
+        ("A,B,C", "all columns dropped"),
+    ], ids=["unknown", "every-column"])
+    def test_drop_cols_exit_code(self, sample_csv, tmp_path, capsys, drop, message):
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--out", str(out),
-                     "--drop-cols", "NOPE"]) == 2
-        assert "unknown column(s): NOPE" in capsys.readouterr().err
+                     "--drop-cols", drop]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"ingestion error: {message}"]
         assert not (out / "scores.csv").exists()
 
     def test_retired_threads_key_in_old_run_json(self, sample_csv, tmp_path, caplog):
@@ -551,7 +606,10 @@ class TestScoreCommand:
         # no format used to run the whole search and write nothing
         (["--format", ""], "format must name at least one of csv, json, svg"),
         ({"format": []}, "format must name at least one of csv, json, svg"),
-    ], ids=["max-cells-0", "max-cells-negative", "format-empty", "config-format-empty"])
+        # argparse checks --mode; a config file's mode is checked here
+        ({"mode": "sideways"}, "mode must be infrequent or frequent, got 'sideways'"),
+    ], ids=["max-cells-0", "max-cells-negative", "format-empty", "config-format-empty",
+            "config-mode"])
     def test_option_rejected_before_thresholds(self, sample_csv, tmp_path, capsys,
                                                monkeypatch, options, message):
         if isinstance(options, dict):
@@ -645,6 +703,14 @@ class TestScoreCommand:
         assert main(["score", "--input", sample_csv, "--out", str(taken)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("output failure: ")
+
+    def test_output_failure_after_scoring_exit_code(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "scores.csv").mkdir(parents=True)
+        assert main(["score", "--input", sample_csv, "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("output failure: ") and "Is a directory" in err[-1]
+        assert err[0].startswith("n=60 p=3 ")  # the search ran before the write failed
 
     @pytest.mark.parametrize("mode", ["infrequent", "frequent"])
     def test_r_beyond_float_range_rejected_before_thresholds(
@@ -864,18 +930,23 @@ class TestStartup:
         proc = run_python(RUN_AND_LIST_MODULES, *argv, env=env)
         return proc, set((proc.stdout.splitlines() or [""])[-1].split())
 
-    @pytest.mark.parametrize("command", ["import", "score", "score-cached"])
+    @pytest.mark.parametrize("command", ["import", "import-cached", "score", "score-cached"])
     def test_scoring_loads_no_audit_module(self, command, sample_csv, tmp_path):
-        argv = ([] if command == "import"
+        argv = ([] if command.startswith("import")
                 else ["score", "--input", sample_csv, "--out", str(tmp_path / "out")])
         cache = tmp_path / "cache"
-        env = {"SONO_CACHE_DIR": str(cache) if command == "score-cached" else None}
+        env = {"SONO_CACHE_DIR": str(cache) if command.endswith("-cached") else None}
         proc, loaded = self.run_listing_modules(argv, env)
         assert proc.returncode == 0, proc.stderr
         assert "sono.engine" in loaded
-        # loaded with the scoring path when no spill file can serve the tables,
-        # else by the first table that is computed
-        assert "sono.simci" in loaded
+        # one load order, whatever the environment: no import loads sono.simci
+        # or SciPy; the first table that is computed loads sono.simci and
+        # SciPy's ufunc module, and no SciPy package init or logging
+        if argv:
+            assert {"sono.simci", "scipy.special._ufuncs"} <= loaded
+            assert not loaded & {"scipy", "scipy.special", "logging"}
+        else:
+            assert not {m for m in loaded if m == "sono.simci" or m.startswith("scipy")}
         assert not loaded & NOT_FOR_SCORING
         # no OpenSSL: the spill file is named without hashlib
         assert not loaded & {"hashlib", "_hashlib"}
@@ -887,7 +958,7 @@ class TestStartup:
             assert proc.returncode == 0, proc.stderr
             assert not loaded & {"hashlib", "_hashlib"}
             # every table and the maxlen decision come from the spill file
-            assert "sono.simci" not in loaded
+            assert not {m for m in loaded if m == "sono.simci" or m.startswith("scipy")}
             tables = json.loads((out / "run.json").read_text())["results"]["tables"]
             assert tables["computed"] == 0 and tables["from_spill"] > 0
 

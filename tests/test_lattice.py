@@ -213,6 +213,20 @@ class TestSearchSemantics:
         # the inclusion is tested on flagged rows, and is strict on some
         assert with_flags >= 10 and pruned_away >= 1
 
+    @pytest.mark.parametrize("other", ["n", "alpha", "max_cells", "model"])
+    def test_provider_built_for_other_inputs_is_refused(self, other):
+        ds = random_dataset(np.random.default_rng(3), n_max=60, p_max=4)
+        model, cfg = empirical_model(ds), RunConfig()
+        built = {"model": model, "n": ds.n, "alpha": cfg.alpha, "max_cells": cfg.max_cells}
+        if other == "model":
+            built["model"] = empirical_model(ds)  # equal, but not the run's
+        else:
+            built[other] *= 2
+        provider = ThresholdProvider(built["model"], built["n"], built["alpha"],
+                                     max_cells=built["max_cells"])
+        with pytest.raises(ValueError, match="built for other inputs"):
+            run_analysis(ds, model, cfg, provider)
+
     def test_apriori_monotonicity_of_supports(self):
         rng = np.random.default_rng(41)
         ds = random_dataset(rng, n_max=60, p_max=4)

@@ -64,9 +64,11 @@ def test_lymphography_recipe_drops_class(tmp_path):
     assert shape == (2, 18)
 
 
-def test_header_recipes_drop_by_name(tmp_path):
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "bom"])
+def test_header_recipes_drop_by_name(tmp_path, encoding):
+    # a byte-order mark is not part of the first column's name
     (tmp_path / "Thyroid_Diff.csv").write_text(
-        "Age,Gender,Smoking,Recurred\n27,F,No,No\n34,F,Yes,Yes\n")
+        "Age,Gender,Smoking,Recurred\n27,F,No,No\n34,F,Yes,Yes\n", encoding=encoding)
     out = tmp_path / "thy.csv"
     with pytest.warns(UserWarning):
         shape = prepare_dataset("thyroid", str(tmp_path), str(out))
@@ -76,7 +78,8 @@ def test_header_recipes_drop_by_name(tmp_path):
     assert rows[0] == ["Gender", "Smoking"]
 
     (tmp_path / "diabetes_data_upload.csv").write_text(
-        "Age,Gender,Polyuria,class\n40,Male,No,Positive\n58,Male,Yes,Positive\n")
+        "Age,Gender,Polyuria,class\n40,Male,No,Positive\n58,Male,Yes,Positive\n",
+        encoding=encoding)
     with pytest.warns(UserWarning):
         shape = prepare_dataset("diabetes", str(tmp_path), str(out))
     assert shape == (2, 2)

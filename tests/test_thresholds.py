@@ -167,6 +167,9 @@ class TestDetermineMaxlen:
         assert any_cell.maxlen >= all_cells.maxlen
         # min cell of a pair table: 200 * 0.01 = 2 - c < 2 so all-cells stops at 1
         assert all_cells.maxlen == 1
+        # an unknown rule raises instead of falling back
+        with pytest.raises(ValueError, match="unknown maxlen rule 'bogus'"):
+            determine_maxlen(model, n, 0.05, rule="bogus")
 
     def test_first_failing_size_stops(self):
         model = model_of([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
