@@ -33,7 +33,7 @@ if not os.environ.get("OPENBLAS_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config_file, merge_config
+from .config import RunConfig, load_config_file, merge_config, read_json_object
 from .data import empirical_model, read_csv, user_model
 from .engine import run_analysis
 from .errors import (CISearchFailure, DomainError, EmptyDatasetError,
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("score", help="score a CSV of nominal variables")
     ps.add_argument("--input", help="input CSV path")
     ps.add_argument("--config", help="flat JSON config file (or a previous run.json)")
-    ps.add_argument("--mode", choices=("infrequent", "frequent"))
+    ps.add_argument("--mode", metavar="{infrequent,frequent}")
     ps.add_argument("--alpha", type=float)
     ps.add_argument("--r", type=float, dest="r")
     ps.add_argument("--no-prune", action="store_const", const=False, dest="prune",
@@ -87,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--missing-markers", dest="missing_markers",
                     help="comma list of missing-value markers")
     ps.add_argument("--level-order", dest="level_order", metavar="{first,lexicographic}")
-    ps.add_argument("--maxlen-rule", dest="maxlen_rule",
-                    choices=("any-cell", "all-cells"))
+    ps.add_argument("--maxlen-rule", dest="maxlen_rule", metavar="{any-cell,all-cells}")
     ps.add_argument("--max-cells", dest="max_cells", type=float)
 
     pv = sub.add_parser("verify", help="run the reference-oracle audit suites")
@@ -133,26 +132,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not cfg.input:
         raise IngestionError("no --input file given")
     cfg.validate()  # the checks that need no data, before --out is made
-    mapping = None  # the probability file's, checked against the data in user_model
-    if cfg.probs:
-        try:
-            with open(cfg.probs, encoding="utf-8-sig") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
-            raise IngestionError(f"cannot read probability file: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise IngestionError("bad probability file: it must hold a JSON object")
-        mapping = {
-            var: (dict((k, v) for entry in spec for k, v in entry.items())
-                  if isinstance(spec, list) and all(isinstance(e, dict) for e in spec)
-                  else spec)
-            for var, spec in doc.items()
-        }
-    try:  # before the input is read, so a bad --out costs no search
-        os.makedirs(cfg.out, exist_ok=True)
-    except OSError as exc:
-        print(f"output failure: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    # user_model checks the probabilities against the data
+    mapping = read_json_object(cfg.probs, "probability file") if cfg.probs else None
+    # before the input is read, so a bad --out costs no search
+    os.makedirs(cfg.out, exist_ok=True)
     t_start = time.perf_counter()
     try:
         ds = read_csv(cfg.input, cfg)
@@ -183,58 +166,54 @@ def cmd_score(args: argparse.Namespace) -> int:
           f"nonzero scores {nonzero}/{ds.n} "
           f"in {info.runtime_s:.1f}s", file=sys.stderr)
 
-    try:
-        t_write = time.perf_counter()
-        if "csv" in cfg.format:
-            _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
-                            zip(scores.tolist(), report.distinct_depths.tolist()), group)
-            _write_rows_csv(os.path.join(cfg.out, "contributions.csv"), ds.variable_names,
-                            report.distinct_contributions.tolist(), group)
-        if "json" in cfg.format:
-            # Timings and table counts go under "results", next to runtime_s,
-            # so every block but "config" and "results" is the same on each run
-            # of an input (a warm run serves from the spill file what a cold
-            # one computed).
-            # write_s covers the CSV files, written before run.json and the SVG.
-            timings = {"read_s": t_read - t_start, "model_s": t_model - t_read,
-                       **info.timings, "write_s": time.perf_counter() - t_write}
-            run_doc = {
-                "config": cfg.to_flat_dict(),
-                "dataset": {
-                    "n": ds.n, "p": ds.p,
-                    "variables": list(ds.variable_names),
-                    "level_counts": list(ds.level_counts),
-                    "dropped_rows": ds.dropped_rows,
-                },
-                "maxlen": {
-                    "value": info.maxlen,
-                    "rule": info.maxlen_rule,
-                    "violating_subset": list(info.violating_subset)
-                    if info.violating_subset is not None else None,
-                },
-                "thresholds": {
-                    "c_by_size": {str(k): v for k, v in info.c_by_size.items()},
-                },
-                "instrumentation": asdict(info.stats),
-                "diagnostics": {"saturated_tables": info.saturated_tables},
-                "results": {
-                    "nonzero_scores": nonzero,
-                    "max_score": float(scores.max()),
-                    "runtime_s": info.runtime_s,
-                    "timings": timings,
-                    "tables": info.tables,
-                },
-            }
-            with open(os.path.join(cfg.out, "run.json"), "w") as fh:
-                json.dump(run_doc, fh, indent=2)
-        if "svg" in cfg.format:
-            from .plots import score_depth_scatter_svg
-            score_depth_scatter_svg(
-                report.depths, report.scores,
-                os.path.join(cfg.out, "score_vs_depth.svg"))
-    except OSError as exc:
-        print(f"output failure: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    t_write = time.perf_counter()
+    if "csv" in cfg.format:
+        _write_rows_csv(os.path.join(cfg.out, "scores.csv"), ["score", "depth"],
+                        zip(scores.tolist(), report.distinct_depths.tolist()), group)
+        _write_rows_csv(os.path.join(cfg.out, "contributions.csv"), ds.variable_names,
+                        report.distinct_contributions.tolist(), group)
+    if "json" in cfg.format:
+        # Timings and table counts go under "results", next to runtime_s,
+        # so every block but "config" and "results" is the same on each run
+        # of an input (a warm run serves from the spill file what a cold
+        # one computed).
+        # write_s covers the CSV files, written before run.json and the SVG.
+        timings = {"read_s": t_read - t_start, "model_s": t_model - t_read,
+                   **info.timings, "write_s": time.perf_counter() - t_write}
+        run_doc = {
+            "config": asdict(cfg),
+            "dataset": {
+                "n": ds.n, "p": ds.p,
+                "variables": list(ds.variable_names),
+                "level_counts": list(ds.level_counts),
+                "dropped_rows": ds.dropped_rows,
+            },
+            "maxlen": {
+                "value": info.maxlen,
+                "rule": info.maxlen_rule,
+                "violating_subset": list(info.violating_subset)
+                if info.violating_subset is not None else None,
+            },
+            "thresholds": {
+                "c_by_size": {str(k): v for k, v in info.c_by_size.items()},
+            },
+            "instrumentation": asdict(info.stats),
+            "diagnostics": {"saturated_tables": info.saturated_tables},
+            "results": {
+                "nonzero_scores": nonzero,
+                "max_score": float(scores.max()),
+                "runtime_s": info.runtime_s,
+                "timings": timings,
+                "tables": info.tables,
+            },
+        }
+        with open(os.path.join(cfg.out, "run.json"), "w") as fh:
+            json.dump(run_doc, fh, indent=2)
+    if "svg" in cfg.format:
+        from .plots import score_depth_scatter_svg
+        score_depth_scatter_svg(
+            report.depths, report.scores,
+            os.path.join(cfg.out, "score_vs_depth.svg"))
     return EXIT_OK
 
 
@@ -290,7 +269,7 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_prepare(args)
-    except (IngestionError, EmptyDatasetError, FileNotFoundError) as exc:
+    except (IngestionError, EmptyDatasetError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except (CISearchFailure, TableExplosion) as exc:
@@ -299,6 +278,9 @@ def _run(argv: list[str] | None) -> int:
     except (DomainError, SonoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
+    except OSError as exc:  # every reader raises IngestionError, so a write failed
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

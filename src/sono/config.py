@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from typing import Any, Mapping
 
 from .errors import DomainError, IngestionError, log_warning
@@ -76,7 +76,8 @@ class RunConfig:
         if bad:
             raise DomainError(f"unknown output formats {sorted(bad)}")
         if self.maxlen_rule not in ("any-cell", "all-cells"):
-            raise DomainError("maxlen-rule must be any-cell or all-cells")
+            raise DomainError(f"maxlen-rule must be any-cell or all-cells, "
+                              f"got {self.maxlen_rule!r}")
         if math.isnan(self.max_cells):
             raise DomainError("max-cells must be a number")
         if self.max_cells < 1:
@@ -98,13 +99,6 @@ class RunConfig:
             raise IngestionError(f"unknown missing policy {self.missing!r}")
         if self.level_order not in ("first", "lexicographic"):
             raise IngestionError(f"unknown level order {self.level_order!r}")
-
-    def to_flat_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["format"] = list(self.format)
-        d["drop_cols"] = list(self.drop_cols)
-        d["missing_markers"] = list(self.missing_markers)
-        return d
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -141,15 +135,23 @@ def merge_config(defaults: RunConfig, file_values: Mapping[str, Any] | None,
     return RunConfig(**values)
 
 
-def load_config_file(path: str) -> dict[str, Any]:
-    """Flat key-value JSON; a run.json (config nested under "config") also works."""
+def read_json_object(path: str, what: str) -> dict[str, Any]:
+    """The JSON object a UTF-8 file holds (a byte-order mark allowed), read
+    whatever the locale; `what` names the file in the IngestionError that
+    any other content, or a failed read, raises."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
-        raise IngestionError(f"cannot read config file {path}: {exc}") from exc
+        raise IngestionError(f"cannot read {what}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise IngestionError(f"config file {path} must hold a JSON object")
+        raise IngestionError(f"{what} must hold a JSON object")
+    return doc
+
+
+def load_config_file(path: str) -> dict[str, Any]:
+    """Flat key-value JSON; a run.json (config nested under "config") also works."""
+    doc = read_json_object(path, f"config file {path}")
     if "config" in doc and isinstance(doc["config"], dict):
         doc = doc["config"]
     return doc

@@ -250,15 +250,22 @@ def empirical_model(ds: Dataset) -> ProbabilityModel:
         for i, l in enumerate(ds.level_counts)))
 
 
-def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]]
+def user_model(ds: Dataset, mapping: Mapping[str, Mapping[str, float]
+                                             | Sequence[Mapping[str, float]]]
                ) -> tuple[Dataset, ProbabilityModel]:
-    """Model from a {variable: {level label: probability}} mapping.
+    """Model from a {variable: levels} mapping, where levels is either
+    {level label: probability} or a list [{level label: probability}, ...],
+    whose entries are merged in order. `mapping` itself is not changed.
 
     Variables absent from the mapping fall back to empirical proportions.
     Labels in the mapping that were never observed extend the variable's
     vocabulary (their probability participates in thresholds, and may be 0).
     An observed level may not have probability 0.
     """
+    mapping = {name: ({k: v for entry in spec for k, v in entry.items()}
+                      if isinstance(spec, list) and all(isinstance(e, Mapping) for e in spec)
+                      else spec)
+               for name, spec in mapping.items()}
     unknown = set(mapping) - set(ds.variable_names)
     if unknown:
         raise DomainError(f"probability file names unknown variables: {sorted(unknown)}")

@@ -232,20 +232,25 @@ def simultaneous_intervals(spec: CellSpec, alpha: float) -> SimultaneousCI:
                           upper=spec.probs + (c + 2.0 * gamma) / spec.n)
 
 
-def simulated_coverage(spec: CellSpec, alpha: float, sims: int,
-                       rng: np.random.Generator) -> tuple[SimultaneousCI, float]:
+def simulated_coverage(spec: CellSpec, alpha: float, sims: int, rng: np.random.Generator
+                       ) -> tuple[SimultaneousCI, float, float]:
     """Monte Carlo simultaneous coverage of the two-sided intervals.
 
-    Returns the intervals and the share of `sims` multinomial draws from
-    `rng` whose counts all lie inside them. The endpoints are mapped to
-    integer count bounds through `_snap`: the construction puts them exactly
-    on lattice points, where a raw float comparison loses whole layers.
+    Returns the intervals, the share of `sims` multinomial draws from `rng`
+    whose counts all lie inside them, and the exact probability of that
+    event: the multinomial box probability of the same count bounds, by
+    `_sequential_convolution`. The endpoints are mapped to integer count
+    bounds through `_snap`: the construction puts them exactly on lattice
+    points, where a raw float comparison loses whole layers.
     """
     ci = simultaneous_intervals(spec, alpha)
     lo = np.ceil(_snap(spec.n * ci.lower))
     hi = np.floor(_snap(spec.n * ci.upper))
     draws = rng.multinomial(spec.n, spec.probs, size=sims)
-    return ci, float(np.all((draws >= lo) & (draws <= hi), axis=1).mean())
+    rate = float(np.all((draws >= lo) & (draws <= hi), axis=1).mean())
+    exact = _sequential_convolution(spec, spec.n * spec.probs, np.maximum(lo, 0.0),
+                                    np.minimum(hi, float(spec.n)), EXACT_NU_WORK_CAP)
+    return ci, rate, exact
 
 
 # ---------------------------------------------------------------------------

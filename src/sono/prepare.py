@@ -123,18 +123,15 @@ TABLE1: dict[str, tuple[int, int]] = {
 
 
 def _read_raw(path: str, delimiter: str) -> list[list[str]]:
-    rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        if delimiter == " ":
-            for line in fh:
-                parts = line.split()
-                if parts:
-                    rows.append(parts)
-        else:
-            for parts in csv.reader(fh, delimiter=delimiter):
-                if parts:
-                    rows.append(parts)
-    return rows
+    """The non-blank records of a UTF-8 raw file; a space delimiter splits on
+    any run of whitespace."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            if delimiter == " ":
+                return [parts for parts in map(str.split, fh) if parts]
+            return [parts for parts in csv.reader(fh, delimiter=delimiter) if parts]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read raw file {path}: {exc}") from exc
 
 
 def prepare_dataset(name: str, raw_dir: str, out_path: str) -> tuple[int, int]:

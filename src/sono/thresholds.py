@@ -36,9 +36,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_MAX_CELLS
+from .config import DEFAULT_MAX_CELLS, read_json_object
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
-from .errors import TableExplosion, log_warning
+from .errors import IngestionError, TableExplosion, log_warning
 
 if TYPE_CHECKING:
     from .simci import CellSpec
@@ -278,11 +278,8 @@ class ThresholdProvider:
     def _load_spill(self) -> dict[str, list]:
         """The spill file's well-formed entries; what cannot be used is reported."""
         try:
-            with open(self._spill_path, encoding="utf-8") as fh:
-                spilled = json.load(fh)
-            if not isinstance(spilled, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
+            spilled = read_json_object(self._spill_path, "it")
+        except IngestionError as exc:
             log_warning(__name__, "ignoring threshold cache %s (%s); recomputing",
                         self._spill_path, exc)
             self._unsaved = True

@@ -342,6 +342,19 @@ class TestScoreCommand:
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("option", ["--input", "--config", "--probs"])
+    def test_missing_file_exit_code(self, sample_csv, tmp_path, capsys, option):
+        # each reader raises its own ingestion error: a missing file is not
+        # taken for a failed write
+        argv = ["--input", sample_csv] if option != "--input" else []
+        out = tmp_path / "out"
+        assert main(["score", *argv, option, str(tmp_path / "nope.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ingestion error: cannot read ")
+        assert "No such file or directory" in err[0]
+        assert out.exists() == (option == "--input")  # --out is made just before the input is read
+
     @pytest.mark.parametrize("kind", ["latin-1", "long field", "directory",
                                       "empty delimiter", "long delimiter",
                                       "long delimiter in config"])
@@ -496,6 +509,27 @@ class TestScoreCommand:
         doc = json.loads((out / "run.json").read_text())
         assert doc["dataset"]["level_counts"] == [3]
 
+    def test_both_probability_forms_score_alike(self, sample_csv, tmp_path):
+        # the list form [{level: p}, ...] scores as the mapping form does, from
+        # the command line and from user_model alike
+        ds = sono.read_csv(sample_csv)
+        spec = {"A": {"a1": 0.6, "a2": 0.3, "a3": 0.1}, "B": {"b1": 0.5, "b2": 0.5, "b3": 0.0}}
+        forms = {"mapping": spec, "list": {var: [{k: v} for k, v in levels.items()]
+                                           for var, levels in spec.items()}}
+        outputs, scores = [], []
+        for name, doc in forms.items():
+            probs = tmp_path / f"{name}.json"
+            probs.write_text(json.dumps(doc))
+            out = tmp_path / name
+            assert main(["score", "--input", sample_csv, "--probs", str(probs),
+                         "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("scores.csv", "contributions.csv")])
+            report, _, _ = sono.run_analysis(*sono.user_model(ds, doc), sono.RunConfig())
+            scores.append(report.scores.tolist())
+        assert outputs[0] == outputs[1] and scores[0] == scores[1]
+        with open(tmp_path / "mapping" / "scores.csv", newline="") as fh:
+            assert [float(row[1]) for row in list(csv.reader(fh))[1:]] == scores[0]
+
     def test_probabilities_the_model_accepts_reach_every_table(self, tmp_path):
         # each vector sums to 1 within the model's 1e-12, and their products
         # used to fail the cell probabilities' own 1e-12 from the pairs on
@@ -522,7 +556,6 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("doc, message", [
         ('{"V": {"a": NaN, "b": 0.5}}', "not in [0, 1]"),
-        ('[{"V": {"a": 0.5, "b": 0.5}}]', "must hold a JSON object"),
         ('{"V": {"a": "abc", "b": 0.5}}', "must be numbers"),
         # strings that parse as numbers, and booleans, are not JSON numbers
         ('{"V": {"a": "0.5", "b": "0.5"}}', "must be numbers"),
@@ -606,10 +639,14 @@ class TestScoreCommand:
         # no format used to run the whole search and write nothing
         (["--format", ""], "format must name at least one of csv, json, svg"),
         ({"format": []}, "format must name at least one of csv, json, svg"),
-        # argparse checks --mode; a config file's mode is checked here
+        # RunConfig.validate is the one check of --mode and --maxlen-rule,
+        # from either source; argparse's own check of the flags exited 2
         ({"mode": "sideways"}, "mode must be infrequent or frequent, got 'sideways'"),
+        (["--mode", "sideways"], "mode must be infrequent or frequent, got 'sideways'"),
+        ({"maxlen_rule": "bogus"}, "maxlen-rule must be any-cell or all-cells, got 'bogus'"),
+        (["--maxlen-rule", "bogus"], "maxlen-rule must be any-cell or all-cells, got 'bogus'"),
     ], ids=["max-cells-0", "max-cells-negative", "format-empty", "config-format-empty",
-            "config-mode"])
+            "config-mode", "mode", "config-maxlen-rule", "maxlen-rule"])
     def test_option_rejected_before_thresholds(self, sample_csv, tmp_path, capsys,
                                                monkeypatch, options, message):
         if isinstance(options, dict):
@@ -661,9 +698,10 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("doc, message", [
         (None, "cannot read probability file: "),
-        ("[1, 2]", "bad probability file: it must hold a JSON object"),
+        ("[1, 2]", "probability file must hold a JSON object"),
+        ('[{"V": {"a": 0.5, "b": 0.5}}]', "probability file must hold a JSON object"),
         ("{", "cannot read probability file: "),
-    ], ids=["missing-file", "not-an-object", "not-json"])
+    ], ids=["missing-file", "not-an-object", "list-of-objects", "not-json"])
     def test_probability_file_checked_before_out(self, sample_csv, tmp_path, capsys,
                                                  monkeypatch, doc, message):
         # these used to exit 2 only after the input was read into a new --out

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 import tempfile
 
@@ -235,6 +236,19 @@ class TestUserModel:
     def test_levels_not_a_mapping_rejected(self, toy_table):
         with pytest.raises(DomainError, match="must map level labels"):
             user_model(toy_table, {"V1": [0.5, 0.5]})
+
+    def test_list_form_gives_the_mapping_form_vectors(self, toy_table):
+        # the list form used to be merged only by the command line, and
+        # user_model refused it
+        listed = {"V1": [{"a": 0.5}, {"b": 0.3}, {"c": 0.2}], "V2": [{"x": 0.4, "y": 0.6}]}
+        before = json.dumps(listed)
+        ds, model = user_model(toy_table, listed)
+        ds2, model2 = user_model(toy_table, {"V1": {"a": 0.5, "b": 0.3, "c": 0.2},
+                                             "V2": {"x": 0.4, "y": 0.6}})
+        assert ds.level_labels == ds2.level_labels == (("a", "b", "c"), ("x", "y"))
+        assert [v.tolist() for v in model.pi] == [v.tolist() for v in model2.pi] \
+            == [[0.5, 0.3, 0.2], [0.4, 0.6]]
+        assert json.dumps(listed) == before  # the caller's mapping is not changed
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,10 +8,14 @@ import scipy.stats as st_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sono.oracle
+import sono.simci
 from sono import (CellSpec, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
-from sono.oracle import _best_configuration, flag_keys
+from sono.oracle import (_best_configuration, _coverage_enumeration, flag_keys,
+                         simulated_coverage)
+from sono.verify import suite_coverage_simulation
 
 from conftest import flags_of, make_dataset
 
@@ -251,3 +255,39 @@ def test_oracle_does_not_reuse_the_fast_exact_path():
     import sono.oracle as oracle
     assert not hasattr(oracle, "_coverage_convolution")
     assert not hasattr(oracle, "find_c")
+
+
+class TestCoverageSimulation:
+    """`sono verify --suite coverage`: k = 5 equiprobable cells, n = 100,
+    alpha 0.05, so c = 9, gamma = 0.747 and count bounds 11..30 per cell."""
+
+    def test_exact_coverage_of_the_simulated_bounds(self):
+        spec = CellSpec(probs=np.full(5, 0.2), n=100)
+        ci, rate, exact = simulated_coverage(spec, 0.05, 1000, np.random.default_rng(0))
+        assert (ci.c, round(ci.gamma, 3)) == (9, 0.747)
+        assert exact == pytest.approx(
+            _coverage_enumeration(spec, np.full(5, 11.0), np.full(5, 30.0)), abs=1e-12)
+        assert round(exact, 6) == 0.944859
+
+    @pytest.mark.parametrize("seed", [59, 231])
+    def test_passes_where_the_simulated_rate_left_the_band(self, seed):
+        # the rate of 10,000 draws reads 0.9376 and 0.9398 here, and failed
+        # when the band [0.94, 0.99] was judged on it (2.1 SD below the mean)
+        [(_, ok, detail)] = suite_coverage_simulation(seed)
+        assert ok, detail
+
+    @pytest.mark.parametrize("shift, coverage", [(-1, "0.892537"), (3, "0.994983")])
+    def test_fails_when_the_exact_coverage_leaves_the_band(self, monkeypatch, shift,
+                                                           coverage):
+        # intervals built on a c one too small, or three too large
+        real = sono.simci.find_c
+        monkeypatch.setattr(sono.simci, "find_c", lambda spec, level: (
+            real(spec, level)[0] + shift, real(spec, level)[1]))
+        [(_, ok, detail)] = suite_coverage_simulation()
+        assert not ok and detail.startswith(f"simultaneous coverage {coverage} exact")
+
+    def test_fails_when_the_draws_disagree_with_the_exact_coverage(self, monkeypatch):
+        # an exact value inside the band, but 15 SD from what the draws read
+        monkeypatch.setattr(sono.oracle, "_sequential_convolution", lambda *args: 0.97)
+        [(_, ok, detail)] = suite_coverage_simulation()
+        assert not ok, detail

@@ -158,3 +158,38 @@ def test_cli_prepare_no_data_rows_is_ingestion_error(tmp_path, capsys, recipe, f
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [f"ingestion error: {message}"]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("recipe, fname, kind", [
+    ("thyroid", "Thyroid_Diff.csv", "directory"),
+    ("thyroid", "Thyroid_Diff.csv", "utf-16"),
+    ("solar-flare", "flare.data1", "utf-16"),
+], ids=["directory", "utf-16", "utf-16-whitespace"])
+def test_cli_prepare_unreadable_raw_file_is_ingestion_error(tmp_path, capsys, recipe, fname,
+                                                            kind):
+    # each used to end in an IsADirectoryError or UnicodeDecodeError traceback
+    for other in RECIPES[recipe].files:
+        (tmp_path / other).write_text("H K C 1 1 1 1 2 1 2 1 0 0\n")
+    path = tmp_path / fname
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+    else:  # a UTF-16 byte-order mark, which is not UTF-8
+        path.write_bytes("Age,Gender\n27,F\n".encode("utf-16"))
+    rc = main(["prepare", recipe, "--raw", str(tmp_path),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ingestion error: cannot read raw file {path}: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_prepare_failed_write_is_output_failure(tmp_path, capsys):
+    # an --out naming a directory used to end in an IsADirectoryError traceback
+    (tmp_path / "Thyroid_Diff.csv").write_text("Age,Gender,Smoking,Recurred\n27,F,No,No\n")
+    (tmp_path / "out").mkdir()
+    with pytest.warns(UserWarning, match="differs from the expected"):
+        rc = main(["prepare", "thyroid", "--raw", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output failure: ") and "Is a directory" in err[0]
