@@ -44,6 +44,7 @@ EXIT_OTHER = 1
 EXIT_INGESTION = 2
 EXIT_THRESHOLD = 3
 EXIT_OUTPUT = 4
+EXIT_INTERRUPTED = 130  # as a shell reports a run ended by SIGINT
 
 
 def _int_at_least(lowest: int):
@@ -110,8 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    names = (f.name for f in fields(RunConfig))
-    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    return {f.name: getattr(args, f.name) for f in fields(RunConfig)}
 
 
 def _write_rows_csv(path: str, names, rows, group: np.ndarray) -> None:
@@ -128,19 +128,15 @@ def _write_rows_csv(path: str, names, rows, group: np.ndarray) -> None:
 
 def cmd_score(args: argparse.Namespace) -> int:
     file_values = load_config_file(args.config) if args.config else None
-    cfg = merge_config(RunConfig(), file_values, _cli_overrides(args))
+    cfg = merge_config(file_values, _cli_overrides(args))
     if not cfg.input:
         raise IngestionError("no --input file given")
-    cfg.validate()  # the checks that need no data, before --out is made
     # user_model checks the probabilities against the data
     mapping = read_json_object(cfg.probs, "probability file") if cfg.probs else None
     # before the input is read, so a bad --out costs no search
     os.makedirs(cfg.out, exist_ok=True)
     t_start = time.perf_counter()
-    try:
-        ds = read_csv(cfg.input, cfg)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestionError(f"cannot read input file: {exc}") from exc
+    ds = read_csv(cfg.input, cfg)
     t_read = time.perf_counter()
     if ds.dropped_rows:
         print(f"dropped {ds.dropped_rows} rows with missing values", file=sys.stderr)
@@ -156,6 +152,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             print("empty probability file; using the empirical model", file=sys.stderr)
         model = empirical_model(ds)
     t_model = time.perf_counter()
+    degenerate = [name for name, pi in zip(ds.variable_names, model.pi) if 1.0 in pi]
+    if degenerate:
+        print(f"variables {degenerate} take one level with probability 1, whose tables "
+              "can flag every row; consider --drop-cols", file=sys.stderr)
 
     # Only the SVG reads the per-observation arrays; everything else here
     # works on the report's distinct rows.
@@ -281,6 +281,9 @@ def _run(argv: list[str] | None) -> int:
     except OSError as exc:  # every reader raises IngestionError, so a write failed
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -161,7 +161,6 @@ def load_dataset(rows: Iterable[Sequence[str]], cfg: RunConfig | None = None) ->
     no n x p matrix is built.
     """
     cfg = cfg or RunConfig()
-    cfg.check_ingestion()
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
@@ -234,12 +233,14 @@ def read_csv(path, cfg: RunConfig | None = None) -> Dataset:
     It is decoded as UTF-8 whatever the locale, and a leading byte-order mark
     is dropped. The records stream into `load_dataset`, which keeps each
     distinct one once; a record ended by LF, CRLF or CR is the same record.
-    The ingestion options of `cfg` are checked before the file is opened.
+    A path or file that cannot be opened, decoded or parsed raises IngestionError.
     """
     cfg = cfg or RunConfig()
-    cfg.check_ingestion()
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return load_dataset((r for r in csv.reader(fh, delimiter=cfg.delimiter) if r), cfg)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return load_dataset(filter(None, csv.reader(fh, delimiter=cfg.delimiter)), cfg)
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8, a NUL in path
+        raise IngestionError(f"cannot read input file: {exc}") from exc
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:

@@ -55,18 +55,20 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
             (provider.n, provider.alpha, provider.method, provider.max_cells)
             != (ds.n, cfg.alpha, method, cfg.max_cells)):
         raise ValueError("the threshold provider was built for other inputs")
-    if cfg.max_len is not None:
-        decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),
-                                  violating_subset=None, rule="manual")
-    else:
-        decision = provider.maxlen(cfg.maxlen_rule)
-    t_maxlen = time.perf_counter()
-    search = search_infrequent if cfg.mode == "infrequent" else search_frequent
-    flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
-    t_search = time.perf_counter()
-    report = build_report(flags, cfg.r, cfg.mode, decision.maxlen)
-    t_scoring = time.perf_counter()
-    provider.flush_spill()
+    try:
+        if cfg.max_len is not None:
+            decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),
+                                      violating_subset=None, rule="manual")
+        else:
+            decision = provider.maxlen(cfg.maxlen_rule)
+        t_maxlen = time.perf_counter()
+        search = search_infrequent if cfg.mode == "infrequent" else search_frequent
+        flags, stats = search(ds, provider, decision.maxlen, prune=cfg.prune)
+        t_search = time.perf_counter()
+        report = build_report(flags, cfg.r, cfg.mode, decision.maxlen)
+        t_scoring = time.perf_counter()
+    finally:  # a refused or interrupted run keeps the tables it computed
+        provider.flush_spill()
     info = RunInfo(
         maxlen=decision.maxlen,
         maxlen_rule=decision.rule,

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -612,7 +613,7 @@ class TestScoreCommand:
         out = tmp_path / "out"
         assert main(["score", "--input", sample_csv, "--config", str(config),
                      "--out", str(out)]) == 2
-        assert f"ingestion error: config file option {message}" in capsys.readouterr().err
+        assert f"ingestion error: option {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
     @pytest.mark.parametrize("option, value, message", [
@@ -879,6 +880,79 @@ class TestScoreCommand:
         uncached = capsys.readouterr().err
         assert "table over variables (0, 1, 2) has 512 cells" in uncached
         assert cached == uncached
+
+    def test_refused_run_keeps_the_tables_it_computed(self, tmp_path, monkeypatch):
+        # three 8-level variables: the triple's 512 cells exceed the cap of
+        # 100, its three pairs and three singletons do not; the refusal used
+        # to leave the cache empty
+        rows = RNG.integers(1, 9, size=(300, 3)).astype(str).tolist()
+        path = tmp_path / "d.csv"
+        write_csv(path, rows)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        args = ["score", "--input", str(path), "--max-len", "3"]
+        assert main([*args, "--out", str(tmp_path / "o1"), "--max-cells", "100"]) == 3
+        (spill,) = cache.glob("thresholds-*.json")
+        assert sorted(json.loads(spill.read_text())) == ["0", "0,1", "0,2", "1", "1,2", "2"]
+        calls = count_calls(monkeypatch, sono.thresholds, "subset_thresholds")
+        assert main([*args, "--out", str(tmp_path / "o2")]) == 0
+        assert [c[2] for c in calls] == [(0, 1, 2)]
+        monkeypatch.delenv("SONO_CACHE_DIR")
+        assert main([*args, "--out", str(tmp_path / "o3")]) == 0
+        assert same_scores(tmp_path / "o2", tmp_path / "o3")
+
+    def test_interrupted_run_keeps_its_tables_and_exits_130(self, sample_csv, tmp_path,
+                                                           monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SONO_CACHE_DIR", str(cache))
+        find_c = sono.simci.find_c
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return find_c(*args, **kwargs)
+
+        monkeypatch.setattr(sono.simci, "find_c", interrupted)
+        out = tmp_path / "o1"
+        assert main(["score", "--input", sample_csv, "--out", str(out)]) == 130
+        assert capsys.readouterr().err.splitlines() == ["interrupted"]
+        assert not (out / "scores.csv").exists()
+        (spill,) = cache.glob("thresholds-*.json")
+        kept = json.loads(spill.read_text())
+        assert len([k for k in kept if not k.startswith("maxlen:")]) == 3
+        assert "maxlen:any-cell:10000000.0" in kept
+        monkeypatch.setattr(sono.simci, "find_c", find_c)
+        tables = count_calls(monkeypatch, sono.thresholds, "subset_thresholds")
+        assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o2")]) == 0
+        assert table_counts(tmp_path / "o2") == {"computed": len(tables), "from_spill": 3}
+        monkeypatch.delenv("SONO_CACHE_DIR")
+        assert main(["score", "--input", sample_csv, "--out", str(tmp_path / "o3")]) == 0
+        assert same_scores(tmp_path / "o2", tmp_path / "o3")
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_degenerate_column_is_named_once(self, tmp_path, capsys, drop):
+        # A from x/y/z, B mostly copying A and a constant C: C's level of
+        # probability 1 makes every row score, 300 of 300
+        r = random.Random(1)
+        rows = [[a, a if r.random() < 0.9 else r.choice("xyz"), "c"]
+                for a in r.choices("xyz", k=300)]
+        path = tmp_path / "d.csv"
+        write_csv(path, rows)
+        extra = ["--drop-cols", "C"] if drop else []
+        assert main(["score", "--input", str(path), "--out", str(tmp_path / "out"),
+                     *extra]) == 0
+        err = capsys.readouterr().err.splitlines()
+        warned = [line for line in err if "probability 1" in line]
+        nonzero = json.loads((tmp_path / "out" / "run.json").read_text())["results"][
+            "nonzero_scores"]
+        if drop:
+            assert not warned and nonzero == 15
+        else:
+            assert warned == ["variables ['C'] take one level with probability 1, whose "
+                              "tables can flag every row; consider --drop-cols"]
+            assert nonzero == 300
 
     def test_warm_run_reads_the_decision_without_scipy(self, sample_csv, tmp_path,
                                                        monkeypatch):

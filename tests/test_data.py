@@ -74,7 +74,7 @@ class TestLoadDataset:
         # it used to be taken as a sequence of characters: "NA" as {"N", "A"}
         cfg = RunConfig(**{field: value})
         assert getattr(cfg, field) == expected
-        assert cfg == merge_config(RunConfig(), None, {field: value})
+        assert cfg == merge_config(None, {field: value})
 
     def test_unknown_drop_cols_raise(self):
         rows = [["id", "color"], ["1", "red"], ["2", "blue"]]
@@ -99,14 +99,10 @@ class TestLoadDataset:
         ({"level_order": "sideways"}, "unknown level order 'sideways'"),
     ], ids=["long-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter",
             "missing", "level-order"])
-    def test_bad_ingestion_option_raises(self, tmp_path, options, message):
-        cfg = RunConfig(**options)
+    def test_bad_ingestion_option_raises(self, options, message):
+        # the config itself refuses the option, so no loader sees it
         with pytest.raises(IngestionError) as got:
-            load_dataset([["A", "B"], ["a", "b"]], cfg)
-        assert str(got.value) == message
-        # checked before the file is opened: this one does not exist
-        with pytest.raises(IngestionError) as got:
-            read_csv(tmp_path / "nope.csv", cfg)
+            RunConfig(**options)
         assert str(got.value) == message
 
     def test_too_few_level_label_sets_raise(self, toy_table):
@@ -461,13 +457,21 @@ class TestReadCsv:
         text = "A,B\n" + "x" * (csv.field_size_limit() + 1) + ",b\n"
         path = write_text(text)
         try:
-            with pytest.raises(csv.Error) as got:
+            with pytest.raises(IngestionError) as got:
                 read_csv(path)
             with pytest.raises(csv.Error) as want:
                 read_rows(path, RunConfig())
         finally:
             os.remove(path)
-        assert str(got.value) == str(want.value)
+        assert isinstance(got.value.__cause__, csv.Error)
+        assert str(got.value) == f"cannot read input file: {want.value}"
+        assert str(got.value.__cause__) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "nul\x00.csv", "."])
+    def test_unopenable_path_raises_an_ingestion_error(self, tmp_path, name):
+        # a NUL in the path used to raise ValueError: embedded null byte
+        with pytest.raises(IngestionError, match="^cannot read input file: "):
+            read_csv(tmp_path / name)
 
     @pytest.mark.parametrize("text", ["", "\n\r\n", "A,B\n", "A,B\n\n"])
     def test_empty_files(self, text):
