@@ -24,6 +24,14 @@ _TYPES = {"bool": bool, "float": (int, float), "int | None": (int, type(None)),
           "str | None": (str, type(None)), "tuple[str, ...]": (str, list, tuple)}
 
 
+def _shown(value) -> str:
+    """An option's value in a message: its repr, but an integer beyond float
+    range by its length, since it may have more digits than Python prints."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"<an integer of about {math.floor(math.log10(abs(value))) + 1} digits>"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a scoring run depends on; echoed verbatim into run.json.
@@ -58,7 +66,7 @@ class RunConfig:
                     or isinstance(value, (list, tuple))
                     and not all(isinstance(v, str) for v in value)):
                 raise IngestionError(f"option {f.name!r} must be of type {f.type}, "
-                                     f"got {value!r}")
+                                     f"got {_shown(value)}")
         # A string names a comma list; only a marker may be empty.
         for name in ("format", "drop_cols", "missing_markers"):
             value = getattr(self, name)
@@ -117,7 +125,7 @@ class RunConfig:
             raise DomainError(f"r must be finite, with p ** (r + 1) within float range "
                               f"(p={p}), got r {self.r!r}")
         if p is not None and self.max_len is not None and self.max_len > p:
-            raise DomainError(f"max-len {self.max_len} exceeds p={p}")
+            raise DomainError(f"max-len {_shown(self.max_len)} exceeds p={p}")
         if p is not None and self.r > R_SOFT_MAX:
             # given once, by run_analysis's check with p; it names that caller
             warnings.warn(f"r={self.r} strongly damps longer itemsets; values much "

@@ -3,7 +3,8 @@
 Levels are 1-based integer codes; a `Dataset` keeps each distinct row of codes
 once, with each observation's distinct row. Rows are grouped one way,
 numbered by first appearance (`_first_appearance`), whether they arrive as
-raw strings (`load_dataset`) or as codes (`Dataset.from_codes`). The
+raw strings (`load_dataset`) or as codes (`Dataset.from_codes`); `read_csv`
+numbers a file's lines by first appearance too, by their text. The
 probability model holds one probability vector per variable; under
 independence the probability of a cell (an itemset) is the product of its
 per-variable level probabilities. This module is the one home of that
@@ -171,6 +172,14 @@ def load_dataset(rows: Iterable[Sequence[str]], cfg: RunConfig | None = None) ->
         names = None
         rows = itertools.chain([first], rows)
     distinct, group = _first_appearance(map(tuple, rows))
+    return _encode(names, distinct, group, cfg)
+
+
+def _encode(names: list[str] | None, distinct: Sequence[Sequence[str]],
+            group: np.ndarray, cfg: RunConfig) -> Dataset:
+    """load_dataset from its grouping on: the header's names (None without a
+    header), the distinct data records in first-appearance order and each
+    data record's index among them."""
     if not distinct:
         raise EmptyDatasetError("the table has no data rows")
     width = len(names) if cfg.header else len(distinct[0])
@@ -231,16 +240,62 @@ def read_csv(path, cfg: RunConfig | None = None) -> Dataset:
     """Read a delimited UTF-8 text file and encode it; blank lines are skipped.
 
     It is decoded as UTF-8 whatever the locale, and a leading byte-order mark
-    is dropped. The records stream into `load_dataset`, which keeps each
-    distinct one once; a record ended by LF, CRLF or CR is the same record.
+    is dropped. A record ended by LF, CRLF or CR is the same record. Each
+    distinct line is parsed once; from the first line that holds the quote
+    character on, where a quoted field may span lines, the records stream
+    into `load_dataset` instead. Either way the Dataset is the one
+    `load_dataset` makes of the file's records.
     A path or file that cannot be opened, decoded or parsed raises IngestionError.
     """
     cfg = cfg or RunConfig()
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return load_dataset(filter(None, csv.reader(fh, delimiter=cfg.delimiter)), cfg)
+            return _read_lines(fh, cfg)
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8, a NUL in path
         raise IngestionError(f"cannot read input file: {exc}") from exc
+
+
+def _read_lines(fh, cfg: RunConfig) -> Dataset:
+    """read_csv on an open file. Without quotes no record spans lines, and two
+    lines give equal records exactly when their texts without the line
+    terminator are equal. So the lines are numbered by text, in order of first
+    appearance, and csv parses each distinct one when it first appears, which
+    raises a csv error at the line where a record-by-record read raises it."""
+    index: dict[str, int] = {}  # each distinct data line's text, numbered
+    group: list[int] = []  # each data line's number
+    quoted: list[str] = []  # the first line that holds a quote, once met
+
+    def new_lines():  # the text of each line not seen before
+        for line in fh:
+            key = line.rstrip("\r\n")
+            if not key:  # csv reads no record from a blank line
+                continue
+            g = index.get(key)
+            if g is None:
+                if '"' in key:
+                    quoted.append(line)
+                    return
+                g = index[key] = len(index)
+                group.append(g)
+                yield key
+            else:
+                group.append(g)
+
+    records = csv.reader(new_lines(), delimiter=cfg.delimiter)
+    names = next(records, None) if cfg.header else None
+    index.clear()  # the header is no data, but a later line with its text is
+    group.clear()
+    distinct = list(records)
+    if quoted:  # the records so far, then record by record from that line on
+        rest = csv.reader(itertools.chain(quoted, fh), delimiter=cfg.delimiter)
+        return load_dataset(itertools.chain([] if names is None else [names],
+                                            map(distinct.__getitem__, group),
+                                            filter(None, rest)), cfg)
+    if names is None and not distinct:
+        raise EmptyDatasetError("empty input table")
+    index.clear()  # neither the texts nor the list outlive the read
+    group = np.array(group, dtype=np.intp)
+    return _encode(names, distinct, group, cfg)
 
 
 def empirical_model(ds: Dataset) -> ProbabilityModel:

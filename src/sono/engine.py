@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .data import Dataset, ProbabilityModel
+from .errors import DomainError
 from .lattice import Flags, SearchStats, search_frequent, search_infrequent
 from .scoring import ScoreReport, build_report
 from .thresholds import MaxlenDecision, ThresholdProvider
@@ -54,7 +55,7 @@ def run_analysis(ds: Dataset, model: ProbabilityModel, cfg: RunConfig,
     elif provider.model is not model or (
             (provider.n, provider.alpha, provider.method, provider.max_cells)
             != (ds.n, cfg.alpha, method, cfg.max_cells)):
-        raise ValueError("the threshold provider was built for other inputs")
+        raise DomainError("the threshold provider was built for other inputs")
     try:
         if cfg.max_len is not None:
             decision = MaxlenDecision(maxlen=min(cfg.max_len, ds.p),

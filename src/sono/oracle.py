@@ -389,7 +389,7 @@ def walker(ds: Dataset, model: ProbabilityModel, alpha: float, r: float,
     elif mode == "frequent":
         sizes = range(maxlen, 0, -1)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}")
 
     for size in sizes:
         for subset in itertools.combinations(range(p), size):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_MAX_CELLS, read_json_object
 from .data import ProbabilityModel, cell_probs, subset_cell_probs
-from .errors import IngestionError, TableExplosion, log_warning
+from .errors import DomainError, IngestionError, TableExplosion, log_warning
 
 if TYPE_CHECKING:
     from .simci import CellSpec
@@ -72,7 +72,7 @@ class ThresholdTable:
             return self.n * p - self.c
         if mode == "frequent":
             return self.n * p + self.c + 2.0 * self.gamma
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}")
 
     def sigma(self, levels: np.ndarray, mode: str) -> np.ndarray:
         """Thresholds of the cells given as rows of 1-based levels (cells x |subset|)."""
@@ -156,7 +156,7 @@ def determine_maxlen(model: ProbabilityModel, n: int, alpha: float, *,
     bounds in both modes.
     """
     if rule not in ("any-cell", "all-cells"):
-        raise ValueError(f"unknown maxlen rule {rule!r}")
+        raise DomainError(f"unknown maxlen rule {rule!r}")
     p = model.p
     level = 1.0 - 2.0 * alpha
     for m in range(1, p + 1):

@@ -12,7 +12,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sono import RunConfig, empirical_model, load_dataset, read_csv, run_analysis
@@ -141,6 +141,9 @@ def _options(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_options())
+@example({"alpha": 10 ** 5000})  # integers Python will not print in full
+@example({"max_cells": 10 ** 5000})
+@example({"max_len": 10 ** 5000})
 def test_no_generated_config_ends_in_another_exception(options):
     # a RunConfig is refused with a SonoError, or it reads and scores a
     # tiny table, or refuses it, with one
@@ -163,3 +166,15 @@ def test_no_generated_config_ends_in_another_exception(options):
             run_analysis(_DS, _MODEL, cfg)
         except SonoError:
             pass
+
+
+@pytest.mark.parametrize("name, message", [
+    ("alpha", "option 'alpha' must be of type float, got <an integer of about 5001 digits>"),
+    ("max_cells",
+     "option 'max_cells' must be of type float, got <an integer of about 5001 digits>"),
+    ("max_len", "max-len <an integer of about 5001 digits> exceeds p=3"),
+])
+def test_an_integer_too_long_to_print_is_named_by_its_length(name, message):
+    with pytest.raises(SonoError) as err:
+        run_analysis(_DS, _MODEL, RunConfig(**{name: 10 ** 5000}))
+    assert str(err.value) == message

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -374,7 +375,7 @@ def assert_reads_like_whole_file(text, opts):
         os.remove(path)
 
 
-PLAIN_FIELDS = ["b", "a", "?", "", "c", "A", "x y"]
+PLAIN_FIELDS = ["b", "a", "?", "", "c", "A", "x y", "b "]
 # fields csv.writer quotes: they hold the delimiter, a newline or the quote
 QUOTED_FIELDS = ["a,b", "two\nlines", "cr\rlf", 'say "hi"']
 
@@ -383,8 +384,8 @@ QUOTED_FIELDS = ["a,b", "two\nlines", "cr\rlf", 'say "hi"']
 def csv_texts(draw):
     """A file of records drawn from a few patterns, so that lines repeat:
     each record ends in LF, CRLF or CR, blank lines fall between records,
-    the header may recur in the body, a record may be ragged and a field may
-    need quotes."""
+    the header may recur in the body, a record may be ragged, a field may
+    need quotes and the last record may have no line terminator."""
     quoted = draw(st.booleans())
     field = st.sampled_from(PLAIN_FIELDS + (QUOTED_FIELDS if quoted else []))
     patterns = draw(st.lists(st.lists(field, min_size=3, max_size=3),
@@ -396,15 +397,16 @@ def csv_texts(draw):
     out = io.StringIO()
     for record in [["V1", "V2", "V3"]] + [patterns[k] for k in picks]:
         out.write(draw(st.sampled_from(["", "", "", "\n", "\r\n"])))  # blank lines
-        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))
-                   ).writerow(record)
-    return out.getvalue()
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        csv.writer(out, lineterminator=end).writerow(record)
+    text = out.getvalue()
+    return text[:-len(end)] if draw(st.booleans()) else text
 
 
 class TestReadCsv:
-    """read_csv streams records and keeps each distinct one once; it must read
-    a file exactly as load_dataset reads the list of its records, blank lines
-    skipped."""
+    """read_csv parses each distinct line once, and from a file's first quote
+    on reads record by record; either way it must read a file exactly as
+    load_dataset reads the list of its records, blank lines skipped."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts(),
@@ -431,9 +433,26 @@ class TestReadCsv:
         'A,B\n"x\ny",b\nc,d\n"x\ny",b\n',   # a record spanning two lines
         'A,B\n"a",b\na,b\n',                  # quoted and bare, one value
         'A,B\nx,"1,2"\nx,1\n',
+        '"A",B\na,b\nc,d\na,b\n',             # the only quote is in the header
+        # the first quote on the last line, after repeated quote-free lines
+        'A,B\na,b\r\nc,d\n\na,b\rA,B\nc,d\n"a",b',
     ])
     def test_quoted_records(self, text):
         assert_reads_like_whole_file(text, RunConfig())
+        assert_reads_like_whole_file(text, RunConfig(header=False))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_quoted_file_reads_alike_from_a_pipe(self, tmp_path):
+        # the reader goes on from the first quote; it never seeks back
+        text = 'A,B\na,b\nc,d\na,b\n"x\ny",d\nc,d\n'
+        fifo, plain = tmp_path / "fifo.csv", tmp_path / "plain.csv"
+        os.mkfifo(fifo)
+        plain.write_bytes(text.encode())
+        writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),), daemon=True)
+        writer.start()
+        got = outcome(read_csv, fifo, RunConfig())
+        writer.join()
+        assert got == outcome(read_rows, plain, RunConfig())
 
     @pytest.mark.parametrize("text, idx", [
         ("A,B\na,b\na,b\n\nc\na,b\n", 2),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (Dataset, RunConfig, ThresholdProvider, empirical_model,
+from sono import (Dataset, DomainError, RunConfig, ThresholdProvider, empirical_model,
                   load_dataset, random_dataset, read_csv, run_analysis, search_frequent,
                   search_infrequent)
 from sono.lattice import _observed_cells
@@ -224,7 +224,7 @@ class TestSearchSemantics:
             built[other] *= 2
         provider = ThresholdProvider(built["model"], built["n"], built["alpha"],
                                      max_cells=built["max_cells"])
-        with pytest.raises(ValueError, match="built for other inputs"):
+        with pytest.raises(DomainError, match="built for other inputs"):
             run_analysis(ds, model, cfg, provider)
 
     def test_apriori_monotonicity_of_supports(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sono.oracle
 import sono.simci
-from sono import (CellSpec, OracleRefusal, RunConfig,
+from sono import (CellSpec, DomainError, OracleRefusal, RunConfig,
                   check_propositions, empirical_model, exact_nu, load_dataset,
                   random_dataset, run_analysis, user_model, walker)
 from sono.oracle import (_best_configuration, _coverage_enumeration, flag_keys,
@@ -98,6 +98,11 @@ class TestWalker:
         b = walker(ds, model, 0.1, 1.0, mode="frequent")
         assert a.flag_sets == b.flag_sets
         assert a.report.scores.tolist() == b.report.scores.tolist()
+
+    def test_walker_refuses_an_unknown_mode(self):
+        ds = random_dataset(np.random.default_rng(5), n_max=60, p_max=4)
+        with pytest.raises(DomainError, match="unknown mode 'bogus'"):
+            walker(ds, empirical_model(ds), 0.1, 1.0, mode="bogus")
 
 
 class TestFlagKeys:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sono import (CellSpec, OracleRefusal, ProbabilityModel, TableExplosion,
+from sono import (CellSpec, DomainError, OracleRefusal, ProbabilityModel, TableExplosion,
                   ThresholdProvider, ThresholdTable, determine_maxlen, find_c,
                   subset_thresholds)
 import sono.oracle
@@ -133,7 +133,7 @@ class TestSigmaForSubset:
             assert [sigma_of(table, cell, mode) for cell in cells.tolist()] == sig.tolist()
         assert table.max_sigma() == max(table.sigma(cells, "infrequent"))
         # an unknown mode raises instead of falling back
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(DomainError, match="unknown mode"):
             table.sigma(cells, "bogus")
 
     def test_table_explosion(self):
@@ -168,7 +168,7 @@ class TestDetermineMaxlen:
         # min cell of a pair table: 200 * 0.01 = 2 - c < 2 so all-cells stops at 1
         assert all_cells.maxlen == 1
         # an unknown rule raises instead of falling back
-        with pytest.raises(ValueError, match="unknown maxlen rule 'bogus'"):
+        with pytest.raises(DomainError, match="unknown maxlen rule 'bogus'"):
             determine_maxlen(model, n, 0.05, rule="bogus")
 
     def test_first_failing_size_stops(self):
